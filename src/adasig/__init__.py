@@ -19,10 +19,10 @@ from .analysis import (
     verify_filtered_pe,
     winding_budget,
 )
-from .classify import DecisionReport, band_from_noise, decide, readout
+from .classify import DecisionReport, band_from_noise, decide
 from .config import ExperimentConfig, config_hash, load_config
 from .integrator import Trajectory, integrate_system, rk4_step
-from .plant import PlantSpec, make_noise, plant_rhs, simulate_measurement, verify_slope_bounds
+from .plant import PlantSpec, make_noise, plant_rhs, verify_slope_bounds
 from .prototype import (
     PrototypeConfig,
     PrototypeState,
@@ -46,7 +46,6 @@ from .rnn import (
     estimate_rhs_lipschitz,
     fit_network,
     sample_rhs,
-    simulate_rnn,
 )
 from .signals import (
     InputSignal,

@@ -5,17 +5,16 @@ Everything here is pure post-processing over immutable trajectories.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .integrator import Trajectory
 from .prototype import PrototypeConfig
-from .signals import SignalClass, deadzone_norm, set_distance
+from .signals import SignalClass, set_distance
 
 __all__ = [
     "PEReport",
@@ -50,17 +49,6 @@ class PEReport:
     def ok(self) -> bool:
         return self.condition_ok and self.delta_star > 0
 
-    def to_dict(self) -> dict:
-        return {
-            "L_window": self.L_window,
-            "delta_lower": self.delta_lower,
-            "condition_ok": self.condition_ok,
-            "L_star": self.L_star,
-            "delta_star": self.delta_star,
-            "p": self.p,
-            "integral_samples": list(self.integral_samples),
-        }
-
 
 @dataclass
 class ConvergenceReport:
@@ -76,15 +64,7 @@ class ConvergenceReport:
         return self.entry_time is not None
 
     def to_dict(self) -> dict:
-        return {
-            "entry_time": self.entry_time,
-            "residence": self.residence,
-            "winding_spent": self.winding_spent,
-            "bound_used": self.bound_used,
-            "decided_class": self.decided_class,
-            "horizon": self.horizon,
-            "entered": self.entered,
-        }
+        return asdict(self) | {"entered": self.entered}
 
 
 def _window_integrals(vals: np.ndarray, dt: float, L: float) -> np.ndarray:
@@ -168,12 +148,16 @@ def winding_budget(
     """
     if config.delta > 0:
         warnings.warn("winding budget applies to delta=0 runs; delta adds rotation")
+    budget = math.pi - config.nu_x + 2.0 * math.pi * config.k_prime
+    return _winding_spent(traj, config, class_index), budget
+
+
+def _winding_spent(traj: Trajectory, config: PrototypeConfig, class_index: int) -> float:
+    """gamma times the trapezoidal integral of max(|shat - s| - epsilon, 0)."""
     s = traj.column("s")
     shat = traj.column(f"shat_{class_index + 1}")
-    e = np.array([deadzone_norm(a - b, config.epsilon) for a, b in zip(shat, s)])
-    spent = config.gamma * float(np.trapezoid(e, traj.times))
-    budget = math.pi - config.nu_x + 2.0 * math.pi * config.k_prime
-    return spent, budget
+    e = np.maximum(np.abs(shat - s) - config.epsilon, 0.0)
+    return config.gamma * float(np.trapezoid(e, traj.times))
 
 
 def convergence_report(
@@ -205,26 +189,13 @@ def convergence_report(
         run_lengths = traj.times[idx[ends]] - traj.times[idx[starts]]
         residence = float(np.max(run_lengths))
 
-    spent = 0.0
-    if config is not None:
-        spent, _ = winding_budget(traj, config, class_index) if config.delta == 0 else (
-            _winding_spent_only(traj, config, class_index),
-            None,
-        )
     return ConvergenceReport(
         entry_time=entry_time,
         residence=residence,
-        winding_spent=spent,
+        winding_spent=0.0 if config is None else _winding_spent(traj, config, class_index),
         bound_used=bound,
         horizon=float(traj.times[-1]),
     )
-
-
-def _winding_spent_only(traj: Trajectory, config: PrototypeConfig, i: int) -> float:
-    s = traj.column("s")
-    shat = traj.column(f"shat_{i + 1}")
-    e = np.array([deadzone_norm(a - b, config.epsilon) for a, b in zip(shat, s)])
-    return config.gamma * float(np.trapezoid(e, traj.times))
 
 
 def sweep_uniformity(theta_grid, run_experiment, bound: float):
@@ -304,13 +275,3 @@ def check_state_bounds(
         if np.max(np.abs(shat)) > lim_s:
             violations.append(f"class {i}: filter state exceeds {lim_s:.6g}")
     return violations
-
-
-def report_to_json(report, path=None, **extra) -> str:
-    payload = report.to_dict()
-    payload.update(extra)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text

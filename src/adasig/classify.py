@@ -1,4 +1,4 @@
-"""Read-out maps and the decision rule.
+"""The windowed decision rule over recorded read-outs.
 
 A class is accepted when its filter mismatch |h_f,i| stays inside a band
 over a full window of length T_star; the parameter estimate is the window
@@ -6,17 +6,16 @@ average of the read-back h_theta,i of the accepted class.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .integrator import Trajectory
-from .prototype import TuningReport, theta_hat
+from .prototype import TuningReport
 
-__all__ = ["DecisionReport", "readout", "decide", "band_from_noise"]
+__all__ = ["DecisionReport", "decide", "band_from_noise"]
 
 
 @dataclass
@@ -31,41 +30,7 @@ class DecisionReport:
     per_class: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "decided": self.decided,
-            "theta_estimate": self.theta_estimate,
-            "t_prime": self.t_prime,
-            "T_star": self.T_star,
-            "band_hf": self.band_hf,
-            "band_theta": self.band_theta,
-            "status": self.status,
-            "per_class": self.per_class,
-        }
-
-    def to_json(self, path=None, **extra) -> str:
-        payload = self.to_dict()
-        payload.update(extra)
-        text = json.dumps(payload, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-
-def readout(
-    state: np.ndarray, s: float, configs: Sequence
-) -> tuple[np.ndarray, np.ndarray]:
-    """Instantaneous read-outs h_f,i = s - shat_i and the affine read-back
-    h_theta,i for every class; configs supply (a, b) per class."""
-    m = len(configs)
-    if len(state) != 3 * m:
-        raise ValueError("state length must be 3 per class")
-    hf = np.empty(m)
-    htheta = np.empty(m)
-    for i, cfg in enumerate(configs):
-        hf[i] = s - state[3 * i]
-        htheta[i] = theta_hat(state[3 * i + 1], cfg.a, cfg.b)
-    return hf, htheta
+        return asdict(self)
 
 
 def band_from_noise(

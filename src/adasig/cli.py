@@ -1,7 +1,8 @@
 """Experiment runner: tune -> simulate -> verify -> fit-rnn -> report.
 
-Exit codes: 0 success, 1 usage/parse error, 2 infeasible tuning,
-3 trajectory never entered the target set, 4 verification failure.
+Exit codes: 0 success, 1 usage/parse error or diverged integration,
+2 infeasible tuning, 3 trajectory never entered the target set,
+4 verification failure.
 """
 from __future__ import annotations
 
@@ -9,12 +10,13 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, classify, rnn, signals
-from .config import VERSION, ExperimentConfig, load_config, sub_seed
+from .config import VERSION, ExperimentConfig, config_hash, load_config, sub_seed
 from .integrator import integrate_system, rk4_step
 from .prototype import (
     TuningReport,
@@ -40,12 +42,17 @@ class InfeasibleTuning(Exception):
 # ---------------------------------------------------------------- pipeline
 
 
+def excitation_window(cfg: ExperimentConfig) -> tuple[float, float]:
+    """(window_T, pe_horizon) from the tuning section; defaults 2*pi and 8*window_T."""
+    t = cfg.raw.get("tuning", {})
+    window_T = float(t.get("window_T", 2.0 * math.pi))
+    return window_T, float(t.get("pe_horizon", 8.0 * window_T))
+
+
 def rho_envelope_for(cfg: ExperimentConfig, class_index: int) -> signals.RhoEnvelope:
     """Empirical excitation envelope for one class on the configured input."""
     clazz = cfg.classes[class_index]
-    t = cfg.raw.get("tuning", {})
-    window_T = float(t.get("window_T", 2.0 * math.pi))
-    horizon = float(t.get("pe_horizon", 8.0 * window_T))
+    window_T, horizon = excitation_window(cfg)
     a, b = float(cfg.prototype["a"]), float(cfg.prototype["b"])
     span = b - a
     separations = np.linspace(span / 8.0, span, 8)
@@ -84,8 +91,7 @@ def run_tune(cfg: ExperimentConfig, class_index=None) -> TuningReport:
 
     rho = rho_envelope_for(cfg, i)
     d_f = 2.0 * clazz.lipschitz_xi * cfg.inp.dxi_sup
-    window_T = float(cfg.raw.get("tuning", {}).get("window_T", 2.0 * math.pi))
-    L = compute_L(window_T, rho(b - a), d_f)
+    L = compute_L(excitation_window(cfg)[0], rho(b - a), d_f)
     err = error_bound(cfg.plant.noise_bound, d_theta, a, b, d_f, L, rho.inverse)
     return TuningReport(
         c=c,
@@ -187,11 +193,13 @@ def _outdir(args) -> Path:
 
 
 def _load(args) -> ExperimentConfig:
+    """Load the config; --seed/--dt overrides enter the simulation section and the hash."""
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.simulation["seed"] = args.seed
-    if args.dt is not None:
-        cfg.simulation["dt"] = args.dt
+    overrides = {k: v for k, v in (("seed", args.seed), ("dt", args.dt)) if v is not None}
+    if overrides:
+        cfg.simulation.update(overrides)
+        cfg.raw = cfg.raw | {"simulation": cfg.simulation}
+        cfg.hash = config_hash(cfg.raw)
     return cfg
 
 
@@ -209,12 +217,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_tune(args) -> int:
     cfg = _load(args)
-    try:
-        report = run_tune(cfg)
-    except InfeasibleTuning as exc:
-        print(f"infeasible tuning: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    payload = _stamp(report.to_dict(), cfg)
+    payload = _stamp(asdict(run_tune(cfg)), cfg)
     _write_json(_outdir(args) / "tuning.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
@@ -222,22 +225,14 @@ def cmd_tune(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    try:
-        tuning = run_tune(cfg)
-    except InfeasibleTuning as exc:
-        print(f"infeasible tuning: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    tuning = run_tune(cfg)
     out = _outdir(args)
     configs = cfg.class_configs()
-    try:
-        traj = run_simulate(cfg)
-    except ValueError as exc:
-        print(f"simulation rejected: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    traj = run_simulate(cfg)
     csv_path = out / "trajectory.csv"
     with open(csv_path, "w") as fh:
         fh.write(f"# config_hash={cfg.hash} version={VERSION}\n")
-        fh.write(traj.to_csv())
+        traj.to_csv(fh)
     bound = theta_bound_for(cfg, tuning)
     conv = analysis.convergence_report(
         traj, cfg.classes[cfg.true_class], cfg.true_theta, bound,
@@ -246,7 +241,7 @@ def cmd_simulate(args) -> int:
     decision = run_decide(cfg, traj, tuning)
     conv.decided_class = decision.decided
     _write_json(out / "convergence.json", _stamp(conv.to_dict(), cfg))
-    _write_json(out / "decision.json", _stamp(decision.to_dict(), cfg))
+    _write_json(out / "decision.json", _stamp(asdict(decision), cfg))
     print(f"entered={conv.entered} entry_time={conv.entry_time} "
           f"status={decision.status} decided={decision.decided}")
     return EXIT_OK if conv.entered else EXIT_NOT_ENTERED
@@ -257,9 +252,7 @@ def cmd_verify(args) -> int:
     out = _outdir(args)
     which = args.which
     if which == "persistency":
-        t = cfg.raw.get("tuning", {})
-        window_T = float(t.get("window_T", 2.0 * math.pi))
-        horizon = float(t.get("pe_horizon", 8.0 * window_T))
+        window_T, horizon = excitation_window(cfg)
         clazz = cfg.classes[cfg.true_class]
         lo, hi = clazz.theta_range
         est = signals.persistency_envelope(
@@ -280,7 +273,7 @@ def cmd_verify(args) -> int:
     elif which == "pe":
         report = verify_pe_example(cfg)
         passed = report.ok
-        payload = _stamp(report.to_dict() | {"check": "pe"}, cfg)
+        payload = _stamp(asdict(report) | {"check": "pe"}, cfg)
     elif which == "bounds":
         traj = run_simulate(cfg)
         configs = cfg.class_configs()
@@ -300,28 +293,24 @@ def cmd_verify(args) -> int:
 def verify_pe_example(cfg: ExperimentConfig) -> analysis.PEReport:
     """Filter the class drive through the plant and verify it stays exciting."""
     clazz = cfg.classes[cfg.true_class]
-    t_cfg = cfg.raw.get("tuning", {})
-    L = float(t_cfg.get("window_T", 2.0 * math.pi))
-    horizon = float(t_cfg.get("pe_horizon", 8.0 * L))
+    L, horizon = excitation_window(cfg)
     dt = 1e-3
     t = np.arange(0.0, horizon + dt / 2, dt)
     lo, hi = clazz.theta_range
-    u = np.asarray(
-        clazz.f(cfg.inp.xi(t), cfg.true_theta) - clazz.f(cfg.inp.xi(t), lo),
-        dtype=float,
-    )
-    if cfg.true_theta == lo:
-        u = np.asarray(clazz.f(cfg.inp.xi(t), hi) - clazz.f(cfg.inp.xi(t), lo), dtype=float)
+    # Compare against the lower end of the range, or the upper end when the
+    # true parameter sits on the lower end itself.
+    theta = hi if cfg.true_theta == lo else cfg.true_theta
+    xi = cfg.inp.xi(t)
+    u = np.asarray(clazz.f(xi, theta) - clazz.f(xi, lo), dtype=float)
+    # RK4 with the drive held at u[k] over each step; integrate_system would
+    # evaluate it at the stage times instead.
     z = np.zeros_like(u)
     for k in range(len(t) - 1):
         zk = z[k]
         uk = u[k]
         rhs = lambda q, tt: np.array([-cfg.plant.phi(q[0]) + uk])
         z[k + 1] = rk4_step(rhs, np.array([zk]), t[k], dt)[0]
-    w = int(round(L / dt))
-    a = np.abs(u)
-    cum = np.concatenate([[0.0], np.cumsum((a[1:] + a[:-1]) * 0.5 * dt)])
-    delta = float(np.min(cum[w:] - cum[:-w]))
+    delta = float(np.min(analysis._window_integrals(u, dt, L)))
     Delta = cfg.plant.noise_bound / cfg.plant.phi_min
     return analysis.verify_filtered_pe(z, u, dt, L, delta, Delta=Delta)
 
@@ -353,7 +342,7 @@ def cmd_fit_rnn(args) -> int:
                 seed=sub_seed(cfg.seed, f"lip_{i}"),
             )
             rep = rnn.divergence_check(traj_p, traj_r, net.eps_N, L_i, class_index=i)
-            results.append(rep.to_dict() | {"L_i": L_i})
+            results.append(asdict(rep) | {"L_i": L_i})
             passed = passed and rep.passed
         _write_json(out / "divergence.json", _stamp({"per_class": results}, cfg))
     print(f"fit-rnn: eps_N={[f'{n.eps_N:.4g}' for n in last_nets]} "
@@ -365,11 +354,7 @@ def cmd_report(args) -> int:
     """Full pipeline: tune, simulate, decide, sweep; one summary JSON."""
     cfg = _load(args)
     out = _outdir(args)
-    try:
-        tuning = run_tune(cfg)
-    except InfeasibleTuning as exc:
-        print(f"infeasible tuning: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    tuning = run_tune(cfg)
     traj = run_simulate(cfg)
     decision = run_decide(cfg, traj, tuning)
     bound = theta_bound_for(cfg, tuning)
@@ -390,8 +375,8 @@ def cmd_report(args) -> int:
     analysis.sweep_table_csv(table, out / "sweep.csv")
     summary = _stamp(
         {
-            "tuning": tuning.to_dict(),
-            "decision": decision.to_dict(),
+            "tuning": asdict(tuning),
+            "decision": asdict(decision),
             "T_prime_max_empirical": t_max,
             "theta_bound": bound,
             "sweep_entered": all(not row["flagged"] for row in table),
@@ -440,7 +425,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except InfeasibleTuning as exc:
+        print(f"infeasible tuning: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

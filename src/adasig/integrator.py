@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .plant import PlantSpec, make_noise
+from .plant import PlantSpec, make_noise, plant_rhs
 from .prototype import PrototypeConfig, init_state, prototype_rhs, theta_hat
 from .signals import InputSignal, SignalClass
 
@@ -56,22 +56,19 @@ class Trajectory:
             cols += [f"shat_{i}", f"x_{i}", f"y_{i}", f"theta_hat_{i}", f"hf_{i}"]
         return ",".join(cols)
 
-    def to_csv(self, path=None) -> str:
-        """Serialize with 17 significant digits (round-trip exact for float64)."""
-        buf = io.StringIO()
-        buf.write(self.csv_header() + "\n")
-        m = self.n_classes
-        for k in range(len(self.times)):
-            row = [self.times[k], self.states[k, 0]]
-            for i in range(m):
-                row += list(self.states[k, 1 + 3 * i : 4 + 3 * i])
-                row += [self.readouts[k, 2 * i], self.readouts[k, 2 * i + 1]]
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+    def to_csv(self, path=None) -> Optional[str]:
+        """Serialize with 17 significant digits (round-trip exact for float64).
+
+        With a path (a file name or an open text file) the rows are written
+        there and None is returned; without one the text is returned.
+        """
+        cols = [self.times[:, None], self.states[:, :1]]
+        for i in range(self.n_classes):
+            cols += [self.states[:, 1 + 3 * i : 4 + 3 * i], self.readouts[:, 2 * i : 2 * i + 2]]
+        out = io.StringIO() if path is None else path
+        np.savetxt(out, np.hstack(cols), fmt="%.17g", delimiter=",",
+                   header=self.csv_header(), comments="")
+        return out.getvalue() if path is None else None
 
 
 def rk4_step(
@@ -124,10 +121,10 @@ def integrate_system(
 
     Each bank entry is either (SignalClass, PrototypeConfig) or a fitted
     network exposing .rhs(xi, s, state3) plus read-back bounds (a, b). An
-    empty bank reproduces the plant-only trajectory exactly.
+    empty bank integrates the plant alone.
     """
-    if dt <= 0 or horizon < 0:
-        raise ValueError("need dt > 0 and horizon >= 0")
+    if dt <= 0 or horizon < 0 or record_every < 1:
+        raise ValueError("need dt > 0, horizon >= 0 and record_every >= 1")
     entries = [_bank_entry(e) for e in bank]
     m = len(entries)
     if s0 is None:
@@ -138,7 +135,6 @@ def integrate_system(
 
     state = np.empty(1 + 3 * m)
     state[0] = s0
-    readback = []
     for i, (kind, c, obj) in enumerate(entries):
         if init_states is not None:
             state[1 + 3 * i : 4 + 3 * i] = np.asarray(init_states[i], dtype=float)
@@ -148,7 +144,6 @@ def integrate_system(
         else:
             nu = getattr(obj, "nu_x", 0.0)
             state[1 + 3 * i : 4 + 3 * i] = [s0, np.cos(nu), np.sin(nu)]
-        readback.append((obj.a, obj.b))
 
     n = int(round(horizon / dt))
     eta = make_noise(spec, max(n, 1), t0, dt, seed)
@@ -158,7 +153,7 @@ def integrate_system(
         xi_val = float(inp.xi(np.asarray(t, dtype=float)))
         s = q[0]
         dq = np.empty_like(q)
-        dq[0] = -spec.phi(s) + float(clazz.f(xi_val, theta)) + eta_now
+        dq[0] = plant_rhs(s, xi_val, clazz, theta, spec, eta_now)
         for i, (kind, c, obj) in enumerate(entries):
             sub = q[1 + 3 * i : 4 + 3 * i]
             if kind == "prototype":
@@ -167,26 +162,17 @@ def integrate_system(
                 dq[1 + 3 * i : 4 + 3 * i] = obj.rhs(xi_val, s, sub)
         return dq
 
-    def record(t, q, times, states, reads):
-        times.append(t)
-        states.append(q.copy())
-        r = np.empty(2 * m)
-        for i, (a, b) in enumerate(readback):
-            r[2 * i] = theta_hat(q[2 + 3 * i], a, b)
-            r[2 * i + 1] = q[0] - q[1 + 3 * i]
-        reads.append(r)
-
-    times: list[float] = []
-    states: list[np.ndarray] = []
-    reads: list[np.ndarray] = []
-    record(t0, state, times, states, reads)
+    times = [t0]
+    states = np.empty((n // record_every + 1, 1 + 3 * m))
+    states[0] = state
     escape_t = None
     for k in range(n):
         t = t0 + k * dt
         eta_now = eta[k]
         state = rk4_step(rhs, state, t, dt)
         if (k + 1) % record_every == 0:
-            record(t0 + (k + 1) * dt, state, times, states, reads)
+            times.append(t0 + (k + 1) * dt)
+            states[(k + 1) // record_every] = state
             if escape_t is None:
                 for i, (kind, c, obj) in enumerate(entries):
                     if kind == "network" and not obj.in_domain(
@@ -194,11 +180,16 @@ def integrate_system(
                     ):
                         escape_t = t0 + (k + 1) * dt
 
+    a = np.array([obj.a for _, _, obj in entries])
+    b = np.array([obj.b for _, _, obj in entries])
+    readouts = np.empty((len(states), 2 * m))
+    readouts[:, 0::2] = theta_hat(states[:, 2::3], a, b)
+    readouts[:, 1::2] = states[:, :1] - states[:, 1::3]
+
     columns = ["s"]
-    for i in range(1, m + 1):
-        columns += [f"shat_{i}", f"x_{i}", f"y_{i}"]
     rcolumns = []
     for i in range(1, m + 1):
+        columns += [f"shat_{i}", f"x_{i}", f"y_{i}"]
         rcolumns += [f"theta_hat_{i}", f"hf_{i}"]
     info = {"dt": dt, "seed": seed, "record_every": record_every, "t0": t0}
     if meta:
@@ -207,9 +198,9 @@ def integrate_system(
         info["domain_escape_t"] = escape_t
     return Trajectory(
         times=np.array(times),
-        states=np.vstack(states),
+        states=states,
         columns=columns,
-        readouts=np.vstack(reads),
+        readouts=readouts,
         readout_columns=rcolumns,
         meta=info,
     )

@@ -11,9 +11,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .signals import InputSignal, SignalClass
+from .signals import SignalClass
 
-__all__ = ["PlantSpec", "plant_rhs", "simulate_measurement", "verify_slope_bounds", "make_noise"]
+__all__ = ["PlantSpec", "plant_rhs", "verify_slope_bounds", "make_noise"]
 
 
 @dataclass
@@ -34,15 +34,14 @@ class PlantSpec:
 
 def plant_rhs(
     s: float,
-    t: float,
+    xi_val: float,
     clazz: SignalClass,
-    inp: InputSignal,
     theta: float,
     spec: PlantSpec,
     eta: float = 0.0,
 ) -> float:
-    """-phi(s) + f(xi(t), theta) + eta."""
-    drive = float(clazz.f(inp.xi(np.asarray(t, dtype=float)), theta))
+    """-phi(s) + f(xi, theta) + eta, given the input value xi = xi(t)."""
+    drive = float(clazz.f(xi_val, theta))
     return -spec.phi(s) + drive + eta
 
 
@@ -62,50 +61,6 @@ def make_noise(spec: PlantSpec, n_steps: int, t0: float, dt: float, seed: int) -
         return np.zeros(n_steps)
     rng = np.random.default_rng(seed)
     return rng.uniform(-spec.noise_bound, spec.noise_bound, n_steps)
-
-
-def simulate_measurement(
-    clazz: SignalClass,
-    inp: InputSignal,
-    theta: float,
-    spec: PlantSpec,
-    s0: float,
-    t0: float = 0.0,
-    horizon: float = 10.0,
-    dt: float = 1e-3,
-    seed: int = 0,
-    record_every: int = 1,
-):
-    """Integrate the plant alone with fixed-step RK4; returns a Trajectory."""
-    from .integrator import Trajectory, rk4_step
-
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    lo, hi = spec.s0_range
-    if not lo <= s0 <= hi:
-        raise ValueError(f"s0={s0} outside the declared initial interval {spec.s0_range}")
-    n = int(round(horizon / dt))
-    eta = make_noise(spec, n, t0, dt, seed)
-    times = [t0]
-    states = [np.array([s0])]
-    s = np.array([s0], dtype=float)
-    for k in range(n):
-        t = t0 + k * dt
-        e = eta[k]
-        rhs = lambda x, tt: np.array([plant_rhs(x[0], tt, clazz, inp, theta, spec, e)])
-        s = rk4_step(rhs, s, t, dt)
-        if not np.isfinite(s[0]):
-            raise FloatingPointError(f"plant integration diverged at t={t + dt}")
-        if (k + 1) % record_every == 0:
-            times.append(t0 + (k + 1) * dt)
-            states.append(s.copy())
-    return Trajectory(
-        times=np.array(times),
-        states=np.vstack(states),
-        columns=["s"],
-        readouts=None,
-        meta={"dt": dt, "seed": seed, "record_every": record_every},
-    )
 
 
 @dataclass

@@ -238,17 +238,3 @@ class TuningReport:
         "T'_max and (L*, delta*) are proof-internal existence constants; "
         "they are measured empirically by the sweep and PE reports."
     )
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "gamma_star": self.gamma_star,
-            "gamma": self.gamma,
-            "h_star": self.h_star,
-            "k_prime": self.k_prime,
-            "L": self.L,
-            "error_bound": self.error_bound,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "T_L_star_note": self.T_L_star_note,
-        }

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .plant import PlantSpec
 from .prototype import PrototypeConfig, prototype_rhs
-from .signals import InputSignal, SignalClass
+from .signals import SignalClass
 
 __all__ = [
     "SigmoidNetwork",
@@ -27,7 +26,6 @@ __all__ = [
     "domain_box",
     "sample_rhs",
     "fit_network",
-    "simulate_rnn",
     "divergence_check",
     "estimate_rhs_lipschitz",
 ]
@@ -147,15 +145,6 @@ class FitReport:
     validation_error_sup: float
     domain: list
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "train_error_sup": self.train_error_sup,
-            "validation_error_sup": self.validation_error_sup,
-            "domain": self.domain,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -344,53 +333,12 @@ def fit_network(
     return net, report
 
 
-def simulate_rnn(
-    networks: Sequence[SigmoidNetwork],
-    spec: PlantSpec,
-    clazz: SignalClass,
-    theta: float,
-    inp: InputSignal,
-    t0: float = 0.0,
-    horizon: float = 10.0,
-    dt: float = 1e-3,
-    seed: int = 0,
-    record_every: int = 10,
-    s0: Optional[float] = None,
-    init_states=None,
-):
-    """Integrate the fixed-weight network bank exactly like the prototype bank."""
-    from .integrator import integrate_system
-
-    return integrate_system(
-        spec,
-        clazz,
-        theta,
-        list(networks),
-        inp,
-        t0=t0,
-        horizon=horizon,
-        dt=dt,
-        seed=seed,
-        record_every=record_every,
-        s0=s0,
-        init_states=init_states,
-    )
-
-
 @dataclass
 class DivergenceReport:
     max_gap: float
     max_bound: float
     passed: bool
     first_violation_t: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "max_gap": self.max_gap,
-            "max_bound": self.max_bound,
-            "passed": self.passed,
-            "first_violation_t": self.first_violation_t,
-        }
 
 
 def divergence_check(

@@ -73,9 +73,9 @@ def test_02_filter_contraction():
         s0_range=(0.0, 1.0), noise_bound=1e-4,
     )
     inp = signals.sin_input()
-    kw = dict(theta=1.5, spec=spec, t0=0.0, horizon=10.0, dt=1e-3, seed=7)
-    ta = plant.simulate_measurement(LINEAR, inp, s0=0.2, **kw)
-    tb = plant.simulate_measurement(LINEAR, inp, s0=0.9, **kw)
+    kw = dict(t0=0.0, horizon=10.0, dt=1e-3, seed=7, record_every=1)
+    ta = integrate_system(spec, LINEAR, 1.5, [], inp, s0=0.2, **kw)
+    tb = integrate_system(spec, LINEAR, 1.5, [], inp, s0=0.9, **kw)
     gap = np.abs(ta.column("s") - tb.column("s"))
     envelope = 0.7 * np.exp(-spec.phi_min * ta.times)
     worst = float(np.max(np.abs(gap - envelope)))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,27 @@ class TestWindingBudget:
 
 
 class TestConvergenceReport:
+    def test_winding_spent_matches_budget_unperturbed(self):
+        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, epsilon=0.01, k_prime=1)
+        traj = sim(cfg, horizon=10.0)
+        spent, _ = analysis.winding_budget(traj, cfg)
+        rep = analysis.convergence_report(traj, LINEAR, 1.5, 0.01, cfg)
+        # per-sample reference for the vectorized dead-zone integral
+        e = [signals.deadzone_norm(a - b, cfg.epsilon)
+             for a, b in zip(traj.column("shat_1"), traj.column("s"))]
+        assert spent == cfg.gamma * float(np.trapezoid(e, traj.times)) > 0
+        assert rep.winding_spent == spent
+
+    def test_perturbed_run_reports_spent_without_warning(self):
+        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, delta=0.01, k_prime=1)
+        traj = sim(cfg, horizon=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = analysis.convergence_report(traj, LINEAR, 1.5, 0.01, cfg)
+        with pytest.warns(UserWarning):
+            spent, _ = analysis.winding_budget(traj, cfg)
+        assert rep.winding_spent == spent
+
     def test_matched_start_enters_at_t0(self):
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=1.5)
         traj = sim(cfg, theta=1.5, horizon=5.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adasig import classify, integrator, prototype
+from adasig import classify, integrator, plant, prototype, signals
 
 
 def make_config(**kw):
@@ -26,31 +26,43 @@ def synthetic_traj(hf_funcs, theta_hats, dt=0.1, horizon=10.0):
     return integrator.Trajectory(t, states, columns, reads, rcols, {"dt": dt})
 
 
+def first_readouts(cfg, init, s0=0.0):
+    """(theta_hat_1, hf_1) recorded at t0 for one subsystem started at init."""
+    clazz = signals.builtin_class("linear", (1.0, 2.0))
+    spec = plant.PlantSpec(phi=lambda s: s, s0_range=(0.0, 1.0))
+    traj = integrator.integrate_system(
+        spec, clazz, 1.5, [(clazz, cfg)], signals.sin_input(), horizon=0.0,
+        s0=s0, init_states=[np.asarray(init, dtype=float)],
+    )
+    return traj.readouts[0]
+
+
 class TestReadout:
+    """Read-outs are computed by integrate_system from the stacked states."""
+
     def test_matched_filter_zero(self):
         cfg = make_config()
-        hf, _ = classify.readout(np.array([0.7, 0.0, 1.0]), 0.7, [cfg])
-        assert hf[0] == 0.0
+        _, hf = first_readouts(cfg, [0.7, 0.0, 1.0], s0=0.7)
+        assert hf == 0.0
 
     def test_theta_readback_endpoints(self):
         cfg = make_config()
-        _, ht = classify.readout(np.array([0.0, -1.0, 0.0]), 0.0, [cfg])
-        assert ht[0] == cfg.a
-        _, ht = classify.readout(np.array([0.0, 1.0, 0.0]), 0.0, [cfg])
-        assert ht[0] == cfg.b
+        ht, _ = first_readouts(cfg, [0.0, -1.0, 0.0])
+        assert ht == cfg.a
+        ht, _ = first_readouts(cfg, [0.0, 1.0, 0.0])
+        assert ht == cfg.b
 
     def test_midpoint(self):
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.0, b=2.0)
-        _, ht = classify.readout(np.array([0.0, 0.0, 0.0]), 0.0, [cfg])
-        assert ht[0] == 1.0
+        ht, _ = first_readouts(cfg, [0.0, 0.0, 0.0])
+        assert ht == 1.0
 
     def test_length_check(self):
         with pytest.raises(ValueError):
-            classify.readout(np.zeros(4), 0.0, [make_config()])
+            integrator.Trajectory(np.array([0.0, 1.0]), np.zeros((2, 4)),
+                                  ["s", "shat_1", "x_1", "y_1"], np.zeros((3, 2)))
 
     def test_memoryless_recomputation_matches_stored(self):
-        from adasig import plant, signals
-
         cfg = make_config(delta=0.01)
         clazz = signals.builtin_class("linear", (1.0, 2.0))
         spec = plant.PlantSpec(phi=lambda s: s, s0_range=(0.0, 1.0))
@@ -58,9 +70,9 @@ class TestReadout:
             spec, clazz, 1.5, [(clazz, cfg)], signals.sin_input(), horizon=1.0, dt=1e-2
         )
         for k in range(0, len(traj.times), 3):
-            hf, ht = classify.readout(traj.states[k, 1:], traj.states[k, 0], [cfg])
-            assert hf[0] == traj.readouts[k, 1]
-            assert ht[0] == traj.readouts[k, 0]
+            s, shat, x = traj.states[k, :3]
+            assert s - shat == traj.readouts[k, 1]
+            assert prototype.theta_hat(x, cfg.a, cfg.b) == traj.readouts[k, 0]
 
 
 class TestBandFromNoise:

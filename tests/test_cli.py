@@ -78,14 +78,28 @@ class TestExitCodes:
         assert cli.main(["tune"]) == 1
         capsys.readouterr()
 
-    def test_infeasible_tuning_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("command", ["tune", "simulate", "report"])
+    def test_infeasible_tuning_exits_2(self, tmp_path, capsys, command):
         # unclamped gamma above the supremum: budget denominator goes negative
         raw = small_config(prototype={"gamma": 0.2, "clamp_gamma": False})
         path = write_config(tmp_path, raw)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code = cli.main(["tune", "--config", path, "--out", str(tmp_path)])
+            code = cli.main([command, "--config", path, "--out", str(tmp_path)])
         assert code == 2
+        assert "infeasible tuning" in capsys.readouterr().err
+
+    def test_diverged_integration_exits_1(self, tmp_path, capsys):
+        # a stiff plant (slope 100) with dt = 0.1 leaves RK4's stability region
+        raw = json.loads((CONFIG_DIR / "one_class_linear.json").read_text())
+        raw["plant"].update(phi="linear", slope=100.0, phi_min=100.0, phi_max=100.0)
+        raw["simulation"]["dt"] = 0.1
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # overflow on the way to inf
+            code = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert code == 1
+        assert "error: integration diverged at t=" in capsys.readouterr().err
 
     def test_not_entered_exits_3(self, tmp_path, capsys):
         raw = small_config()
@@ -105,6 +119,18 @@ class TestExitCodes:
 
 
 class TestTuneCommand:
+    def test_overrides_enter_the_hash(self, tmp_path, capsys):
+        raw = small_config()
+        path = write_config(tmp_path, raw)
+        hashes = []
+        for extra in ([], ["--seed", "1"], ["--seed", "2"], ["--dt", "0.02"]):
+            out = tmp_path / f"o{len(hashes)}"
+            assert cli.main(["tune", "--config", path, "--out", str(out), *extra]) == 0
+            hashes.append(json.loads((out / "tuning.json").read_text())["config_hash"])
+        capsys.readouterr()
+        assert hashes[0] == config.config_hash(raw)
+        assert len(set(hashes)) == 4
+
     def test_writes_report_with_hash(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config())
         assert cli.main(["tune", "--config", path, "--out", str(tmp_path)]) == 0

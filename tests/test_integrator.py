@@ -76,10 +76,17 @@ class TestIntegrateSystem:
             spec, LINEAR, 1.5, [], SIN, horizon=2.0, dt=1e-3, seed=5,
             record_every=1, s0=0.5,
         )
-        traj_b = plant.simulate_measurement(
-            LINEAR, SIN, 1.5, spec, s0=0.5, horizon=2.0, dt=1e-3, seed=5,
-        )
-        assert np.array_equal(traj_a.states[:, 0], traj_b.states[:, 0])
+        # reference: RK4 on the plant equation alone, noise held over each step
+        eta = plant.make_noise(spec, 2000, 0.0, 1e-3, seed=5)
+        s = np.array([0.5])
+        ref = [0.5]
+        for k in range(2000):
+            rhs = lambda q, t: np.array(
+                [plant.plant_rhs(q[0], float(SIN.xi(t)), LINEAR, 1.5, spec, eta[k])]
+            )
+            s = integrator.rk4_step(rhs, s, k * 1e-3, 1e-3)
+            ref.append(s[0])
+        assert np.array_equal(traj_a.states[:, 0], ref)
 
     def test_determinism(self):
         spec = make_spec(noise_bound=0.01)
@@ -114,6 +121,12 @@ class TestIntegrateSystem:
         )
         assert check_state_bounds(traj, [cfg], LINEAR.lipschitz_theta, 0.0, 1.0) == []
 
+    def test_record_every_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            integrator.integrate_system(
+                make_spec(), LINEAR, 1.5, [], SIN, horizon=1.0, record_every=0,
+            )
+
     def test_class_count_mismatch_rejected(self):
         with pytest.raises(TypeError):
             integrator.integrate_system(
@@ -146,3 +159,28 @@ class TestCsvExport:
         assert traj.csv_header() == (
             "t,s,shat_1,x_1,y_1,theta_hat_1,hf_1,shat_2,x_2,y_2,theta_hat_2,hf_2"
         )
+
+    @staticmethod
+    def rowwise_csv(traj):
+        """Row-by-row formatter the vectorized writer must reproduce byte for byte."""
+        lines = [traj.csv_header()]
+        for k in range(len(traj.times)):
+            row = [traj.times[k], traj.states[k, 0]]
+            for i in range(traj.n_classes):
+                row += list(traj.states[k, 1 + 3 * i : 4 + 3 * i])
+                row += [traj.readouts[k, 2 * i], traj.readouts[k, 2 * i + 1]]
+            lines.append(",".join(f"{v:.17g}" for v in row))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("n_classes", [0, 1, 3])
+    def test_bytes_match_rowwise_formatter(self, tmp_path, n_classes):
+        cfg = make_config(delta=0.01)
+        traj = integrator.integrate_system(
+            make_spec(noise_bound=0.01), LINEAR, 1.5, [(LINEAR, cfg)] * n_classes, SIN,
+            horizon=2.0, dt=1e-2, seed=3, record_every=1,
+        )
+        path = tmp_path / "traj.csv"
+        text = traj.to_csv()
+        assert traj.to_csv(path) is None
+        assert text == self.rowwise_csv(traj)
+        assert path.read_bytes() == text.encode()

@@ -116,6 +116,8 @@ class TestSerialization:
 
 
 class TestSimulateRnn:
+    """A network bank runs through integrate_system like a prototype bank."""
+
     def zero_network(self):
         return rnn.SigmoidNetwork(
             N=1, sigmoid="tanh", omega=np.zeros((1, 5)), beta=np.zeros(1),
@@ -123,8 +125,8 @@ class TestSimulateRnn:
         )
 
     def test_zero_network_frozen(self):
-        traj = rnn.simulate_rnn(
-            [self.zero_network()], make_spec(), LINEAR, 1.5, SIN, horizon=1.0, dt=1e-2
+        traj = integrator.integrate_system(
+            make_spec(), LINEAR, 1.5, [self.zero_network()], SIN, horizon=1.0, dt=1e-2
         )
         assert np.ptp(traj.column("shat_1")) == 0.0
         assert np.ptp(traj.column("x_1")) == 0.0
@@ -132,19 +134,23 @@ class TestSimulateRnn:
     def test_seed_determinism(self):
         spec = plant.PlantSpec(phi=lambda s: s, s0_range=(0.0, 1.0), noise_bound=0.01)
         kw = dict(horizon=1.0, dt=1e-2, seed=11)
-        a = rnn.simulate_rnn([self.zero_network()], spec, LINEAR, 1.5, SIN, **kw)
-        b = rnn.simulate_rnn([self.zero_network()], spec, LINEAR, 1.5, SIN, **kw)
+        a = integrator.integrate_system(spec, LINEAR, 1.5, [self.zero_network()], SIN, **kw)
+        b = integrator.integrate_system(spec, LINEAR, 1.5, [self.zero_network()], SIN, **kw)
         assert np.array_equal(a.states, b.states)
 
     def test_state_count_is_three_per_class(self):
         nets = [self.zero_network() for _ in range(4)]
-        traj = rnn.simulate_rnn(nets, make_spec(), LINEAR, 1.5, SIN, horizon=0.1, dt=1e-2)
+        traj = integrator.integrate_system(
+            make_spec(), LINEAR, 1.5, nets, SIN, horizon=0.1, dt=1e-2
+        )
         assert traj.states.shape[1] == 1 + 3 * 4
 
     def test_domain_escape_recorded(self):
         net = self.zero_network()
         net.domain = net.domain * 1e-3  # everything is immediately outside
-        traj = rnn.simulate_rnn([net], make_spec(), LINEAR, 1.5, SIN, horizon=0.5, dt=1e-2)
+        traj = integrator.integrate_system(
+            make_spec(), LINEAR, 1.5, [net], SIN, horizon=0.5, dt=1e-2
+        )
         assert "domain_escape_t" in traj.meta
 
 
