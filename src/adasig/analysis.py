@@ -174,8 +174,7 @@ def convergence_report(
         raise ValueError("bound must be positive")
     target = clazz.equivalence(true_theta)
     th = traj.column(f"theta_hat_{class_index + 1}")
-    dist = np.array([set_distance(v, target) for v in th])
-    inside = dist <= bound
+    inside = set_distance(th, target) <= bound
 
     entry_time: Optional[float] = None
     residence = 0.0

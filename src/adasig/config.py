@@ -10,8 +10,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -85,7 +85,7 @@ def rk4_step(
     k3 = rhs(state + 0.5 * dt * k2, t + 0.5 * dt)
     k4 = rhs(state + dt * k3, t + dt)
     out = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise FloatingPointError(f"integration diverged at t={t}")
     return out
 
@@ -150,35 +150,41 @@ def integrate_system(
     eta_now = 0.0
 
     def rhs(q: np.ndarray, t: float) -> np.ndarray:
-        xi_val = float(inp.xi(np.asarray(t, dtype=float)))
-        s = q[0]
-        dq = np.empty_like(q)
-        dq[0] = plant_rhs(s, xi_val, clazz, theta, spec, eta_now)
+        # The bank is evaluated on plain floats: one tolist per stage and one
+        # array back, instead of numpy scalars and slice writes per class.
+        xi_val = float(inp.xi(t))
+        qs = q.tolist()
+        s = qs[0]
+        dq = [plant_rhs(s, xi_val, clazz, theta, spec, eta_now)]
         for i, (kind, c, obj) in enumerate(entries):
-            sub = q[1 + 3 * i : 4 + 3 * i]
+            sub = qs[1 + 3 * i : 4 + 3 * i]
             if kind == "prototype":
-                dq[1 + 3 * i : 4 + 3 * i] = prototype_rhs(sub, s, xi_val, c, obj, spec.phi)
+                dq += prototype_rhs(sub, s, xi_val, c, obj, spec.phi)
             else:
-                dq[1 + 3 * i : 4 + 3 * i] = obj.rhs(xi_val, s, sub)
-        return dq
+                dq += obj.rhs(xi_val, s, sub).tolist()
+        return np.array(dq)
 
     times = [t0]
     states = np.empty((n // record_every + 1, 1 + 3 * m))
     states[0] = state
     escape_t = None
-    for k in range(n):
-        t = t0 + k * dt
-        eta_now = eta[k]
-        state = rk4_step(rhs, state, t, dt)
-        if (k + 1) % record_every == 0:
-            times.append(t0 + (k + 1) * dt)
-            states[(k + 1) // record_every] = state
-            if escape_t is None:
-                for i, (kind, c, obj) in enumerate(entries):
-                    if kind == "network" and not obj.in_domain(
-                        float(inp.xi(np.asarray(t + dt))), state[0], state[1 + 3 * i : 4 + 3 * i]
-                    ):
-                        escape_t = t0 + (k + 1) * dt
+    # A diverging run overflows on its way to inf; rk4_step reports that as
+    # FloatingPointError, so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            t = t0 + k * dt
+            eta_now = eta[k]
+            state = rk4_step(rhs, state, t, dt)
+            if (k + 1) % record_every == 0:
+                times.append(t0 + (k + 1) * dt)
+                states[(k + 1) // record_every] = state
+                if escape_t is None:
+                    for i, (kind, c, obj) in enumerate(entries):
+                        if kind == "network" and not obj.in_domain(
+                            float(inp.xi(np.asarray(t + dt))), state[0],
+                            state[1 + 3 * i : 4 + 3 * i],
+                        ):
+                            escape_t = t0 + (k + 1) * dt
 
     a = np.array([obj.a for _, _, obj in entries])
     b = np.array([obj.b for _, _, obj in entries])

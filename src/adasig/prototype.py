@@ -83,25 +83,24 @@ def theta_hat(x: float, a: float, b: float) -> float:
 
 
 def prototype_rhs(
-    state: np.ndarray,
-    s: float,
-    xi_val: float,
+    state,
+    s,
+    xi_val,
     clazz: SignalClass,
     config: PrototypeConfig,
     phi: Callable[[float], float],
-) -> np.ndarray:
-    """Right-hand side of one perturbed subsystem (delta = 0 is unperturbed)."""
-    shat, x, y = state[0], state[1], state[2]
+) -> tuple:
+    """Right-hand side of one perturbed subsystem (delta = 0 is unperturbed).
+
+    Elementwise: state unpacks to (shat, x, y) and the three derivatives come
+    back as a tuple, floats for one subsystem or arrays for a block of
+    sample rows (phi and clazz.f must then accept arrays).
+    """
+    shat, x, y = state
     th = theta_hat(x, config.a, config.b)
     g = config.gamma * (deadzone_norm(shat - s, config.epsilon) + config.delta)
     r2 = x * x + y * y
-    return np.array(
-        [
-            -phi(shat) + float(clazz.f(xi_val, th)),
-            g * (x - y - x * r2),
-            g * (x + y - y * r2),
-        ]
-    )
+    return -phi(shat) + clazz.f(xi_val, th), g * (x - y - x * r2), g * (x + y - y * r2)
 
 
 def polar_rates(x: float, y: float, g: float) -> tuple[float, float]:

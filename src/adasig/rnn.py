@@ -10,7 +10,6 @@ Each class keeps its own 3-state network; the full bank has 3*N_f states.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -201,11 +200,8 @@ def domain_box(
 
 def _target_fn(clazz: SignalClass, config: PrototypeConfig, phi) -> Callable:
     def fn(Z: np.ndarray) -> np.ndarray:
-        Z = np.atleast_2d(Z)
-        out = np.empty((len(Z), 3))
-        for k, (xi_val, s, sh, x, y) in enumerate(Z):
-            out[k] = prototype_rhs(np.array([sh, x, y]), s, xi_val, clazz, config, phi)
-        return out
+        xi_val, s, shat, x, y = np.atleast_2d(Z).T
+        return np.stack(prototype_rhs((shat, x, y), s, xi_val, clazz, config, phi), axis=1)
 
     return fn
 
@@ -389,15 +385,12 @@ def estimate_rhs_lipschitz(
     rng = np.random.default_rng(seed)
     box = np.asarray(box, dtype=float)
     Z = box[:, 0] + rng.uniform(size=(n_samples, 5)) * (box[:, 1] - box[:, 0])
-    worst = 0.0
-    for xi_val, s, sh, x, y in Z:
-        q = np.array([sh, x, y])
-        J = np.empty((3, 3))
-        for j in range(3):
-            dq = np.zeros(3)
-            dq[j] = h
-            fp = prototype_rhs(q + dq, s, xi_val, clazz, config, phi)
-            fm = prototype_rhs(q - dq, s, xi_val, clazz, config, phi)
-            J[:, j] = (fp - fm) / (2.0 * h)
-        worst = max(worst, float(np.linalg.norm(J, 2)))
-    return worst
+    xi_val, s, q = Z[:, 0], Z[:, 1], Z[:, 2:].T
+    J = np.empty((len(Z), 3, 3))
+    for j in range(3):
+        dq = np.zeros((3, 1))
+        dq[j] = h
+        fp = np.stack(prototype_rhs(q + dq, s, xi_val, clazz, config, phi), axis=1)
+        fm = np.stack(prototype_rhs(q - dq, s, xi_val, clazz, config, phi), axis=1)
+        J[:, :, j] = (fp - fm) / (2.0 * h)
+    return float(np.linalg.norm(J, 2, axis=(1, 2)).max(initial=0.0))

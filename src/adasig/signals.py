@@ -35,23 +35,24 @@ __all__ = [
 ]
 
 
-def deadzone_norm(x: float, delta: float) -> float:
-    """|x| - delta outside the dead zone of half-width delta, else 0."""
+def deadzone_norm(x, delta: float):
+    """|x| - delta outside the dead zone of half-width delta, else 0 (elementwise)."""
     if delta < 0:
         raise ValueError(f"dead-zone width must be non-negative, got {delta}")
-    return max(abs(x) - delta, 0.0)
+    d = abs(x) - delta
+    return np.maximum(d, 0.0) if isinstance(d, np.ndarray) else max(d, 0.0)
 
 
-def set_distance(x: float, intervals: Sequence[tuple[float, float]]) -> float:
-    """Distance from x to a finite union of closed intervals (points as [p, p])."""
+def set_distance(x, intervals: Sequence[tuple[float, float]]):
+    """Distance from x to a finite union of closed intervals (points as [p, p]).
+
+    Elementwise in x: a float gives a float, an array an array.
+    """
     if len(intervals) == 0:
         raise ValueError("set_distance of an empty set is undefined")
-    best = math.inf
-    for lo, hi in intervals:
-        if lo <= x <= hi:
-            return 0.0
-        best = min(best, abs(x - lo), abs(x - hi))
-    return best
+    x = np.asarray(x, dtype=float)
+    dist = np.min([np.maximum(np.maximum(lo - x, x - hi), 0.0) for lo, hi in intervals], axis=0)
+    return dist if dist.ndim else float(dist)
 
 
 @dataclass

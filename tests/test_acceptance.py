@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adasig import analysis, classify, cli, config, plant, prototype, rnn, signals
+from adasig import analysis, cli, config, plant, prototype, rnn, signals
 from adasig.integrator import integrate_system, rk4_step
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

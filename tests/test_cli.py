@@ -96,10 +96,23 @@ class TestExitCodes:
         raw["simulation"]["dt"] = 0.1
         path = write_config(tmp_path, raw)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # overflow on the way to inf
+            warnings.simplefilter("error")  # the error line is the only report
             code = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
         assert code == 1
-        assert "error: integration diverged at t=" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: integration diverged at t=0.2\n"
+
+    def test_diverged_sine_family_prints_no_warning(self, tmp_path, capsys):
+        # sin of an overflowed estimate is nan before the step's finite check
+        raw = json.loads((CONFIG_DIR / "one_class_linear.json").read_text())
+        raw["classes"][0]["family"] = "sine"
+        raw["plant"].update(phi="linear", slope=30.0, phi_min=30.0, phi_max=30.0)
+        raw["simulation"]["dt"] = 0.1
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: integration diverged at t=2.2\n"
 
     def test_not_entered_exits_3(self, tmp_path, capsys):
         raw = small_config()

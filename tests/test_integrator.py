@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adasig import integrator, plant, prototype, signals
 
@@ -184,3 +185,67 @@ class TestCsvExport:
         assert traj.to_csv(path) is None
         assert text == self.rowwise_csv(traj)
         assert path.read_bytes() == text.encode()
+
+
+def reference_prototype_rhs(state, s, xi_val, clazz, config, phi):
+    """The per-class subsystem rhs as an array-building scalar function."""
+    shat, x, y = state[0], state[1], state[2]
+    th = prototype.theta_hat(x, config.a, config.b)
+    g = config.gamma * (max(abs(shat - s) - config.epsilon, 0.0) + config.delta)
+    r2 = x * x + y * y
+    return np.array([-phi(shat) + float(clazz.f(xi_val, th)),
+                     g * (x - y - x * r2), g * (x + y - y * r2)])
+
+
+def reference_integration(spec, clazz, theta, bank, inp, horizon, dt, seed, s0):
+    """RK4 over a closure that evaluates the bank one class at a time."""
+    n = int(round(horizon / dt))
+    eta = plant.make_noise(spec, n, 0.0, dt, seed)
+    state = np.array([s0] + [v for _, cfg in bank
+                             for v in prototype.init_state(cfg, s0).as_array()])
+    rows = [state]
+    for k in range(n):
+        def rhs(q, t):
+            xi_val = float(inp.xi(np.asarray(t, dtype=float)))
+            dq = np.empty_like(q)
+            dq[0] = plant.plant_rhs(q[0], xi_val, clazz, theta, spec, eta[k])
+            for i, (c, cfg) in enumerate(bank):
+                dq[1 + 3 * i : 4 + 3 * i] = reference_prototype_rhs(
+                    q[1 + 3 * i : 4 + 3 * i], q[0], xi_val, c, cfg, spec.phi)
+            return dq
+        state = integrator.rk4_step(rhs, state, k * dt, dt)
+        rows.append(state)
+    return np.array(rows)
+
+
+FAMILIES = ["linear", "sine", "quadratic-affine"]
+
+
+class TestBankMatchesPerClassReference:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        families=st.one_of(
+            st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=1),
+            st.lists(st.sampled_from(FAMILIES), min_size=3, max_size=3),
+        ),
+        delta=st.sampled_from([0.0, 0.05]),
+        noise_bound=st.sampled_from([0.0, 0.02]),
+        slope=st.sampled_from([1.0, 2.5]),
+        theta=st.floats(1.0, 2.0),
+        s0=st.floats(0.0, 1.0),
+        nu_x=st.floats(0.0, 6.0),
+        seed=st.integers(0, 1000),
+    )
+    def test_states_bit_identical(self, families, delta, noise_bound, slope, theta, s0,
+                                  nu_x, seed):
+        spec = plant.PlantSpec(phi=lambda s: slope * s, phi_min=slope, phi_max=slope,
+                               s0_range=(0.0, 1.0), noise_bound=noise_bound)
+        classes = [signals.builtin_class(f, (1.0, 2.0), id=i) for i, f in enumerate(families)]
+        bank = [(c, make_config(gamma=0.3, epsilon=noise_bound / slope, delta=delta, nu_x=nu_x))
+                for c in classes]
+        traj = integrator.integrate_system(
+            spec, classes[0], theta, bank, SIN, horizon=1.5, dt=1e-2, seed=seed,
+            record_every=1, s0=s0,
+        )
+        ref = reference_integration(spec, classes[0], theta, bank, SIN, 1.5, 1e-2, seed, s0)
+        assert np.array_equal(traj.states, ref)

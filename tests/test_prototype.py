@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adasig import prototype, signals
 
@@ -69,6 +69,24 @@ class TestPrototypeRhs:
         state = np.array([0.6, 1.0, 0.0])  # |shat - s| = 0.1 < epsilon
         d = prototype.prototype_rhs(state, 0.5, 0.0, LINEAR, cfg, phi=lambda s: s)
         assert d[1] == 0.0 and d[2] == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        family=st.sampled_from(["linear", "sine", "quadratic-affine"]),
+        epsilon=st.sampled_from([0.0, 0.3]),
+        delta=st.sampled_from([0.0, 0.01]),
+        slope=st.sampled_from([1.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_block_matches_single_rows(self, family, epsilon, delta, slope, seed):
+        clazz = signals.builtin_class(family, (1.0, 2.0))
+        cfg = make_config(epsilon=epsilon, delta=delta)
+        phi = lambda s: slope * s
+        xi_val, s, shat, x, y = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, 64))
+        block = prototype.prototype_rhs((shat, x, y), s, xi_val, clazz, cfg, phi)
+        rows = [prototype.prototype_rhs(q, s[k], xi_val[k], clazz, cfg, phi)
+                for k, q in enumerate(zip(shat.tolist(), x.tolist(), y.tolist()))]
+        assert np.array_equal(np.stack(block, axis=1), np.array(rows))
 
 
 class TestPolarRates:

@@ -29,6 +29,16 @@ class TestSampleRhs:
             direct = prototype.prototype_rhs(z[2:], z[1], z[0], LINEAR, cfg, lambda s: s)
             assert np.max(np.abs(direct - y)) < 1e-15
 
+    @pytest.mark.parametrize("family", ["linear", "sine", "quadratic-affine"])
+    def test_targets_match_per_row_loop(self, family):
+        clazz = signals.builtin_class(family, (1.0, 2.0))
+        cfg = make_config(epsilon=0.1)
+        phi = lambda s: 2.0 * s
+        ds = rnn.sample_rhs(clazz, cfg, small_box(), 500, phi=phi, seed=4)
+        ref = np.array([prototype.prototype_rhs(np.array([sh, x, y]), s, xi_val, clazz, cfg, phi)
+                        for xi_val, s, sh, x, y in ds.inputs])
+        assert np.array_equal(ds.targets, ref)
+
     def test_grid_size_is_product(self):
         cfg = make_config()
         ds = rnn.sample_rhs(
@@ -189,3 +199,33 @@ class TestLipschitzEstimate:
         cfg = make_config()
         L = rnn.estimate_rhs_lipschitz(LINEAR, cfg, lambda s: s, small_box(), n_samples=200)
         assert 1.0 <= L < 100.0  # the filter alone contributes slope 1
+
+    @staticmethod
+    def per_row_lipschitz(clazz, config, phi, box, n_samples, seed, h=1e-5):
+        """Largest spectral norm of a central-difference Jacobian, one row at a time."""
+        rng = np.random.default_rng(seed)
+        Z = box[:, 0] + rng.uniform(size=(n_samples, 5)) * (box[:, 1] - box[:, 0])
+        worst = 0.0
+        for xi_val, s, sh, x, y in Z:
+            q = np.array([sh, x, y])
+            J = np.empty((3, 3))
+            for j in range(3):
+                dq = np.zeros(3)
+                dq[j] = h
+                fp = np.array(prototype.prototype_rhs(q + dq, s, xi_val, clazz, config, phi))
+                fm = np.array(prototype.prototype_rhs(q - dq, s, xi_val, clazz, config, phi))
+                J[:, j] = (fp - fm) / (2.0 * h)
+            worst = max(worst, float(np.linalg.norm(J, 2)))
+        return worst
+
+    @pytest.mark.parametrize("family", ["linear", "sine", "quadratic-affine"])
+    def test_matches_per_row_loop(self, family):
+        clazz = signals.builtin_class(family, (1.0, 2.0))
+        cfg = make_config(epsilon=0.05)
+        phi = lambda s: 1.5 * s
+        L = rnn.estimate_rhs_lipschitz(clazz, cfg, phi, small_box(), n_samples=300, seed=2)
+        assert L == self.per_row_lipschitz(clazz, cfg, phi, small_box(), 300, 2)
+
+    def test_no_samples_gives_zero(self):
+        assert rnn.estimate_rhs_lipschitz(LINEAR, make_config(), lambda s: s, small_box(),
+                                          n_samples=0) == 0.0

@@ -33,6 +33,16 @@ class TestDeadzoneNorm:
     def test_bounded_by_abs(self, x, delta):
         assert 0.0 <= signals.deadzone_norm(x, delta) <= abs(x)
 
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20), st.floats(0, 1e3))
+    def test_elementwise_matches_scalar(self, xs, delta):
+        expect = [signals.deadzone_norm(x, delta) for x in xs]
+        assert np.array_equal(signals.deadzone_norm(np.array(xs), delta), expect)
+
+    def test_scalar_result_is_float(self):
+        assert type(signals.deadzone_norm(-0.05, 0.1)) is float
+        with pytest.raises(ValueError):
+            signals.deadzone_norm(np.ones(3), -0.1)
+
 
 class TestSetDistance:
     def test_point_inside(self):
@@ -57,6 +67,29 @@ class TestSetDistance:
         dx = signals.set_distance(x, intervals)
         dy = signals.set_distance(y, intervals)
         assert abs(dx - dy) <= abs(x - y) + 1e-9
+
+    @staticmethod
+    def scalar_distance(x, intervals):
+        """The distance of one point, interval by interval."""
+        best = math.inf
+        for lo, hi in intervals:
+            if lo <= x <= hi:
+                return 0.0
+            best = min(best, abs(x - lo), abs(x - hi))
+        return best
+
+    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=20),
+           st.lists(st.tuples(st.floats(-50, 50), st.floats(0, 10)), min_size=1, max_size=4))
+    def test_elementwise_matches_scalar(self, xs, spans):
+        intervals = [(lo, lo + w) for lo, w in spans]
+        expect = [self.scalar_distance(x, intervals) for x in xs]
+        assert np.array_equal(signals.set_distance(np.array(xs), intervals), expect)
+        assert [signals.set_distance(x, intervals) for x in xs] == expect
+
+    def test_scalar_result_is_float(self):
+        assert type(signals.set_distance(2.0, [(0.0, 1.0)])) is float
+        with pytest.raises(ValueError):
+            signals.set_distance(np.zeros(3), [])
 
 
 class TestBuiltinFamilies:
