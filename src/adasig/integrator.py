@@ -14,6 +14,7 @@ import numpy as np
 
 from .plant import PlantSpec, make_noise, plant_rhs
 from .prototype import PrototypeConfig, init_state, prototype_rhs, theta_hat
+from .rnn import SigmoidNetwork
 from .signals import InputSignal, SignalClass
 
 __all__ = ["Trajectory", "rk4_step", "integrate_system"]
@@ -91,15 +92,27 @@ def rk4_step(
 
 
 def _bank_entry(entry):
-    """Normalize a bank element to (kind, readback (a, b), rhs closure pieces)."""
+    """Normalize a bank element to (kind, class or None, config or network)."""
     if isinstance(entry, tuple) and len(entry) == 2:
         clazz, config = entry
         if not isinstance(clazz, SignalClass) or not isinstance(config, PrototypeConfig):
             raise TypeError("prototype bank entries must be (SignalClass, PrototypeConfig)")
         return ("prototype", clazz, config)
-    if hasattr(entry, "rhs") and hasattr(entry, "a") and hasattr(entry, "b"):
+    if isinstance(entry, SigmoidNetwork):
         return ("network", None, entry)
     raise TypeError(f"unsupported bank entry {type(entry).__name__}")
+
+
+def _network_stacks(entries) -> list[tuple[SigmoidNetwork, np.ndarray]]:
+    """Stack the bank's networks by (N, sigmoid), each with the state
+    columns of its members in stack order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (kind, _, obj) in enumerate(entries):
+        if kind == "network":
+            groups.setdefault((obj.N, obj.sigmoid), []).append(i)
+    return [(SigmoidNetwork.stack([entries[i][2] for i in idx]),
+             np.array([1 + 3 * i + j for i in idx for j in range(3)]))
+            for idx in groups.values()]
 
 
 def integrate_system(
@@ -120,8 +133,9 @@ def integrate_system(
     """Integrate the measurement jointly with a bank of classifier subsystems.
 
     Each bank entry is either (SignalClass, PrototypeConfig) or a fitted
-    network exposing .rhs(xi, s, state3) plus read-back bounds (a, b). An
-    empty bank integrates the plant alone.
+    SigmoidNetwork. An empty bank integrates the plant alone. Networks that
+    share N and the sigmoid are stacked into one network, whose rhs maps all
+    of their states at once in every RK4 stage.
     """
     if dt <= 0 or horizon < 0 or record_every < 1:
         raise ValueError("need dt > 0, horizon >= 0 and record_every >= 1")
@@ -142,32 +156,36 @@ def integrate_system(
             st = init_state(obj, shat0=s0)
             state[1 + 3 * i : 4 + 3 * i] = st.as_array()
         else:
-            nu = getattr(obj, "nu_x", 0.0)
-            state[1 + 3 * i : 4 + 3 * i] = [s0, np.cos(nu), np.sin(nu)]
+            state[1 + 3 * i : 4 + 3 * i] = [s0, np.cos(obj.nu_x), np.sin(obj.nu_x)]
+    prototypes = [(i, c, obj) for i, (kind, c, obj) in enumerate(entries) if kind == "prototype"]
+    stacks = _network_stacks(entries)
+    # rhs lists the derivatives prototypes first, then stack by stack; order
+    # puts them back into bank order when that differs.
+    cols = [0] + [1 + 3 * i + j for i, _, _ in prototypes for j in range(3)]
+    for _, sel in stacks:
+        cols += sel.tolist()
+    order = None if cols == list(range(1 + 3 * m)) else np.argsort(cols)
 
     n = int(round(horizon / dt))
     eta = make_noise(spec, max(n, 1), t0, dt, seed)
     eta_now = 0.0
 
     def rhs(q: np.ndarray, t: float) -> np.ndarray:
-        # The bank is evaluated on plain floats: one tolist per stage and one
-        # array back, instead of numpy scalars and slice writes per class.
+        # Prototypes are evaluated on plain floats (one tolist per stage and
+        # one array back); each network stack takes its states as one array.
         xi_val = float(inp.xi(t))
         qs = q.tolist()
         s = qs[0]
         dq = [plant_rhs(s, xi_val, clazz, theta, spec, eta_now)]
-        for i, (kind, c, obj) in enumerate(entries):
-            sub = qs[1 + 3 * i : 4 + 3 * i]
-            if kind == "prototype":
-                dq += prototype_rhs(sub, s, xi_val, c, obj, spec.phi)
-            else:
-                dq += obj.rhs(xi_val, s, sub).tolist()
-        return np.array(dq)
+        for i, c, config in prototypes:
+            dq += prototype_rhs(qs[1 + 3 * i : 4 + 3 * i], s, xi_val, c, config, spec.phi)
+        for net, sel in stacks:
+            dq += net.rhs(xi_val, s, q[sel]).ravel().tolist()
+        return np.array(dq) if order is None else np.array(dq)[order]
 
     times = [t0]
     states = np.empty((n // record_every + 1, 1 + 3 * m))
     states[0] = state
-    escape_t = None
     # A diverging run overflows on its way to inf; rk4_step reports that as
     # FloatingPointError, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,13 +196,20 @@ def integrate_system(
             if (k + 1) % record_every == 0:
                 times.append(t0 + (k + 1) * dt)
                 states[(k + 1) // record_every] = state
-                if escape_t is None:
-                    for i, (kind, c, obj) in enumerate(entries):
-                        if kind == "network" and not obj.in_domain(
-                            float(inp.xi(np.asarray(t + dt))), state[0],
-                            state[1 + 3 * i : 4 + 3 * i],
-                        ):
-                            escape_t = t0 + (k + 1) * dt
+
+    # Domain escape: every recorded row after the first, with xi at the step
+    # end t0 + k dt + dt, checked against every stack in one call each.
+    escape_t = None
+    if stacks:
+        rec = states[1:]
+        k = np.arange(1, len(rec) + 1) * record_every - 1
+        xi_rec = inp.xi(t0 + k * dt + dt)[:, None]
+        inside = np.ones(len(rec), dtype=bool)
+        for net, sel in stacks:
+            q = rec[:, sel].reshape(len(rec), -1, 3)
+            inside &= net.in_domain(xi_rec, rec[:, :1], q).all(axis=1)
+        if not inside.all():
+            escape_t = times[1 + int(np.argmin(inside))]
 
     a = np.array([obj.a for _, _, obj in entries])
     b = np.array([obj.b for _, _, obj in entries])

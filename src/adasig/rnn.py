@@ -29,10 +29,28 @@ __all__ = [
     "estimate_rhs_lipschitz",
 ]
 
-SIGMOIDS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "logistic": lambda u: 1.0 / (1.0 + np.exp(-u)),
+
+def _logistic(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """1 / (1 + exp(-u)), optionally written into out (which may be u)."""
+    out = np.negative(u, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+# Each sigmoid takes an optional out array, so feature matrices are formed in place.
+SIGMOIDS: dict[str, Callable[..., np.ndarray]] = {
+    "logistic": _logistic,
     "tanh": np.tanh,
 }
+
+
+def _features(Z: np.ndarray, omega: np.ndarray, beta: np.ndarray, sigmoid: str) -> np.ndarray:
+    """sigma(Z omega^T + beta) in one buffer; a leading network axis of
+    omega and beta maps every network over the same rows of Z."""
+    U = Z @ omega.swapaxes(-1, -2)
+    U += beta[..., None, :]
+    return SIGMOIDS[sigmoid](U, out=U)
 
 
 @dataclass
@@ -43,6 +61,11 @@ class SigmoidNetwork:
     alpha: (N, 3) output weights, one column per state derivative.  The
     read-back bounds (a, b) and initial phase nu_x are carried along so the
     network is a drop-in replacement for the subsystem it realizes.
+
+    A bank of m networks that share N and the sigmoid stacks into one network
+    of 3m states (see stack): every array gains a leading network axis, and
+    eps_N, a, b and nu_x become (m,) arrays.  A single network is the m = 1
+    case without that axis; features, evaluate, rhs and in_domain serve both.
     """
 
     N: int
@@ -63,30 +86,67 @@ class SigmoidNetwork:
         self.domain = np.asarray(self.domain, dtype=float)
         if self.sigmoid not in SIGMOIDS:
             raise ValueError(f"unknown sigmoid {self.sigmoid!r}")
-        if self.omega.shape != (self.N, 5) or self.beta.shape != (self.N,):
+        lead = self.omega.shape[:-2]
+        if len(lead) > 1 or self.omega.shape != lead + (self.N, 5) \
+                or self.beta.shape != lead + (self.N,):
             raise ValueError("weight shapes inconsistent with N")
-        if self.alpha.shape != (self.N, 3) or self.domain.shape != (5, 2):
-            raise ValueError("alpha must be (N, 3) and domain (5, 2)")
+        if self.alpha.shape != lead + (self.N, 3) or self.domain.shape != lead + (5, 2):
+            raise ValueError("alpha must be (N, 3) and domain (5, 2), "
+                             "with the network axis of omega")
         for arr in (self.omega, self.beta, self.alpha, self.domain):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("network parameters must be finite")
 
+    @classmethod
+    def stack(cls, nets: Sequence["SigmoidNetwork"]) -> "SigmoidNetwork":
+        """One network over the 3m states of m networks sharing N and sigmoid."""
+        nets = list(nets)
+        if not nets:
+            raise ValueError("a stack needs at least one network")
+        if any(net.omega.ndim != 2 for net in nets):
+            raise ValueError("only single networks can be stacked")
+        if any((net.N, net.sigmoid) != (nets[0].N, nets[0].sigmoid) for net in nets):
+            raise ValueError("stacked networks must share N and the sigmoid")
+        return cls(
+            N=nets[0].N,
+            sigmoid=nets[0].sigmoid,
+            **{k: np.stack([getattr(net, k) for net in nets])
+               for k in ("omega", "beta", "alpha", "domain")},
+            **{k: np.array([getattr(net, k) for net in nets])
+               for k in ("eps_N", "a", "b", "nu_x")},
+        )
+
     def features(self, Z: np.ndarray) -> np.ndarray:
-        return SIGMOIDS[self.sigmoid](Z @ self.omega.T + self.beta)
+        return _features(Z, self.omega, self.beta, self.sigmoid)
 
     def evaluate(self, Z: np.ndarray) -> np.ndarray:
-        """Batch evaluation on rows (xi, s, shat, x, y) -> (N_rows, 3)."""
+        """Batch evaluation on rows (xi, s, shat, x, y) -> (N_rows, 3); a
+        stack maps (N_rows, 5) or (m, N_rows, 5) rows to (m, N_rows, 3)."""
         return self.features(np.atleast_2d(np.asarray(Z, dtype=float))) @ self.alpha
 
-    def rhs(self, xi_val: float, s: float, state3: np.ndarray) -> np.ndarray:
-        z = np.array([xi_val, s, state3[0], state3[1], state3[2]])
-        return self.evaluate(z)[0]
+    def rhs(self, xi_val: float, s: float, state: np.ndarray) -> np.ndarray:
+        """Derivatives of the 3m states: (3,) for one network, (m, 3) for a
+        stack (state holds the 3m values in network order)."""
+        q = np.asarray(state, dtype=float).reshape(self.beta.shape[:-1] + (1, 3))
+        Z = np.empty(q.shape[:-1] + (5,))
+        Z[..., :2] = xi_val, s
+        Z[..., 2:] = q
+        return (self.features(Z) @ self.alpha)[..., 0, :]
 
-    def in_domain(self, xi_val: float, s: float, state3: np.ndarray) -> bool:
-        z = np.array([xi_val, s, state3[0], state3[1], state3[2]])
-        return bool(np.all(z >= self.domain[:, 0]) and np.all(z <= self.domain[:, 1]))
+    def in_domain(self, xi_val, s, state) -> np.ndarray:
+        """Whether (xi, s, state) lies in the fitted box, elementwise.
+
+        state has shape (..., 3), or (..., m, 3) for a stack; xi_val and s
+        broadcast against state[..., 0].  One network at one point gives a
+        scalar bool; a stack gives one flag per network.
+        """
+        q = np.asarray(state, dtype=float)
+        z = np.stack(np.broadcast_arrays(xi_val, s, q[..., 0], q[..., 1], q[..., 2]), axis=-1)
+        return np.all((z >= self.domain[..., 0]) & (z <= self.domain[..., 1]), axis=-1)
 
     def to_dict(self) -> dict:
+        if self.omega.ndim != 2:
+            raise ValueError("a stack has no single-network form; serialize its networks")
         return {
             "N": self.N,
             "sigmoid": self.sigmoid,
@@ -269,6 +329,9 @@ def _draw_features(box: np.ndarray, N: int, rng: np.random.Generator):
     return W, beta
 
 
+_VALIDATION_BLOCK = 8192  # rows per block of validation features
+
+
 def fit_network(
     dataset: RHSDataset,
     N: int,
@@ -291,8 +354,7 @@ def fit_network(
     rng = np.random.default_rng(seed)
     box = dataset.domain
     W, beta = _draw_features(box, N, rng)
-    sig = SIGMOIDS[sigmoid]
-    Phi = sig(dataset.inputs @ W.T + beta)
+    Phi = _features(dataset.inputs, W, beta, sigmoid)
     n = len(dataset.inputs)
     A = Phi.T @ Phi + ridge * n * np.eye(N)
     try:
@@ -302,10 +364,18 @@ def fit_network(
             "normal equations are singular; increase ridge"
         ) from exc
     train_sup = float(np.max(np.abs(Phi @ alpha - dataset.targets)))
+    del Phi
 
+    # Validation features are formed one row block at a time instead of as
+    # one n_validation x N matrix. With n_validation = 0 one empty block is
+    # left, and np.max rejects it.
     rng_v = np.random.default_rng(seed + 1)
     Zv = box[:, 0] + rng_v.uniform(size=(n_validation, 5)) * (box[:, 1] - box[:, 0])
-    val_sup = float(np.max(np.abs(sig(Zv @ W.T + beta) @ alpha - dataset.target_fn(Zv))))
+    val_sup = max(
+        float(np.max(np.abs(_features(Zb, W, beta, sigmoid) @ alpha - dataset.target_fn(Zb))))
+        for Zb in (Zv[i : i + _VALIDATION_BLOCK]
+                   for i in range(0, max(n_validation, 1), _VALIDATION_BLOCK))
+    )
 
     net = SigmoidNetwork(
         N=N,

@@ -1,4 +1,4 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package, the tests and the demos is used.
 
 A stdlib-only stand-in for a linter's unused-import rule: a name bound by a
 top-level import must appear somewhere else in the module, as a name, as
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "adasig"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "adasig"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -49,6 +50,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from adasig import integrator, plant, prototype, signals
+from adasig import integrator, plant, prototype, rnn, signals
 
 LINEAR = signals.builtin_class("linear", (1.0, 2.0))
 SIN = signals.sin_input()
@@ -197,21 +197,38 @@ def reference_prototype_rhs(state, s, xi_val, clazz, config, phi):
                      g * (x - y - x * r2), g * (x + y - y * r2)])
 
 
+def reference_network_rhs(net, xi_val, s, state3):
+    """One network at a time, as an array-building closure over its own weights."""
+    z = np.atleast_2d(np.array([xi_val, s, state3[0], state3[1], state3[2]]))
+    u = z @ net.omega.T + net.beta
+    act = 1.0 / (1.0 + np.exp(-u)) if net.sigmoid == "logistic" else np.tanh(u)
+    return (act @ net.alpha)[0]
+
+
 def reference_integration(spec, clazz, theta, bank, inp, horizon, dt, seed, s0):
-    """RK4 over a closure that evaluates the bank one class at a time."""
+    """RK4 over a closure that evaluates a prototype or network bank entry by entry."""
     n = int(round(horizon / dt))
     eta = plant.make_noise(spec, n, 0.0, dt, seed)
-    state = np.array([s0] + [v for _, cfg in bank
-                             for v in prototype.init_state(cfg, s0).as_array()])
+    init = [s0]
+    for e in bank:
+        if isinstance(e, tuple):
+            init += list(prototype.init_state(e[1], s0).as_array())
+        else:
+            init += [s0, np.cos(e.nu_x), np.sin(e.nu_x)]
+    state = np.array(init)
     rows = [state]
     for k in range(n):
         def rhs(q, t):
             xi_val = float(inp.xi(np.asarray(t, dtype=float)))
             dq = np.empty_like(q)
             dq[0] = plant.plant_rhs(q[0], xi_val, clazz, theta, spec, eta[k])
-            for i, (c, cfg) in enumerate(bank):
-                dq[1 + 3 * i : 4 + 3 * i] = reference_prototype_rhs(
-                    q[1 + 3 * i : 4 + 3 * i], q[0], xi_val, c, cfg, spec.phi)
+            for i, e in enumerate(bank):
+                sub = q[1 + 3 * i : 4 + 3 * i]
+                if isinstance(e, tuple):
+                    dq[1 + 3 * i : 4 + 3 * i] = reference_prototype_rhs(
+                        sub, q[0], xi_val, e[0], e[1], spec.phi)
+                else:
+                    dq[1 + 3 * i : 4 + 3 * i] = reference_network_rhs(e, xi_val, q[0], sub)
             return dq
         state = integrator.rk4_step(rhs, state, k * dt, dt)
         rows.append(state)
@@ -249,3 +266,115 @@ class TestBankMatchesPerClassReference:
         )
         ref = reference_integration(spec, classes[0], theta, bank, SIN, 1.5, 1e-2, seed, s0)
         assert np.array_equal(traj.states, ref)
+
+
+def random_network(N, sigmoid, seed, a=0.5, b=2.5):
+    """A network with seeded random weights and a box wide enough for 1.5 s runs."""
+    rng = np.random.default_rng(seed)
+    box = np.array([[-5.0, 5.0]] * 5)
+    return rnn.SigmoidNetwork(
+        N=N, sigmoid=sigmoid, omega=rng.normal(size=(N, 5)), beta=rng.normal(size=N),
+        alpha=0.3 * rng.normal(size=(N, 3)), domain=box, eps_N=0.0, a=a, b=b,
+        nu_x=float(rng.uniform(0.0, 6.0)),
+    )
+
+
+# A bank entry: "proto" or a network as (N, sigmoid).
+ENTRY = st.one_of(st.just("proto"),
+                  st.tuples(st.sampled_from([3, 8]), st.sampled_from(["tanh", "logistic"])))
+
+
+def build_bank(kinds, seed):
+    bank = []
+    for j, kind in enumerate(kinds):
+        if kind == "proto":
+            clazz = signals.builtin_class(FAMILIES[j % 3], (1.0, 2.0), id=j)
+            bank.append((clazz, make_config(gamma=0.3, delta=0.05)))
+        else:
+            bank.append(random_network(*kind, seed=seed + j))
+    return bank
+
+
+class TestNetworkBankMatchesPerNetworkReference:
+    """Stacked network banks reproduce the network-by-network integration bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kinds=st.lists(ENTRY, min_size=1, max_size=5).filter(
+            lambda ks: 1 <= sum(k != "proto" for k in ks) <= 4),
+        noise_bound=st.sampled_from([0.0, 0.02]),
+        s0=st.floats(0.0, 1.0),
+        seed=st.integers(0, 1000),
+    )
+    @example(kinds=[(8, "tanh")], noise_bound=0.0, s0=0.5, seed=1)
+    @example(kinds=[(8, "logistic")] * 4, noise_bound=0.02, s0=0.2, seed=2)
+    @example(kinds=[(3, "tanh"), (8, "tanh"), (3, "tanh")], noise_bound=0.0, s0=0.7, seed=3)
+    @example(kinds=[(8, "tanh"), "proto", (8, "tanh"), (3, "logistic")], noise_bound=0.02,
+             s0=0.4, seed=4)
+    def test_states_bit_identical(self, kinds, noise_bound, s0, seed):
+        spec = make_spec(noise_bound=noise_bound)
+        bank = build_bank(kinds, seed)
+        traj = integrator.integrate_system(
+            spec, LINEAR, 1.5, bank, SIN, horizon=1.5, dt=1e-2, seed=seed,
+            record_every=1, s0=s0,
+        )
+        ref = reference_integration(spec, LINEAR, 1.5, bank, SIN, 1.5, 1e-2, seed, s0)
+        assert np.array_equal(traj.states, ref)
+
+    def test_stacked_network_rejected_as_entry(self):
+        stack = rnn.SigmoidNetwork.stack([random_network(3, "tanh", 0)] * 2)
+        with pytest.raises(ValueError):
+            integrator.integrate_system(make_spec(), LINEAR, 1.5, [stack], SIN, horizon=0.1)
+
+
+def reference_escape_t(traj, bank, inp, t0, dt, record_every):
+    """The first recorded row after the start where a network leaves its box,
+    checked one row and one network at a time with xi at the step end."""
+    for j in range(1, len(traj.times)):
+        k = j * record_every - 1
+        t = t0 + k * dt
+        xi_val = float(inp.xi(np.asarray(t + dt)))
+        row = traj.states[j]
+        for i, e in enumerate(bank):
+            if isinstance(e, tuple):
+                continue
+            z = np.array([xi_val, row[0], *row[1 + 3 * i : 4 + 3 * i]])
+            if not (np.all(z >= e.domain[:, 0]) and np.all(z <= e.domain[:, 1])):
+                return t0 + (k + 1) * dt
+    return None
+
+
+class TestDomainEscape:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kinds=st.lists(ENTRY, min_size=1, max_size=4).filter(
+            lambda ks: any(k != "proto" for k in ks)),
+        shrink=st.floats(0.3, 1.2),
+        record_every=st.sampled_from([1, 3, 7]),
+        t0=st.sampled_from([0.0, 0.3]),
+        degenerate=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_matches_per_row_reference(self, kinds, shrink, record_every, t0, degenerate,
+                                       seed):
+        bank = build_bank(kinds, seed)
+        rng = np.random.default_rng(seed)
+        for e in bank:
+            if not isinstance(e, tuple):
+                # boxes that the run leaves at some recorded row, or never
+                e.domain = np.array([[-1.1, 1.1], [-2.0, 2.0], [-2.0, 2.0],
+                                     [-1.0, 1.0], [-1.0, 1.0]])
+                e.domain[rng.integers(0, 5)] *= shrink
+        inp = signals.degenerate_xi(0.0) if degenerate else SIN
+        traj = integrator.integrate_system(
+            make_spec(), LINEAR, 1.5, bank, inp, t0=t0, horizon=2.0, dt=1e-2, seed=seed,
+            record_every=record_every, s0=0.5,
+        )
+        expected = reference_escape_t(traj, bank, inp, t0, 1e-2, record_every)
+        assert traj.meta.get("domain_escape_t") == expected
+
+    def test_no_networks_no_escape_key(self):
+        traj = integrator.integrate_system(
+            make_spec(), LINEAR, 1.5, [(LINEAR, make_config())], SIN, horizon=0.5, dt=1e-2,
+        )
+        assert "domain_escape_t" not in traj.meta

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,115 @@ class TestFitNetwork:
             rnn.fit_network(ds, N=0)
         with pytest.raises(ValueError):
             rnn.fit_network(ds, N=10, ridge=-1.0)
+
+
+    @pytest.mark.parametrize("sigmoid", ["tanh", "logistic"])
+    def test_peak_memory_below_two_feature_matrices(self, sigmoid):
+        cfg = make_config()
+        n, N = 4000, 64
+        ds = rnn.sample_rhs(LINEAR, cfg, small_box(), n, phi=lambda s: s, seed=2)
+        tracemalloc.start()
+        try:
+            rnn.fit_network(ds, N=N, seed=0, sigmoid=sigmoid, n_validation=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * N * 8
+
+    @pytest.mark.parametrize("sigmoid", ["tanh", "logistic"])
+    def test_blocked_validation_is_sup_over_all_rows(self, sigmoid):
+        cfg = make_config()
+        ds = rnn.sample_rhs(LINEAR, cfg, small_box(), 300, phi=lambda s: s, seed=2)
+        # 20,000 rows: two full validation blocks and a partial one
+        net, rep = rnn.fit_network(ds, N=20, seed=3, sigmoid=sigmoid, n_validation=20000)
+        box = small_box()
+        Zv = box[:, 0] + np.random.default_rng(4).uniform(size=(20000, 5)) * (box[:, 1] - box[:, 0])
+        assert rep.validation_error_sup == net.eps_N
+        # BLAS may sum the output product of a block in another order than
+        # that of all rows at once: allow N roundings of the largest |term| sum.
+        F = net.features(Zv)
+        tol = net.N * np.finfo(float).eps * np.max(np.abs(F) @ np.abs(net.alpha))
+        assert abs(net.eps_N - np.max(np.abs(F @ net.alpha - ds.target_fn(Zv)))) <= tol
+
+    def test_no_validation_rows_rejected(self):
+        cfg = make_config()
+        ds = rnn.sample_rhs(LINEAR, cfg, small_box(), 100, phi=lambda s: s)
+        with pytest.raises(ValueError, match="zero-size array"):
+            rnn.fit_network(ds, N=10, n_validation=0)
+
+
+def random_net(N=6, sigmoid="tanh", seed=0):
+    rng = np.random.default_rng(seed)
+    return rnn.SigmoidNetwork(
+        N=N, sigmoid=sigmoid, omega=rng.normal(size=(N, 5)), beta=rng.normal(size=N),
+        alpha=rng.normal(size=(N, 3)), domain=small_box(), eps_N=0.1 * seed, a=0.5, b=2.5,
+        nu_x=0.2 * seed,
+    )
+
+
+class TestStack:
+    @pytest.mark.parametrize("sigmoid", ["tanh", "logistic"])
+    def test_rows_match_single_networks(self, sigmoid):
+        nets = [random_net(sigmoid=sigmoid, seed=k) for k in range(3)]
+        stack = rnn.SigmoidNetwork.stack(nets)
+        assert stack.omega.shape == (3, 6, 5) and stack.beta.shape == (3, 6)
+        assert stack.alpha.shape == (3, 6, 3) and stack.domain.shape == (3, 5, 2)
+        assert list(stack.eps_N) == [0.0, 0.1, 0.2] and list(stack.nu_x) == [0.0, 0.2, 0.4]
+        state = np.random.default_rng(9).normal(size=(3, 3))
+        out = stack.rhs(0.3, -0.2, state.ravel())
+        assert out.shape == (3, 3)
+        for k, net in enumerate(nets):
+            assert np.array_equal(out[k], net.rhs(0.3, -0.2, state[k]))
+        Z = small_box()[:, 0] + np.random.default_rng(1).uniform(size=(7, 5))
+        assert np.array_equal(stack.evaluate(Z), np.stack([net.evaluate(Z) for net in nets]))
+
+    def test_in_domain_per_network(self):
+        nets = [random_net(seed=k) for k in range(2)]
+        nets[1].domain = nets[1].domain * 0.1
+        stack = rnn.SigmoidNetwork.stack(nets)
+        state = np.full((4, 2, 3), 0.5)
+        inside = stack.in_domain(np.zeros((4, 1)), np.zeros((4, 1)), state)
+        assert inside.shape == (4, 2)
+        assert inside[:, 0].all() and not inside[:, 1].any()
+        assert nets[0].in_domain(0.0, 0.0, [0.5, 0.5, 0.5])
+        assert not nets[1].in_domain(0.0, 0.0, [0.5, 0.5, 0.5])
+
+    def test_single_network_stacks_to_leading_axis(self):
+        stack = rnn.SigmoidNetwork.stack([random_net()])
+        assert stack.omega.shape == (1, 6, 5)
+        assert stack.rhs(0.1, 0.2, [0.3, 0.4, 0.5]).shape == (1, 3)
+
+    def test_mismatched_networks_rejected(self):
+        with pytest.raises(ValueError, match="share N"):
+            rnn.SigmoidNetwork.stack([random_net(N=6), random_net(N=7)])
+        with pytest.raises(ValueError, match="share N"):
+            rnn.SigmoidNetwork.stack([random_net(), random_net(sigmoid="logistic")])
+        with pytest.raises(ValueError):
+            rnn.SigmoidNetwork.stack([])
+        stack = rnn.SigmoidNetwork.stack([random_net(), random_net(seed=1)])
+        with pytest.raises(ValueError):
+            rnn.SigmoidNetwork.stack([stack, random_net()])
+
+    def test_inconsistent_stacked_shapes_rejected(self):
+        net = random_net()
+        kw = dict(N=6, sigmoid="tanh", eps_N=0.0, a=0.5, b=2.5)
+        arrays = dict(omega=np.stack([net.omega] * 2), beta=np.stack([net.beta] * 2),
+                      alpha=np.stack([net.alpha] * 2), domain=np.stack([net.domain] * 2))
+        rnn.SigmoidNetwork(**kw, **arrays)
+        for key in arrays:
+            bad = dict(arrays, **{key: np.stack([getattr(net, key)] * 3)})
+            with pytest.raises(ValueError):
+                rnn.SigmoidNetwork(**kw, **bad)
+        with pytest.raises(ValueError):
+            rnn.SigmoidNetwork(**kw, **{k: v[None] for k, v in arrays.items()})
+
+    def test_stack_has_no_json(self, tmp_path):
+        stack = rnn.SigmoidNetwork.stack([random_net(), random_net(seed=1)])
+        with pytest.raises(ValueError):
+            stack.to_json()
+        with pytest.raises(ValueError):
+            stack.to_json(tmp_path / "stack.json")
+        assert not (tmp_path / "stack.json").exists()
 
 
 class TestSerialization:
