@@ -109,6 +109,7 @@ def run_tune(cfg: ExperimentConfig, class_index=None) -> TuningReport:
 def run_simulate(cfg: ExperimentConfig, theta=None, horizon=None, bank=None):
     """Integrate the configured bank against the true plant; returns Trajectory."""
     sim = cfg.simulation
+    full_horizon, dt, record_every = cfg.simulation_grid()
     if bank is None:
         bank = list(zip(cfg.classes, cfg.class_configs()))
     return integrate_system(
@@ -118,10 +119,10 @@ def run_simulate(cfg: ExperimentConfig, theta=None, horizon=None, bank=None):
         bank,
         cfg.inp,
         t0=float(sim.get("t0", 0.0)),
-        horizon=float(sim.get("horizon", 10.0)) if horizon is None else horizon,
-        dt=float(sim.get("dt", 1e-3)),
+        horizon=full_horizon if horizon is None else horizon,
+        dt=dt,
         seed=sub_seed(cfg.seed, "noise"),
-        record_every=int(sim.get("record_every", 10)),
+        record_every=record_every,
         s0=sim.get("s0"),
         meta={"config_hash": cfg.hash, "version": VERSION},
     )
@@ -200,6 +201,7 @@ def _load(args) -> ExperimentConfig:
         cfg.simulation.update(overrides)
         cfg.raw = cfg.raw | {"simulation": cfg.simulation}
         cfg.hash = config_hash(cfg.raw)
+        cfg.simulation_grid()
     return cfg
 
 
@@ -304,12 +306,11 @@ def verify_pe_example(cfg: ExperimentConfig) -> analysis.PEReport:
     u = np.asarray(clazz.f(xi, theta) - clazz.f(xi, lo), dtype=float)
     # RK4 with the drive held at u[k] over each step; integrate_system would
     # evaluate it at the stage times instead.
-    z = np.zeros_like(u)
-    for k in range(len(t) - 1):
-        zk = z[k]
-        uk = u[k]
-        rhs = lambda q, tt: np.array([-cfg.plant.phi(q[0]) + uk])
-        z[k + 1] = rk4_step(rhs, np.array([zk]), t[k], dt)[0]
+    phi = cfg.plant.phi
+    z = [0.0]
+    for tk, uk in zip(t[:-1].tolist(), u.tolist()):
+        z += rk4_step(lambda q, tt: [-phi(q[0]) + uk], z[-1:], tk, dt)
+    z = np.array(z)
     delta = float(np.min(analysis._window_integrals(u, dt, L)))
     Delta = cfg.plant.noise_bound / cfg.plant.phi_min
     return analysis.verify_filtered_pe(z, u, dt, L, delta, Delta=Delta)

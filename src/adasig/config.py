@@ -113,6 +113,27 @@ class ExperimentConfig:
             )
         return out
 
+    def simulation_grid(self) -> tuple[float, float, int]:
+        """(horizon, dt, record_every) of the simulation section.
+
+        Rejects a horizon that is not a whole number of dt steps (relative
+        tolerance 1e-9) and a record_every that does not divide that number.
+        """
+        sim = self.simulation
+        horizon = float(sim.get("horizon", 10.0))
+        dt = float(sim.get("dt", 1e-3))
+        record_every = int(sim.get("record_every", 10))
+        if not (math.isfinite(horizon) and horizon >= 0 and math.isfinite(dt) and dt > 0):
+            raise ValueError(f"simulation needs a finite horizon >= 0 and dt > 0, "
+                             f"got horizon={horizon}, dt={dt}")
+        steps = horizon / dt
+        if not math.isclose(steps, round(steps), rel_tol=1e-9):
+            raise ValueError(f"horizon {horizon} is not a whole number of dt={dt} steps")
+        if record_every < 1 or round(steps) % record_every:
+            raise ValueError(f"record_every {record_every} does not divide the "
+                             f"{round(steps)} steps of the horizon")
+        return horizon, dt, record_every
+
     def theta_grid(self) -> np.ndarray:
         sw = self.sweep or {}
         if "grid" in sw:
@@ -192,7 +213,7 @@ def load_config(path_or_dict) -> ExperimentConfig:
                 f"range of class {clazz.name!r}"
             )
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         raw=raw,
         name=str(raw.get("name", "experiment")),
         classes=classes,
@@ -207,3 +228,5 @@ def load_config(path_or_dict) -> ExperimentConfig:
         sweep=dict(raw.get("sweep", {})),
         hash=config_hash(raw),
     )
+    cfg.simulation_grid()
+    return cfg

@@ -7,6 +7,7 @@ hf_i). Everything is deterministic given the seed; records are immutable.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -73,20 +74,31 @@ class Trajectory:
 
 
 def rk4_step(
-    rhs: Callable[[np.ndarray, float], np.ndarray],
-    state: np.ndarray,
+    rhs: Callable[[list, float], Sequence[float]],
+    state: Sequence[float],
     t: float,
     dt: float,
-) -> np.ndarray:
-    """Classical 4-stage Runge-Kutta update."""
+) -> list:
+    """Classical 4-stage Runge-Kutta update on a list of floats.
+
+    List in, list out: takes the state as a sequence, hands rhs every stage
+    state as a list, and returns the new state as a list. rhs returns a
+    sequence of the same length. With h = dt/2 and w = dt/6 each element is
+    x + h*k at the stages and x + w*(k1 + 2*k2 + 2*k3 + k4) at the end, the
+    association order of the array expressions, so the bits equal those of
+    numpy's elementwise RK4. Raises FloatingPointError on an inf or nan.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    k1 = rhs(state, t)
-    k2 = rhs(state + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = rhs(state + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = rhs(state + dt * k3, t + dt)
-    out = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
+    h = 0.5 * dt
+    w = dt / 6.0
+    x = list(state)
+    a = rhs(x, t)
+    b = rhs([v + h * k for v, k in zip(x, a)], t + h)
+    c = rhs([v + h * k for v, k in zip(x, b)], t + h)
+    d = rhs([v + dt * k for v, k in zip(x, c)], t + dt)
+    out = [v + w * (p + 2.0 * q + 2.0 * r + z) for v, p, q, r, z in zip(x, a, b, c, d)]
+    if not all(map(math.isfinite, out)):
         raise FloatingPointError(f"integration diverged at t={t}")
     return out
 
@@ -164,34 +176,40 @@ def integrate_system(
     cols = [0] + [1 + 3 * i + j for i, _, _ in prototypes for j in range(3)]
     for _, sel in stacks:
         cols += sel.tolist()
-    order = None if cols == list(range(1 + 3 * m)) else np.argsort(cols)
+    order = None if cols == list(range(1 + 3 * m)) else np.argsort(cols).tolist()
 
     n = int(round(horizon / dt))
     eta = make_noise(spec, max(n, 1), t0, dt, seed)
     eta_now = 0.0
 
-    def rhs(q: np.ndarray, t: float) -> np.ndarray:
-        # Prototypes are evaluated on plain floats (one tolist per stage and
-        # one array back); each network stack takes its states as one array.
+    def rhs(q: list, t: float) -> list:
+        # Everything stays a Python float: an np.float64 that slipped into
+        # the state would make every later operation a slow numpy scalar op.
+        # The sine family's f returns np.float64, hence the float() on the
+        # first prototype derivative. Network stacks take their states as
+        # one array.
         xi_val = float(inp.xi(t))
-        qs = q.tolist()
-        s = qs[0]
+        s = q[0]
         dq = [plant_rhs(s, xi_val, clazz, theta, spec, eta_now)]
         for i, c, config in prototypes:
-            dq += prototype_rhs(qs[1 + 3 * i : 4 + 3 * i], s, xi_val, c, config, spec.phi)
-        for net, sel in stacks:
-            dq += net.rhs(xi_val, s, q[sel]).ravel().tolist()
-        return np.array(dq) if order is None else np.array(dq)[order]
+            ds, dx, dy = prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, c, config, spec.phi)
+            dq += (float(ds), dx, dy)
+        if stacks:
+            qa = np.array(q)
+            for net, sel in stacks:
+                dq += net.rhs(xi_val, s, qa[sel]).ravel().tolist()
+        return dq if order is None else [dq[j] for j in order]
 
     times = [t0]
     states = np.empty((n // record_every + 1, 1 + 3 * m))
     states[0] = state
+    state = state.tolist()
     # A diverging run overflows on its way to inf; rk4_step reports that as
     # FloatingPointError, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             t = t0 + k * dt
-            eta_now = eta[k]
+            eta_now = float(eta[k])
             state = rk4_step(rhs, state, t, dt)
             if (k + 1) % record_every == 0:
                 times.append(t0 + (k + 1) * dt)

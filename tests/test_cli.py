@@ -58,6 +58,22 @@ class TestConfigParsing:
             configs = cfg.class_configs()
         assert configs[0].gamma < 10.0
 
+    @pytest.mark.parametrize("simulation", [
+        {"horizon": 150.005},  # 15000.5 steps of dt = 0.01
+        {"record_every": 7},  # does not divide 15000 steps
+        {"record_every": 0},
+        {"dt": 0.0},
+    ])
+    def test_bad_grid_rejected(self, simulation):
+        with pytest.raises(ValueError):
+            config.load_config(small_config(simulation=simulation))
+
+    def test_grid_within_relative_tolerance_accepted(self):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        cfg = config.load_config(small_config(simulation={"horizon": 0.3, "dt": 0.1,
+                                                          "record_every": 3}))
+        assert cfg.simulation_grid() == (0.3, 0.1, 3)
+
     def test_sub_seed_distinct(self):
         assert config.sub_seed(0, "noise") != config.sub_seed(0, "fit_0")
         assert config.sub_seed(0, "noise") == config.sub_seed(0, "noise")
@@ -87,6 +103,18 @@ class TestExitCodes:
             code = cli.main([command, "--config", path, "--out", str(tmp_path)])
         assert code == 2
         assert "infeasible tuning" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("simulation,extra", [
+        ({"horizon": 150.005}, []),
+        ({"record_every": 7}, []),
+        ({}, ["--dt", "0.007"]),  # 21428.6 steps
+        ({}, ["--dt", "0.4"]),  # 375 steps, not a multiple of record_every = 10
+    ])
+    def test_bad_grid_exits_1(self, tmp_path, capsys, simulation, extra):
+        path = write_config(tmp_path, small_config(simulation=simulation))
+        assert cli.main(["tune", "--config", path, "--out", str(tmp_path), *extra]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "tuning.json").exists()
 
     def test_diverged_integration_exits_1(self, tmp_path, capsys):
         # a stiff plant (slope 100) with dt = 0.1 leaves RK4's stability region

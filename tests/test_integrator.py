@@ -19,6 +19,18 @@ def make_config(**kw):
     return prototype.PrototypeConfig(**base)
 
 
+def reference_rk4_step(rhs, state, t, dt):
+    """The array RK4 step that the float stepper must reproduce bit for bit."""
+    k1 = rhs(state, t)
+    k2 = rhs(state + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rhs(state + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rhs(state + dt * k3, t + dt)
+    out = state + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"integration diverged at t={t}")
+    return out
+
+
 class TestRk4Step:
     def test_zero_rhs(self):
         out = integrator.rk4_step(lambda q, t: np.zeros_like(q), np.array([1.0, 2.0]), 0.0, 0.1)
@@ -31,7 +43,7 @@ class TestRk4Step:
     def test_contraction_stable(self):
         q = np.array([1.0])
         for _ in range(100):
-            q = integrator.rk4_step(lambda q, t: -q, q, 0.0, 0.5)
+            q = integrator.rk4_step(lambda q, t: [-v for v in q], q, 0.0, 0.5)
         assert abs(q[0]) < 1e-9
 
     def test_bad_dt(self):
@@ -40,7 +52,74 @@ class TestRk4Step:
 
     def test_divergence_detected(self):
         with pytest.raises(FloatingPointError):
-            integrator.rk4_step(lambda q, t: q * np.inf, np.array([1.0]), 0.0, 0.1)
+            integrator.rk4_step(lambda q, t: [v * np.inf for v in q], np.array([1.0]), 0.0, 0.1)
+
+    def test_list_in_list_out(self):
+        out = integrator.rk4_step(lambda q, t: [0.5 * v for v in q], (1.0, 2.0), 0.0, 0.1)
+        assert type(out) is list and all(type(v) is float for v in out)
+
+
+def linear_cubic_rhs(A, c, cubic, as_list):
+    """q' = A q + c t (- q**3); the same operations on a list or an array."""
+    def rhs(q, t):
+        q = np.asarray(q, dtype=float)
+        dq = A @ q + c * t
+        if cubic:
+            dq = dq - q * q * q
+        return dq.tolist() if as_list else dq
+    return rhs
+
+
+def steps_until_divergence(step, rhs, state, dt, n_steps):
+    """The states of n_steps steps, and the index of the step that raised, if any."""
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            try:
+                state = step(rhs, state, k * dt, dt)
+            except FloatingPointError:
+                return rows, k
+            rows.append(np.array(state))
+    return rows, None
+
+
+class TestRk4MatchesArrayReference:
+    """The float stepper gives the array stepper's bits and diverges at the same step."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 13), cubic=st.booleans(), dt=st.floats(1e-4, 0.5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_states_bit_identical(self, n, cubic, dt, seed):
+        rng = np.random.default_rng(seed)
+        A, c = rng.normal(size=(n, n)), rng.normal(size=n)
+        x0 = rng.uniform(-1.0, 1.0, size=n)
+        got, k_got = steps_until_divergence(
+            integrator.rk4_step, linear_cubic_rhs(A, c, cubic, True), x0.tolist(), dt, 20)
+        ref, k_ref = steps_until_divergence(
+            reference_rk4_step, linear_cubic_rhs(A, c, cubic, False), x0, dt, 20)
+        assert k_got == k_ref
+        assert np.array_equal(got, ref)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 13), kind=st.sampled_from(["overflow", "nan"]),
+           dt=st.floats(0.01, 0.5), k_bad=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+    def test_divergence_at_the_same_step(self, n, kind, dt, k_bad, seed):
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(1.0, 10.0, size=n)
+
+        def make(as_list):
+            def rhs(q, t):
+                q = np.asarray(q, dtype=float)
+                # grows without bound until it overflows, or turns nan at step k_bad
+                dq = q * q * q if kind == "overflow" else (np.nan if t >= k_bad * dt else 0.1) * q
+                return dq.tolist() if as_list else dq
+            return rhs
+
+        got, k_got = steps_until_divergence(integrator.rk4_step, make(True), x0.tolist(), dt, 100)
+        ref, k_ref = steps_until_divergence(reference_rk4_step, make(False), x0, dt, 100)
+        assert k_ref is not None
+        assert k_got == k_ref
+        assert np.array_equal(got, ref)
 
 
 class TestTrajectory:
@@ -85,7 +164,7 @@ class TestIntegrateSystem:
             rhs = lambda q, t: np.array(
                 [plant.plant_rhs(q[0], float(SIN.xi(t)), LINEAR, 1.5, spec, eta[k])]
             )
-            s = integrator.rk4_step(rhs, s, k * 1e-3, 1e-3)
+            s = reference_rk4_step(rhs, s, k * 1e-3, 1e-3)
             ref.append(s[0])
         assert np.array_equal(traj_a.states[:, 0], ref)
 
@@ -230,7 +309,7 @@ def reference_integration(spec, clazz, theta, bank, inp, horizon, dt, seed, s0):
                 else:
                     dq[1 + 3 * i : 4 + 3 * i] = reference_network_rhs(e, xi_val, q[0], sub)
             return dq
-        state = integrator.rk4_step(rhs, state, k * dt, dt)
+        state = reference_rk4_step(rhs, state, k * dt, dt)
         rows.append(state)
     return np.array(rows)
 
@@ -266,6 +345,24 @@ class TestBankMatchesPerClassReference:
         )
         ref = reference_integration(spec, classes[0], theta, bank, SIN, 1.5, 1e-2, seed, s0)
         assert np.array_equal(traj.states, ref)
+
+
+def test_prototype_rhs_sees_only_python_floats(monkeypatch):
+    """An np.float64 in the state changes no bit but slows every later operation."""
+    seen = []
+
+    def recording(state, s, *args):
+        seen.append((*state, s))
+        return real(state, s, *args)
+
+    real = integrator.prototype_rhs
+    monkeypatch.setattr(integrator, "prototype_rhs", recording)
+    classes = [signals.builtin_class(f, (1.0, 2.0), id=i) for i, f in enumerate(FAMILIES)]
+    bank = [(c, make_config(gamma=0.3, epsilon=0.02, delta=0.05, nu_x=1.0)) for c in classes]
+    integrator.integrate_system(make_spec(noise_bound=0.02), classes[1], 1.5, bank, SIN,
+                                horizon=0.5, dt=1e-2, seed=4, s0=0.3)
+    assert len(seen) == 4 * 50 * 3
+    assert all(type(v) is float for row in seen for v in row)
 
 
 def random_network(N, sigmoid, seed, a=0.5, b=2.5):
