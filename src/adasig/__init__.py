@@ -22,10 +22,9 @@ from .analysis import (
 from .classify import DecisionReport, band_from_noise, decide
 from .config import ExperimentConfig, config_hash, load_config
 from .integrator import Trajectory, integrate_system, rk4_step
-from .plant import PlantSpec, make_noise, plant_rhs, verify_slope_bounds
+from .plant import PlantSpec, make_noise, plant_rhs
 from .prototype import (
     PrototypeConfig,
-    PrototypeState,
     TuningReport,
     choose_winding,
     compute_L,

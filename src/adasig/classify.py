@@ -93,40 +93,27 @@ def decide(
         for i in range(m)
     ]
     any_q = qualifies.any(axis=0)
+    decided = theta_estimate = t_prime = None
     if not any_q.any():
-        return DecisionReport(
-            decided=None,
-            theta_estimate=None,
-            t_prime=None,
-            T_star=T_star,
-            band_hf=band,
-            band_theta=band_theta,
-            status="undecided",
-            per_class=per_class,
-        )
-    k = int(np.argmax(any_q))
-    winners = np.nonzero(qualifies[:, k])[0]
-    t_prime = float(t_candidates[k])
-    if len(winners) > 1:
-        return DecisionReport(
-            decided=None,
-            theta_estimate=None,
-            t_prime=t_prime,
-            T_star=T_star,
-            band_hf=band,
-            band_theta=band_theta,
-            status="ambiguous",
-            per_class=per_class,
-        )
-    i = int(winners[0])
-    window = traj.column(f"theta_hat_{i+1}")[k : k + w]
+        status = "undecided"
+    else:
+        k = int(np.argmax(any_q))
+        winners = np.nonzero(qualifies[:, k])[0]
+        t_prime = float(t_candidates[k])
+        if len(winners) > 1:
+            status = "ambiguous"
+        else:
+            status = "decided"
+            decided = int(winners[0])
+            window = traj.column(f"theta_hat_{decided+1}")[k : k + w]
+            theta_estimate = float(window.mean())
     return DecisionReport(
-        decided=i,
-        theta_estimate=float(window.mean()),
+        decided=decided,
+        theta_estimate=theta_estimate,
         t_prime=t_prime,
         T_star=T_star,
         band_hf=band,
         band_theta=band_theta,
-        status="decided",
+        status=status,
         per_class=per_class,
     )

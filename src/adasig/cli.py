@@ -107,9 +107,10 @@ def run_tune(cfg: ExperimentConfig, class_index=None) -> TuningReport:
 
 
 def run_simulate(cfg: ExperimentConfig, theta=None, horizon=None, bank=None):
-    """Integrate the configured bank against the true plant; returns Trajectory."""
+    """Integrate the configured bank against the true plant; returns Trajectory.
+    An explicit horizon is checked against the simulation grid too."""
     sim = cfg.simulation
-    full_horizon, dt, record_every = cfg.simulation_grid()
+    horizon, dt, record_every = cfg.simulation_grid(horizon)
     if bank is None:
         bank = list(zip(cfg.classes, cfg.class_configs()))
     return integrate_system(
@@ -119,7 +120,7 @@ def run_simulate(cfg: ExperimentConfig, theta=None, horizon=None, bank=None):
         bank,
         cfg.inp,
         t0=float(sim.get("t0", 0.0)),
-        horizon=full_horizon if horizon is None else horizon,
+        horizon=horizon,
         dt=dt,
         seed=sub_seed(cfg.seed, "noise"),
         record_every=record_every,
@@ -320,6 +321,9 @@ def cmd_fit_rnn(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     r = cfg.rnn
+    check_h = float(r.get("check_horizon", 0.0))
+    if check_h > 0:
+        cfg.simulation_grid(check_h)  # reject a bad horizon before fitting
     n_list = r.get("N_list", [int(r.get("N", 400))])
     last_nets, sweep = None, []
     for N in n_list:
@@ -330,7 +334,6 @@ def cmd_fit_rnn(args) -> int:
         net.to_json(out / f"network_{i + 1}.json")
     _write_json(out / "fit_report.json", _stamp({"sweep": sweep}, cfg))
 
-    check_h = float(r.get("check_horizon", 0.0))
     passed = True
     if check_h > 0:
         traj_p = run_simulate(cfg, horizon=check_h)

@@ -113,14 +113,15 @@ class ExperimentConfig:
             )
         return out
 
-    def simulation_grid(self) -> tuple[float, float, int]:
-        """(horizon, dt, record_every) of the simulation section.
+    def simulation_grid(self, horizon=None) -> tuple[float, float, int]:
+        """(horizon, dt, record_every) of the simulation section, or of the
+        given horizon on the section's dt and record_every.
 
         Rejects a horizon that is not a whole number of dt steps (relative
         tolerance 1e-9) and a record_every that does not divide that number.
         """
         sim = self.simulation
-        horizon = float(sim.get("horizon", 10.0))
+        horizon = float(sim.get("horizon", 10.0) if horizon is None else horizon)
         dt = float(sim.get("dt", 1e-3))
         record_every = int(sim.get("record_every", 10))
         if not (math.isfinite(horizon) and horizon >= 0 and math.isfinite(dt) and dt > 0):
@@ -153,16 +154,20 @@ def _build_input(section: dict) -> "signals.InputSignal":
 
 
 def _build_plant(section: dict) -> PlantSpec:
+    """The plant of the config; phi_min is the slope of the phi kind, and a
+    phi_min or phi_max key may only repeat it."""
     kind = section.get("phi", "identity")
     slope = float(section.get("slope", 1.0))
     if kind not in _PHI_KINDS:
         raise ValueError(f"unknown phi kind {kind!r}")
-    phi = _PHI_KINDS[kind](slope)
     phi_min = slope if kind == "linear" else 1.0
+    for key in ("phi_min", "phi_max"):
+        if key in section and float(section[key]) != phi_min:
+            raise ValueError(f"plant {key} {section[key]} differs from the slope "
+                             f"{phi_min} of phi kind {kind!r}")
     return PlantSpec(
-        phi=phi,
-        phi_min=float(section.get("phi_min", phi_min)),
-        phi_max=float(section.get("phi_max", phi_min)),
+        phi=_PHI_KINDS[kind](slope),
+        phi_min=phi_min,
         s0_range=tuple(section.get("s0_range", [0.0, 1.0])),
         noise_bound=float(section.get("noise_bound", 0.0)),
     )

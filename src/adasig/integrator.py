@@ -111,6 +111,8 @@ def _bank_entry(entry):
             raise TypeError("prototype bank entries must be (SignalClass, PrototypeConfig)")
         return ("prototype", clazz, config)
     if isinstance(entry, SigmoidNetwork):
+        if entry.omega.ndim != 2:
+            raise ValueError("a stacked network is not a bank entry; pass its networks")
         return ("network", None, entry)
     raise TypeError(f"unsupported bank entry {type(entry).__name__}")
 
@@ -161,14 +163,9 @@ def integrate_system(
 
     state = np.empty(1 + 3 * m)
     state[0] = s0
-    for i, (kind, c, obj) in enumerate(entries):
-        if init_states is not None:
-            state[1 + 3 * i : 4 + 3 * i] = np.asarray(init_states[i], dtype=float)
-        elif kind == "prototype":
-            st = init_state(obj, shat0=s0)
-            state[1 + 3 * i : 4 + 3 * i] = st.as_array()
-        else:
-            state[1 + 3 * i : 4 + 3 * i] = [s0, np.cos(obj.nu_x), np.sin(obj.nu_x)]
+    for i, (_, _, obj) in enumerate(entries):
+        init = init_state(obj, s0) if init_states is None else init_states[i]
+        state[1 + 3 * i : 4 + 3 * i] = init
     prototypes = [(i, c, obj) for i, (kind, c, obj) in enumerate(entries) if kind == "prototype"]
     stacks = _network_stacks(entries)
     # rhs lists the derivatives prototypes first, then stack by stack; order
@@ -179,7 +176,7 @@ def integrate_system(
     order = None if cols == list(range(1 + 3 * m)) else np.argsort(cols).tolist()
 
     n = int(round(horizon / dt))
-    eta = make_noise(spec, max(n, 1), t0, dt, seed)
+    eta = make_noise(spec, max(n, 1), seed)
     eta_now = 0.0
 
     def rhs(q: list, t: float) -> list:

@@ -16,13 +16,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .signals import SignalClass, deadzone_norm
 
 __all__ = [
     "PrototypeConfig",
-    "PrototypeState",
     "TuningReport",
     "theta_hat",
     "prototype_rhs",
@@ -62,19 +59,6 @@ class PrototypeConfig:
             raise ValueError("k_prime must be non-negative")
         if not self.kappa > 1 or not 0 < self.d < 1:
             raise ValueError("need kappa > 1 and d in (0, 1)")
-
-    def covers(self, theta_range: tuple[float, float]) -> bool:
-        return self.a < theta_range[0] and self.b > theta_range[1]
-
-
-@dataclass
-class PrototypeState:
-    shat: float
-    x: float
-    y: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.shat, self.x, self.y])
 
 
 def theta_hat(x: float, a: float, b: float) -> float:
@@ -213,13 +197,15 @@ def error_bound(
     return float(rho_inverse(inner))
 
 
-def init_state(config: PrototypeConfig, shat0: float) -> PrototypeState:
-    """Initial subsystem state on the unit circle at phase nu_x.
+def init_state(config, shat0: float) -> tuple[float, float, float]:
+    """Initial subsystem state (shat0, cos nu_x, sin nu_x): the filter copy at
+    shat0 and the rotator on the unit circle at phase nu_x. config is a
+    PrototypeConfig or a SigmoidNetwork; both carry nu_x.
 
     The winding budget k' is an accounting device for the phase integral, not
     a property of the initial point: all windings share the same (x, y).
     """
-    return PrototypeState(shat=shat0, x=math.cos(config.nu_x), y=math.sin(config.nu_x))
+    return shat0, math.cos(config.nu_x), math.sin(config.nu_x)
 
 
 @dataclass

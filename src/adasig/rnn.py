@@ -273,22 +273,14 @@ def sample_rhs(
     n_samples: int,
     phi: Callable[[float], float],
     seed: int = 0,
-    grid_counts: Optional[Sequence[int]] = None,
 ) -> RHSDataset:
-    """Sample the subsystem right-hand side over the domain box.
-
-    With grid_counts given, samples a full tensor grid (dataset size is the
-    product of the counts); otherwise n_samples seeded uniform draws.
-    """
+    """Sample the subsystem right-hand side at n_samples seeded uniform
+    draws over the domain box."""
     box = np.asarray(box, dtype=float)
     if box.shape != (5, 2) or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("domain box must be (5, 2) with positive widths")
-    if grid_counts is not None:
-        axes = [np.linspace(lo, hi, int(c)) for (lo, hi), c in zip(box, grid_counts)]
-        Z = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    else:
-        rng = np.random.default_rng(seed)
-        Z = box[:, 0] + rng.uniform(size=(n_samples, 5)) * (box[:, 1] - box[:, 0])
+    rng = np.random.default_rng(seed)
+    Z = box[:, 0] + rng.uniform(size=(n_samples, 5)) * (box[:, 1] - box[:, 0])
     fn = _target_fn(clazz, config, phi)
     return RHSDataset(
         inputs=Z,

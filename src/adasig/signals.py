@@ -24,7 +24,6 @@ __all__ = [
     "RhoEnvelope",
     "deadzone_norm",
     "set_distance",
-    "eval_signal",
     "estimate_persistency",
     "persistency_envelope",
     "degenerate_xi",
@@ -93,9 +92,6 @@ class InputSignal:
     xi_sup: float
     dxi_sup: float
 
-    def __call__(self, t):
-        return self.xi(t)
-
 
 @dataclass
 class PersistencyEstimate:
@@ -115,13 +111,6 @@ class PersistencyEstimate:
         seps = [p[0] for p in self.rho_samples]
         if len(set(seps)) != len(seps):
             raise ValueError("duplicate separation in persistency samples")
-
-
-def eval_signal(clazz: SignalClass, inp: InputSignal, theta: float, t: float) -> float:
-    """f(xi(t), theta)."""
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
-    return float(clazz.f(inp.xi(np.asarray(t, dtype=float)), theta))
 
 
 def estimate_persistency(

@@ -69,7 +69,7 @@ def test_01_state_count(three_class):
 def test_02_filter_contraction():
     """Two plant runs differing only in s0 contract like exp(-phi_min t)."""
     spec = plant.PlantSpec(
-        phi=lambda s: s, phi_min=1.0, phi_max=1.0,
+        phi=lambda s: s, phi_min=1.0,
         s0_range=(0.0, 1.0), noise_bound=1e-4,
     )
     inp = signals.sin_input()

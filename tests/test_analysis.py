@@ -11,7 +11,7 @@ SIN = signals.sin_input()
 
 
 def make_spec():
-    return plant.PlantSpec(phi=lambda s: s, phi_min=1.0, phi_max=1.0, s0_range=(0.0, 1.0))
+    return plant.PlantSpec(phi=lambda s: s, phi_min=1.0, s0_range=(0.0, 1.0))
 
 
 def sim(cfg, theta=1.5, horizon=20.0, dt=1e-2):

@@ -68,6 +68,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             config.load_config(small_config(simulation=simulation))
 
+    @pytest.mark.parametrize("horizon", [2.05, 2.005])  # 205 and 200.5 steps
+    def test_bad_explicit_horizon_rejected(self, horizon):
+        cfg = config.load_config(json.loads((CONFIG_DIR / "one_class_linear.json").read_text()))
+        with pytest.raises(ValueError):
+            cli.run_simulate(cfg, horizon=horizon)
+
+    def test_plant_slope_keys_may_repeat_the_slope(self):
+        raw = small_config(plant={"phi": "linear", "slope": 30.0,
+                                  "phi_min": 30.0, "phi_max": 30.0})
+        assert config.load_config(raw).plant.phi_min == 30.0
+
     def test_grid_within_relative_tolerance_accepted(self):
         # 0.3 / 0.1 is 2.9999999999999996 in floating point
         cfg = config.load_config(small_config(simulation={"horizon": 0.3, "dt": 0.1,
@@ -115,6 +126,20 @@ class TestExitCodes:
         assert cli.main(["tune", "--config", path, "--out", str(tmp_path), *extra]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "tuning.json").exists()
+
+    @pytest.mark.parametrize("key", ["phi_min", "phi_max"])
+    def test_plant_slope_key_off_the_phi_kind_exits_1(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, small_config(plant={"phi": "identity", key: 0.5}))
+        assert cli.main(["tune", "--config", path, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_check_horizon_exits_1(self, tmp_path, capsys):
+        raw = small_config(rnn={"N": 8, "n_train": 200, "check_horizon": 2.05})
+        path = write_config(tmp_path, raw)
+        assert cli.main(["fit-rnn", "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "network_1.json").exists()
 
     def test_diverged_integration_exits_1(self, tmp_path, capsys):
         # a stiff plant (slope 100) with dt = 0.1 leaves RK4's stability region

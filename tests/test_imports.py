@@ -4,6 +4,9 @@ A stdlib-only stand-in for a linter's unused-import rule: a name bound by a
 top-level import must appear somewhere else in the module, as a name, as
 the base of an attribute, inside a string annotation, or in ``__all__``.
 The package ``__init__`` is skipped: its imports are the public API.
+
+Likewise every top-level def and class of the package is referenced
+somewhere in src/, tests/, demos/ or perfbench/ outside its own definition.
 """
 import ast
 from pathlib import Path
@@ -62,3 +65,54 @@ def test_detects_an_unused_import():
     source = "import math\nimport json\nfrom typing import Optional, Sequence\n"
     source += "x: 'Sequence[int]' = json.dumps(1)\n"
     assert unused_imports(source) == ["math (line 1)", "Optional (line 3)"]
+
+
+def references(tree: ast.Module) -> set[tuple[str, str | None]]:
+    """(name, top-level def or class it sits in, else None) for every name
+    and attribute in the module, leaving out ``__all__``."""
+    refs = set()
+    for top in tree.body:
+        if isinstance(top, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
+            continue
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                refs.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                refs.add((node.attr, owner))
+    return refs
+
+
+def dead_names(modules: dict[str, str], corpus: dict[str, str]) -> list[str]:
+    """Top-level defs and classes of ``modules`` that no file of ``corpus``
+    (label -> source; it holds the modules too) references outside the
+    definition itself."""
+    refs = {label: references(ast.parse(src)) for label, src in corpus.items()}
+    dead = []
+    for label, src in modules.items():
+        for node in ast.parse(src).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not any(
+                    name == node.name and (other != label or owner != node.name)
+                    for other, names in refs.items() for name, owner in names):
+                dead.append(f"{label}.{node.name}")
+    return dead
+
+
+def test_every_package_name_is_used():
+    def label(p):
+        return str(p.relative_to(ROOT).with_suffix(""))
+
+    corpus = {label(p): p.read_text()
+              for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")}
+    modules = {label(p): p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    assert dead_names(modules, corpus) == []
+
+
+def test_detects_a_dead_name():
+    mod = ("__all__ = ['used', 'dead', 'recursive']\n"
+           "def used(): pass\n"
+           "def dead(): pass\n"
+           "def recursive(n): return recursive(n - 1)\n")
+    corpus = {"m": mod, "user": "import m\nm.used()\n"}
+    assert dead_names({"m": mod}, corpus) == ["m.dead", "m.recursive"]

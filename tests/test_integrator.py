@@ -9,7 +9,7 @@ SIN = signals.sin_input()
 
 
 def make_spec(noise_bound=0.0):
-    return plant.PlantSpec(phi=lambda s: s, phi_min=1.0, phi_max=1.0,
+    return plant.PlantSpec(phi=lambda s: s, phi_min=1.0,
                            s0_range=(0.0, 1.0), noise_bound=noise_bound)
 
 
@@ -157,7 +157,7 @@ class TestIntegrateSystem:
             record_every=1, s0=0.5,
         )
         # reference: RK4 on the plant equation alone, noise held over each step
-        eta = plant.make_noise(spec, 2000, 0.0, 1e-3, seed=5)
+        eta = plant.make_noise(spec, 2000, seed=5)
         s = np.array([0.5])
         ref = [0.5]
         for k in range(2000):
@@ -287,11 +287,11 @@ def reference_network_rhs(net, xi_val, s, state3):
 def reference_integration(spec, clazz, theta, bank, inp, horizon, dt, seed, s0):
     """RK4 over a closure that evaluates a prototype or network bank entry by entry."""
     n = int(round(horizon / dt))
-    eta = plant.make_noise(spec, n, 0.0, dt, seed)
+    eta = plant.make_noise(spec, n, seed)
     init = [s0]
     for e in bank:
         if isinstance(e, tuple):
-            init += list(prototype.init_state(e[1], s0).as_array())
+            init += list(prototype.init_state(e[1], s0))
         else:
             init += [s0, np.cos(e.nu_x), np.sin(e.nu_x)]
     state = np.array(init)
@@ -334,7 +334,7 @@ class TestBankMatchesPerClassReference:
     )
     def test_states_bit_identical(self, families, delta, noise_bound, slope, theta, s0,
                                   nu_x, seed):
-        spec = plant.PlantSpec(phi=lambda s: slope * s, phi_min=slope, phi_max=slope,
+        spec = plant.PlantSpec(phi=lambda s: slope * s, phi_min=slope,
                                s0_range=(0.0, 1.0), noise_bound=noise_bound)
         classes = [signals.builtin_class(f, (1.0, 2.0), id=i) for i, f in enumerate(families)]
         bank = [(c, make_config(gamma=0.3, epsilon=noise_bound / slope, delta=delta, nu_x=nu_x))

@@ -4,14 +4,12 @@ import pytest
 from adasig import integrator, plant, signals
 
 
-def make_spec(noise_bound=0.0, noise=None):
+def make_spec(noise_bound=0.0):
     return plant.PlantSpec(
         phi=lambda s: s,
         phi_min=1.0,
-        phi_max=1.0,
         s0_range=(0.0, 1.0),
         noise_bound=noise_bound,
-        noise=noise,
     )
 
 
@@ -22,9 +20,7 @@ SIN = signals.sin_input()
 class TestPlantSpec:
     def test_bad_slopes_rejected(self):
         with pytest.raises(ValueError):
-            plant.PlantSpec(phi=lambda s: s, phi_min=0.0, phi_max=1.0)
-        with pytest.raises(ValueError):
-            plant.PlantSpec(phi=lambda s: s, phi_min=2.0, phi_max=1.0)
+            plant.PlantSpec(phi=lambda s: s, phi_min=0.0)
 
     def test_negative_noise_bound_rejected(self):
         with pytest.raises(ValueError):
@@ -47,24 +43,14 @@ class TestPlantRhs:
 
 class TestMakeNoise:
     def test_zero_bound_gives_zeros(self):
-        assert not plant.make_noise(make_spec(), 100, 0.0, 0.01, seed=3).any()
+        assert not plant.make_noise(make_spec(), 100, seed=3).any()
 
     def test_respects_bound_and_seed(self):
         spec = make_spec(noise_bound=0.5)
-        a = plant.make_noise(spec, 1000, 0.0, 0.01, seed=7)
-        b = plant.make_noise(spec, 1000, 0.0, 0.01, seed=7)
+        a = plant.make_noise(spec, 1000, seed=7)
+        b = plant.make_noise(spec, 1000, seed=7)
         assert np.array_equal(a, b)
         assert np.max(np.abs(a)) <= 0.5
-
-    def test_explicit_noise_checked(self):
-        spec = make_spec(noise_bound=0.1, noise=lambda t: 0.5)
-        with pytest.raises(ValueError):
-            plant.make_noise(spec, 10, 0.0, 0.01, seed=0)
-
-    def test_explicit_noise_sampled(self):
-        spec = make_spec(noise_bound=1.0, noise=np.sin)
-        vals = plant.make_noise(spec, 4, 0.0, 1.0, seed=0)
-        assert vals == pytest.approx(np.sin([0.5, 1.5, 2.5, 3.5]))
 
 
 class TestSimulateMeasurement:
@@ -99,15 +85,3 @@ class TestSimulateMeasurement:
         )
         assert len(traj.times) == 11
         assert traj.times[1] - traj.times[0] == pytest.approx(0.1)
-
-
-class TestSlopeBounds:
-    def test_identity_passes(self):
-        rep = plant.verify_slope_bounds(make_spec(), np.linspace(-3, 3, 301))
-        assert rep.ok
-
-    def test_saturating_phi_fails(self):
-        spec = plant.PlantSpec(phi=np.tanh, phi_min=0.5, phi_max=1.0)
-        rep = plant.verify_slope_bounds(spec, np.linspace(-3, 3, 301))
-        assert not rep.ok
-        assert rep.phi_min_observed < 0.5

@@ -37,10 +37,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(nu_x=7.0)
 
-    def test_covers(self):
-        assert make_config().covers((1.0, 2.0))
-        assert not make_config().covers((0.5, 2.0))
-
 
 class TestPrototypeRhs:
     def test_fixed_point_on_circle(self):
@@ -200,15 +196,14 @@ class TestTuning:
 
 class TestInitState:
     def test_phase_zero(self):
-        st0 = prototype.init_state(make_config(nu_x=0.0), 0.5)
-        assert (st0.x, st0.y) == (1.0, 0.0)
+        assert prototype.init_state(make_config(nu_x=0.0), 0.5) == (0.5, 1.0, 0.0)
 
     def test_phase_quarter(self):
-        st0 = prototype.init_state(make_config(nu_x=math.pi / 2), 0.5)
-        assert st0.x == pytest.approx(0.0, abs=1e-15)
-        assert st0.y == pytest.approx(1.0)
+        _, x, y = prototype.init_state(make_config(nu_x=math.pi / 2), 0.5)
+        assert x == pytest.approx(0.0, abs=1e-15)
+        assert y == pytest.approx(1.0)
 
     @given(st.floats(0, 2 * math.pi))
     def test_on_unit_circle(self, nu):
-        s = prototype.init_state(make_config(nu_x=nu), 0.0)
-        assert s.x**2 + s.y**2 == pytest.approx(1.0)
+        _, x, y = prototype.init_state(make_config(nu_x=nu), 0.0)
+        assert x**2 + y**2 == pytest.approx(1.0)

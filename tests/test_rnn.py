@@ -10,7 +10,7 @@ SIN = signals.sin_input()
 
 
 def make_spec():
-    return plant.PlantSpec(phi=lambda s: s, phi_min=1.0, phi_max=1.0, s0_range=(0.0, 1.0))
+    return plant.PlantSpec(phi=lambda s: s, phi_min=1.0, s0_range=(0.0, 1.0))
 
 
 def make_config(**kw):
@@ -40,13 +40,6 @@ class TestSampleRhs:
         ref = np.array([prototype.prototype_rhs(np.array([sh, x, y]), s, xi_val, clazz, cfg, phi)
                         for xi_val, s, sh, x, y in ds.inputs])
         assert np.array_equal(ds.targets, ref)
-
-    def test_grid_size_is_product(self):
-        cfg = make_config()
-        ds = rnn.sample_rhs(
-            LINEAR, cfg, small_box(), 0, phi=lambda s: s, grid_counts=[2, 3, 2, 2, 2]
-        )
-        assert len(ds.inputs) == 2 * 3 * 2 * 2 * 2
 
     def test_on_circle_matched_targets_vanish(self):
         cfg = make_config(delta=0.0)
