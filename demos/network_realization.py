@@ -22,13 +22,13 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "rnn_demo.json"
 def main():
     cfg = config.load_config(str(CONFIG))
     names = [c.name for c in cfg.classes]
-    print(f"fitting {len(names)} networks, N = {cfg.rnn.get('N', 400)} units each...")
+    print(f"fitting {len(names)} networks, N = {cfg.rnn.N} units each...")
     nets, reports = cli.fit_bank(cfg)
     for name, net, rep in zip(names, nets, reports):
         print(f"  {name:<18} train sup err {rep.train_error_sup:.4g}, "
               f"validation eps_N {net.eps_N:.4g}")
 
-    check_h = 2.0
+    check_h = cfg.rnn.check_horizon
     print(f"\ndivergence check over {check_h} time units:")
     traj_p = cli.run_simulate(cfg, horizon=check_h)
     traj_r = cli.run_simulate(cfg, horizon=check_h, bank=nets)

@@ -15,7 +15,6 @@ from .analysis import (
     PEReport,
     check_state_bounds,
     convergence_report,
-    sweep_uniformity,
     verify_filtered_pe,
     winding_budget,
 )

@@ -1,5 +1,5 @@
 """Post-hoc verification of the guarantees: filtered excitation, winding
-accounting, entry/residence diagnostics, parameter sweeps, and state bounds.
+accounting, entry/residence diagnostics, and state bounds.
 
 Everything here is pure post-processing over immutable trajectories.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "verify_filtered_pe",
     "winding_budget",
     "convergence_report",
-    "sweep_uniformity",
     "check_state_bounds",
 ]
 
@@ -195,53 +194,6 @@ def convergence_report(
         bound_used=bound,
         horizon=float(traj.times[-1]),
     )
-
-
-def sweep_uniformity(theta_grid, run_experiment, bound: float):
-    """Empirical uniformity of the entry time over a parameter grid.
-
-    run_experiment(theta) must return (Trajectory, SignalClass, config,
-    class_index) for the run with that true parameter.  Returns the largest
-    observed entry time and a per-theta table; a row with entry_time None
-    falsifies uniformity at this tuning.
-    """
-    grid = np.atleast_1d(np.asarray(theta_grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("empty parameter grid")
-    table = []
-    t_max = 0.0
-    all_entered = True
-    for theta in grid:
-        traj, clazz, config, ci = run_experiment(float(theta))
-        rep = convergence_report(traj, clazz, float(theta), bound, config, ci)
-        table.append(
-            {
-                "theta": float(theta),
-                "entry_time": rep.entry_time,
-                "residence": rep.residence,
-                "winding_spent": rep.winding_spent,
-                "flagged": not rep.entered,
-            }
-        )
-        if rep.entered:
-            t_max = max(t_max, rep.entry_time)
-        else:
-            all_entered = False
-    return (t_max if all_entered else math.inf), table
-
-
-def sweep_table_csv(table, path=None) -> str:
-    lines = ["theta,entry_time,residence,winding_spent"]
-    for row in table:
-        et = "nan" if row["entry_time"] is None else f"{row['entry_time']:.17g}"
-        lines.append(
-            f"{row['theta']:.17g},{et},{row['residence']:.17g},{row['winding_spent']:.17g}"
-        )
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
 
 
 def check_state_bounds(

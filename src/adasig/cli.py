@@ -10,23 +10,16 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, classify, rnn, signals
-from .config import VERSION, ExperimentConfig, config_hash, load_config, sub_seed
+from .config import THETA_BOUND_FALLBACK, VERSION, ExperimentConfig, load_config, sub_seed
 from .integrator import integrate_system, rk4_step
-from .prototype import (
-    TuningReport,
-    choose_winding,
-    compute_L,
-    compute_c,
-    error_bound,
-    tune_gamma,
-    tune_hstar,
-)
+from .prototype import TuningReport, choose_winding, compute_L, compute_c, error_bound, tune_hstar
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -42,22 +35,14 @@ class InfeasibleTuning(Exception):
 # ---------------------------------------------------------------- pipeline
 
 
-def excitation_window(cfg: ExperimentConfig) -> tuple[float, float]:
-    """(window_T, pe_horizon) from the tuning section; defaults 2*pi and 8*window_T."""
-    t = cfg.raw.get("tuning", {})
-    window_T = float(t.get("window_T", 2.0 * math.pi))
-    return window_T, float(t.get("pe_horizon", 8.0 * window_T))
-
-
 def rho_envelope_for(cfg: ExperimentConfig, class_index: int) -> signals.RhoEnvelope:
     """Empirical excitation envelope for one class on the configured input."""
     clazz = cfg.classes[class_index]
-    window_T, horizon = excitation_window(cfg)
-    a, b = float(cfg.prototype["a"]), float(cfg.prototype["b"])
-    span = b - a
+    span = cfg.prototype.b - cfg.prototype.a
     separations = np.linspace(span / 8.0, span, 8)
     est = signals.persistency_envelope(
-        clazz, cfg.inp, clazz.theta_range[0], separations, window_T, horizon, dt=1e-2
+        clazz, cfg.inp, clazz.theta_range[0], separations,
+        cfg.tuning.window_T, cfg.tuning.pe_horizon, dt=1e-2,
     )
     return signals.RhoEnvelope(est.rho_samples)
 
@@ -67,17 +52,11 @@ def run_tune(cfg: ExperimentConfig, class_index=None) -> TuningReport:
     i = cfg.true_class if class_index is None else class_index
     clazz = cfg.classes[i]
     pconf = cfg.class_configs()[i]
-    p = cfg.prototype
     a, b = pconf.a, pconf.b
     phi_min = cfg.plant.phi_min
     d_theta = clazz.lipschitz_theta
 
     c = compute_c(d_theta, phi_min, a, b)
-    if c == 0:
-        gamma_star = math.inf
-    else:
-        gamma_star, _ = tune_gamma(pconf.kappa, pconf.d, c, phi_min,
-                                   float(p.get("safety", 0.5)))
     gamma = pconf.gamma
     s_min, s_max = cfg.plant.s0_range
     try:
@@ -91,11 +70,11 @@ def run_tune(cfg: ExperimentConfig, class_index=None) -> TuningReport:
 
     rho = rho_envelope_for(cfg, i)
     d_f = 2.0 * clazz.lipschitz_xi * cfg.inp.dxi_sup
-    L = compute_L(excitation_window(cfg)[0], rho(b - a), d_f)
+    L = compute_L(cfg.tuning.window_T, rho(b - a), d_f)
     err = error_bound(cfg.plant.noise_bound, d_theta, a, b, d_f, L, rho.inverse)
     return TuningReport(
         c=c,
-        gamma_star=gamma_star,
+        gamma_star=cfg.gamma_star[i],
         gamma=gamma,
         h_star=h_star,
         k_prime=k_prime,
@@ -109,7 +88,6 @@ def run_tune(cfg: ExperimentConfig, class_index=None) -> TuningReport:
 def run_simulate(cfg: ExperimentConfig, theta=None, horizon=None, bank=None):
     """Integrate the configured bank against the true plant; returns Trajectory.
     An explicit horizon is checked against the simulation grid too."""
-    sim = cfg.simulation
     horizon, dt, record_every = cfg.simulation_grid(horizon)
     if bank is None:
         bank = list(zip(cfg.classes, cfg.class_configs()))
@@ -119,23 +97,22 @@ def run_simulate(cfg: ExperimentConfig, theta=None, horizon=None, bank=None):
         cfg.true_theta if theta is None else theta,
         bank,
         cfg.inp,
-        t0=float(sim.get("t0", 0.0)),
+        t0=cfg.simulation.t0,
         horizon=horizon,
         dt=dt,
         seed=sub_seed(cfg.seed, "noise"),
         record_every=record_every,
-        s0=sim.get("s0"),
+        s0=cfg.simulation.s0,
         meta={"config_hash": cfg.hash, "version": VERSION},
     )
 
 
 def theta_bound_for(cfg: ExperimentConfig, tuning: TuningReport) -> float:
-    dec = cfg.decision
-    if "theta_bound" in dec:
-        return float(dec["theta_bound"])
+    if cfg.decision.theta_bound is not None:
+        return cfg.decision.theta_bound
     if tuning.error_bound > 0:
         return tuning.error_bound
-    return 0.05
+    return THETA_BOUND_FALLBACK
 
 
 def run_decide(cfg: ExperimentConfig, traj, tuning: TuningReport):
@@ -146,10 +123,10 @@ def run_decide(cfg: ExperimentConfig, traj, tuning: TuningReport):
     )
     return classify.decide(
         traj,
-        T_star=float(dec.get("T_star", 10.0)),
-        eps=float(dec.get("eps", 0.02)),
+        T_star=dec.T_star,
+        eps=dec.eps,
         D_of_noise=hf_noise,
-        settle=dec.get("settle"),
+        settle=dec.settle,
         band_theta=theta_radius if theta_radius > 0 else theta_bound_for(cfg, tuning),
     )
 
@@ -157,10 +134,10 @@ def run_decide(cfg: ExperimentConfig, traj, tuning: TuningReport):
 def fit_bank(cfg: ExperimentConfig, N=None):
     """Fit one network per class to its subsystem right-hand side."""
     r = cfg.rnn
-    N = int(r.get("N", 400)) if N is None else N
+    N = r.N if N is None else N
     configs = cfg.class_configs()
-    a, b = float(cfg.prototype["a"]), float(cfg.prototype["b"])
-    true_sup = rnn.drive_sup(cfg.classes[cfg.true_class], cfg.inp.xi_sup, a, b)
+    true_sup = rnn.drive_sup(cfg.classes[cfg.true_class], cfg.inp.xi_sup,
+                             cfg.prototype.a, cfg.prototype.b)
     s0_bound = max(abs(v) for v in cfg.plant.s0_range)
     s_bound = max(s0_bound, (true_sup + cfg.plant.noise_bound) / cfg.plant.phi_min)
     nets, reports = [], []
@@ -171,14 +148,14 @@ def fit_bank(cfg: ExperimentConfig, N=None):
             phi_min=cfg.plant.phi_min,
         )
         ds = rnn.sample_rhs(
-            clazz, pconf, box, int(r.get("n_train", 40000)), cfg.plant.phi,
+            clazz, pconf, box, r.n_train, cfg.plant.phi,
             seed=sub_seed(cfg.seed, f"sample_{i}"),
         )
         net, rep = rnn.fit_network(
             ds, N,
-            ridge=float(r.get("ridge", 1e-10)),
+            ridge=r.ridge,
             seed=sub_seed(cfg.seed, f"fit_{i}"),
-            sigmoid=r.get("sigmoid", "logistic"),
+            sigmoid=r.sigmoid,
         )
         nets.append(net)
         reports.append(rep)
@@ -195,15 +172,16 @@ def _outdir(args) -> Path:
 
 
 def _load(args) -> ExperimentConfig:
-    """Load the config; --seed/--dt overrides enter the simulation section and the hash."""
-    cfg = load_config(args.config)
+    """Load the config; --seed/--dt overrides enter its simulation section,
+    and the overridden mapping is loaded again, so they enter the hash and
+    every load-time check."""
     overrides = {k: v for k, v in (("seed", args.seed), ("dt", args.dt)) if v is not None}
-    if overrides:
-        cfg.simulation.update(overrides)
-        cfg.raw = cfg.raw | {"simulation": cfg.simulation}
-        cfg.hash = config_hash(cfg.raw)
-        cfg.simulation_grid()
-    return cfg
+    if not overrides:
+        return load_config(args.config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the second load repeats any warning
+        raw = load_config(args.config).raw
+    return load_config(raw | {"simulation": raw.get("simulation", {}) | overrides})
 
 
 def _stamp(payload: dict, cfg: ExperimentConfig) -> dict:
@@ -255,7 +233,7 @@ def cmd_verify(args) -> int:
     out = _outdir(args)
     which = args.which
     if which == "persistency":
-        window_T, horizon = excitation_window(cfg)
+        window_T, horizon = cfg.tuning.window_T, cfg.tuning.pe_horizon
         clazz = cfg.classes[cfg.true_class]
         lo, hi = clazz.theta_range
         est = signals.persistency_envelope(
@@ -296,7 +274,7 @@ def cmd_verify(args) -> int:
 def verify_pe_example(cfg: ExperimentConfig) -> analysis.PEReport:
     """Filter the class drive through the plant and verify it stays exciting."""
     clazz = cfg.classes[cfg.true_class]
-    L, horizon = excitation_window(cfg)
+    L, horizon = cfg.tuning.window_T, cfg.tuning.pe_horizon
     dt = 1e-3
     t = np.arange(0.0, horizon + dt / 2, dt)
     lo, hi = clazz.theta_range
@@ -320,13 +298,9 @@ def verify_pe_example(cfg: ExperimentConfig) -> analysis.PEReport:
 def cmd_fit_rnn(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    r = cfg.rnn
-    check_h = float(r.get("check_horizon", 0.0))
-    if check_h > 0:
-        cfg.simulation_grid(check_h)  # reject a bad horizon before fitting
-    n_list = r.get("N_list", [int(r.get("N", 400))])
+    check_h = cfg.rnn.check_horizon
     last_nets, sweep = None, []
-    for N in n_list:
+    for N in cfg.rnn.N_list:
         nets, reports = fit_bank(cfg, N=N)
         sweep.append({"N": N, "eps_N": [n.eps_N for n in nets]})
         last_nets = nets
@@ -359,38 +333,40 @@ def cmd_report(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
     tuning = run_tune(cfg)
-    traj = run_simulate(cfg)
-    decision = run_decide(cfg, traj, tuning)
+    decision = run_decide(cfg, run_simulate(cfg), tuning)
     bound = theta_bound_for(cfg, tuning)
-    configs = cfg.class_configs()
+    i = cfg.true_class
 
-    sweep_decisions = []
-
-    def rerun(theta):
-        t = run_simulate(cfg, theta=theta)
-        d = run_decide(cfg, t, tuning)
+    rows, sweep_decisions = [], []
+    for theta in cfg.theta_grid().tolist():
+        traj = run_simulate(cfg, theta=theta)
+        d = run_decide(cfg, traj, tuning)
         sweep_decisions.append(
             {"theta": theta, "decided": d.decided, "status": d.status,
              "theta_estimate": d.theta_estimate, "t_prime": d.t_prime}
         )
-        return t, cfg.classes[cfg.true_class], configs[cfg.true_class], cfg.true_class
-
-    t_max, table = analysis.sweep_uniformity(cfg.theta_grid(), rerun, bound)
-    analysis.sweep_table_csv(table, out / "sweep.csv")
+        conv = analysis.convergence_report(traj, cfg.classes[i], theta, bound,
+                                           cfg.class_configs()[i], i)
+        entry = math.nan if conv.entry_time is None else conv.entry_time
+        rows.append([theta, entry, conv.residence, conv.winding_spent])
+    np.savetxt(out / "sweep.csv", rows, fmt="%.17g", delimiter=",",
+               header="theta,entry_time,residence,winding_spent", comments="")
+    entry_times = [row[1] for row in rows]
+    entered = not any(math.isnan(t) for t in entry_times)
     summary = _stamp(
         {
             "tuning": asdict(tuning),
             "decision": asdict(decision),
-            "T_prime_max_empirical": t_max,
+            # Largest entry time over the grid; a theta that never enters makes it inf.
+            "T_prime_max_empirical": max([0.0, *entry_times]) if entered else math.inf,
             "theta_bound": bound,
-            "sweep_entered": all(not row["flagged"] for row in table),
+            "sweep_entered": entered,
             "sweep_decisions": sweep_decisions,
         },
         cfg,
     )
     _write_json(out / "report.json", summary)
     print(json.dumps(summary["decision"], indent=2))
-    entered = math.isfinite(t_max)
     return EXIT_OK if entered else EXIT_NOT_ENTERED
 
 

@@ -125,30 +125,3 @@ class TestConvergenceReport:
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5)
         with pytest.raises(ValueError):
             analysis.convergence_report(sim(cfg, horizon=1.0), LINEAR, 1.5, 0.0, cfg)
-
-
-class TestSweepUniformity:
-    def run_experiment(self, theta):
-        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5)
-        return sim(cfg, theta=theta, horizon=2.0), LINEAR, cfg, 0
-
-    def test_single_point(self):
-        t_max, table = analysis.sweep_uniformity([1.5], self.run_experiment, bound=2.0)
-        assert len(table) == 1
-        assert t_max == table[0]["entry_time"]
-
-    def test_flagged_row_on_failure(self):
-        t_max, table = analysis.sweep_uniformity([1.5], self.run_experiment, bound=1e-9)
-        assert table[0]["flagged"]
-        assert t_max == math.inf
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            analysis.sweep_uniformity([], self.run_experiment, bound=1.0)
-
-    def test_csv_roundtrip(self, tmp_path):
-        _, table = analysis.sweep_uniformity([1.5, 1.7], self.run_experiment, bound=2.0)
-        path = tmp_path / "sweep.csv"
-        text = analysis.sweep_table_csv(table, path)
-        assert text.splitlines()[0] == "theta,entry_time,residence,winding_spent"
-        assert path.read_text() == text

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -6,7 +9,8 @@ import pytest
 
 from adasig import cli, config
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def small_config(**overrides):
@@ -53,10 +57,9 @@ class TestConfigParsing:
 
     def test_inadmissible_gamma_clamped(self):
         raw = small_config(prototype={"gamma": 10.0})
-        cfg = config.load_config(raw)
         with pytest.warns(UserWarning):
-            configs = cfg.class_configs()
-        assert configs[0].gamma < 10.0
+            cfg = config.load_config(raw)
+        assert cfg.class_configs()[0].gamma < 10.0
 
     @pytest.mark.parametrize("simulation", [
         {"horizon": 150.005},  # 15000.5 steps of dt = 0.01
@@ -82,8 +85,31 @@ class TestConfigParsing:
     def test_grid_within_relative_tolerance_accepted(self):
         # 0.3 / 0.1 is 2.9999999999999996 in floating point
         cfg = config.load_config(small_config(simulation={"horizon": 0.3, "dt": 0.1,
-                                                          "record_every": 3}))
+                                                          "record_every": 3},
+                                              decision={"T_star": 0.3}))
         assert cfg.simulation_grid() == (0.3, 0.1, 3)
+
+    def test_empty_sweep_grid_rejected(self):
+        with pytest.raises(ValueError):
+            config.load_config(small_config(sweep={"grid": []}))
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_load(self, path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # gamma clamps
+            config.load_config(str(path))
+
+    @pytest.mark.parametrize("workload", ["report-sweep", "rnn-fit", "dense-record"])
+    def test_benchmark_configs_load(self, monkeypatch, workload):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", ROOT / "perfbench" / "workloads.py")
+        wl = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, wl)  # its dataclasses look it up
+        spec.loader.exec_module(wl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for index in range(wl.N_INPUTS):
+                config.load_config(wl.make_config(workload, index))
 
     def test_sub_seed_distinct(self):
         assert config.sub_seed(0, "noise") != config.sub_seed(0, "fit_0")
@@ -183,6 +209,66 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+def _set(raw, path, value):
+    *parents, key = path
+    for p in parents:
+        raw = raw.setdefault(p, {}) if isinstance(raw, dict) else raw[p]
+    raw[key] = value
+
+
+# (key path, value, command): each is rejected at load with exit 1
+BAD_KEYS = [
+    (("sweeps",), {"count": 1}, "tune"),
+    (("classes", 0, "famly"), "linear", "tune"),
+    (("true", "clas"), 0, "tune"),
+    (("input", "knd"), "sin", "tune"),
+    (("plant", "noise"), 0.0, "tune"),
+    (("prototype", "gama"), 0.05, "tune"),
+    (("simulation", "horizn"), 10.0, "tune"),
+    (("decision", "Tstar"), 5.0, "tune"),
+    (("rnn", "n"), 10, "tune"),
+    (("sweep", "cnt"), 3, "tune"),
+    (("tuning", "window"), 6.0, "tune"),
+    (("decision", "T_star"), None, "simulate"),
+    (("simulation", "horizon"), None, "simulate"),
+    (("prototype", "delta"), [1], "tune"),
+    (("rnn", "N"), None, "fit-rnn"),
+    (("rnn", "sigmoid"), "relu", "fit-rnn"),
+    (("prototype", "clamp_gamma"), "yes", "tune"),
+    (("simulation", "record_every"), 2.5, "tune"),
+    (("simulation", "seed"), True, "tune"),
+    (("plant", "s0_range"), [0.0], "tune"),
+    (("classes", 0, "theta_range"), "wide", "tune"),
+    (("sweep", "grid"), [], "report"),
+    (("sweep", "count"), 0, "report"),
+    (("decision", "T_star"), 0.0, "simulate"),
+    (("decision", "T_star"), 500.0, "simulate"),  # beyond the 150 s horizon
+    (("decision", "T_star"), 5.05, "simulate"),  # not a multiple of dt * record_every
+]
+
+
+class TestLoadTimeRejection:
+    @pytest.mark.parametrize("path,value,command", BAD_KEYS,
+                             ids=[".".join(map(str, p)) + f"={v!r}" for p, v, _ in BAD_KEYS])
+    def test_exits_1_before_any_output(self, tmp_path, capsys, path, value, command):
+        raw = small_config()
+        _set(raw, path, value)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path, raw),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_decision_window_checked_after_dt_override(self, tmp_path, capsys):
+        # T_star 0.3 is 3 recorded steps at dt = 0.01 and 1.5 at dt = 0.02
+        path = write_config(tmp_path, small_config(decision={"T_star": 0.3}))
+        assert cli.main(["tune", "--config", path, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["tune", "--config", path, "--out", str(tmp_path / "b"),
+                         "--dt", "0.02"]) == 1
+        assert capsys.readouterr().err.startswith("error: decision.T_star")
+
+
 class TestTuneCommand:
     def test_overrides_enter_the_hash(self, tmp_path, capsys):
         raw = small_config()
@@ -195,6 +281,16 @@ class TestTuneCommand:
         capsys.readouterr()
         assert hashes[0] == config.config_hash(raw)
         assert len(set(hashes)) == 4
+
+    def test_overrides_hash_like_an_edited_file(self, tmp_path, capsys):
+        raw = small_config()
+        path = write_config(tmp_path, raw)
+        assert cli.main(["tune", "--config", path, "--out", str(tmp_path),
+                         "--seed", "3", "--dt", "0.02"]) == 0
+        capsys.readouterr()
+        raw["simulation"].update(seed=3, dt=0.02)
+        edited = config.load_config(write_config(tmp_path, raw, "edited.json"))
+        assert json.loads((tmp_path / "tuning.json").read_text())["config_hash"] == edited.hash
 
     def test_writes_report_with_hash(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config())
@@ -270,12 +366,55 @@ class TestFitRnnCommand:
         assert all(r["passed"] for r in div["per_class"])
 
 
+@pytest.fixture(scope="module")
+def single_point_report(tmp_path_factory):
+    """report on the small config, whose sweep is the single theta 1.6."""
+    out = tmp_path_factory.mktemp("report")
+    path = write_config(out, small_config())
+    code = cli.main(["report", "--config", path, "--out", str(out)])
+    return code, out
+
+
 class TestReportCommand:
-    def test_report_smoke(self, tmp_path, capsys):
-        raw = small_config()
-        path = write_config(tmp_path, raw)
-        assert cli.main(["report", "--config", path, "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        payload = json.loads((tmp_path / "report.json").read_text())
+    def test_report_smoke(self, single_point_report):
+        code, out = single_point_report
+        assert code == 0
+        payload = json.loads((out / "report.json").read_text())
         assert payload["sweep_entered"]
-        assert (tmp_path / "sweep.csv").exists()
+        assert (out / "sweep.csv").exists()
+
+    def test_sweep_csv_header(self, single_point_report):
+        _, out = single_point_report
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "theta,entry_time,residence,winding_spent"
+
+    def test_single_point_sets_t_prime_max(self, single_point_report):
+        _, out = single_point_report
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
+        entry_time = float(rows[0].split(",")[1])
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["T_prime_max_empirical"] == entry_time
+
+    def test_never_entering_theta_flagged(self, tmp_path, capsys):
+        raw = small_config(simulation={"horizon": 0.5},
+                           decision={"T_star": 0.2, "theta_bound": 1e-9})
+        path = write_config(tmp_path, raw)
+        assert cli.main(["report", "--config", path, "--out", str(tmp_path)]) == 3
+        capsys.readouterr()
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[1]
+        assert row.split(",")[1] == "nan"
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["T_prime_max_empirical"] == math.inf
+        assert not payload["sweep_entered"]
+
+    def test_clamp_warning_once_per_clamped_class(self, tmp_path, capsys):
+        raw = small_config(prototype={"gamma": 10.0}, sweep={"grid": [1.5, 1.6, 1.7]})
+        raw["simulation"]["horizon"] = 30.0
+        path = write_config(tmp_path, raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.main(["report", "--config", path, "--out", str(tmp_path)])
+        capsys.readouterr()
+        clamps = [w for w in caught if "clamping" in str(w.message)]
+        assert len(clamps) == 1  # one class, clamped once

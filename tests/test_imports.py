@@ -9,6 +9,7 @@ Likewise every top-level def and class of the package is referenced
 somewhere in src/, tests/, demos/ or perfbench/ outside its own definition.
 """
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -116,3 +117,20 @@ def test_detects_a_dead_name():
            "def recursive(n): return recursive(n - 1)\n")
     corpus = {"m": mod, "user": "import m\nm.used()\n"}
     assert dead_names({"m": mod}, corpus) == ["m.dead", "m.recursive"]
+
+
+def test_readme_lists_the_config_key_table():
+    """The README's "Config keys" table states adasig.config.KEYS: every
+    section, key, type and default, in order."""
+    from adasig.config import KEYS, REQUIRED
+
+    section = (ROOT / "README.md").read_text().split("\n## Config keys\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")][:4]
+            for line in section.splitlines() if line.startswith("| `")]
+
+    def default(value):
+        return "required" if value is REQUIRED else "unset" if value is None else json.dumps(value)
+
+    assert rows == [[name, key, kind, default(value)]
+                    for name, keys in KEYS.items() for key, (kind, value) in keys.items()]
