@@ -32,6 +32,7 @@ from .prototype import (
     init_state,
     polar_rates,
     prototype_rhs,
+    subsystem_constants,
     theta_hat,
     tune_gamma,
     tune_hstar,

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .plant import PlantSpec, make_noise, plant_rhs
-from .prototype import PrototypeConfig, init_state, prototype_rhs, theta_hat
+from .prototype import PrototypeConfig, init_state, prototype_rhs, subsystem_constants, theta_hat
 from .rnn import SigmoidNetwork
 from .signals import InputSignal, SignalClass
 
@@ -166,11 +166,12 @@ def integrate_system(
     for i, (_, _, obj) in enumerate(entries):
         init = init_state(obj, s0) if init_states is None else init_states[i]
         state[1 + 3 * i : 4 + 3 * i] = init
-    prototypes = [(i, c, obj) for i, (kind, c, obj) in enumerate(entries) if kind == "prototype"]
+    prototypes = [subsystem_constants(c, obj, 1 + 3 * i)
+                  for i, (kind, c, obj) in enumerate(entries) if kind == "prototype"]
     stacks = _network_stacks(entries)
     # rhs lists the derivatives prototypes first, then stack by stack; order
     # puts them back into bank order when that differs.
-    cols = [0] + [1 + 3 * i + j for i, _, _ in prototypes for j in range(3)]
+    cols = [0] + [p[0] + j for p in prototypes for j in range(3)]
     for _, sel in stacks:
         cols += sel.tolist()
     order = None if cols == list(range(1 + 3 * m)) else np.argsort(cols).tolist()
@@ -179,18 +180,18 @@ def integrate_system(
     eta = make_noise(spec, max(n, 1), seed)
     eta_now = 0.0
 
+    phi = spec.phi
+
     def rhs(q: list, t: float) -> list:
         # Everything stays a Python float: an np.float64 that slipped into
         # the state would make every later operation a slow numpy scalar op.
-        # The sine family's f returns np.float64, hence the float() on the
-        # first prototype derivative. Network stacks take their states as
-        # one array.
+        # The prototypes are one prototype_rhs call on the whole stage state;
+        # network stacks take their states as one array.
         xi_val = float(inp.xi(t))
         s = q[0]
         dq = [plant_rhs(s, xi_val, clazz, theta, spec, eta_now)]
-        for i, c, config in prototypes:
-            ds, dx, dy = prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, c, config, spec.phi)
-            dq += (float(ds), dx, dy)
+        if prototypes:
+            dq += prototype_rhs(q, s, xi_val, prototypes, phi)
         if stacks:
             qa = np.array(q)
             for net, sel in stacks:

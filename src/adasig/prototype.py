@@ -14,14 +14,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .signals import SignalClass, deadzone_norm
+import numpy as np
+
+from .signals import SignalClass
 
 __all__ = [
     "PrototypeConfig",
     "TuningReport",
     "theta_hat",
+    "subsystem_constants",
     "prototype_rhs",
     "polar_rates",
     "compute_c",
@@ -66,25 +69,35 @@ def theta_hat(x: float, a: float, b: float) -> float:
     return a + (b - a) / 2.0 * (x + 1.0)
 
 
-def prototype_rhs(
-    state,
-    s,
-    xi_val,
-    clazz: SignalClass,
-    config: PrototypeConfig,
-    phi: Callable[[float], float],
-) -> tuple:
-    """Right-hand side of one perturbed subsystem (delta = 0 is unperturbed).
+def subsystem_constants(clazz: SignalClass, config: PrototypeConfig, offset: int = 0) -> tuple:
+    """One bank entry for prototype_rhs: the index of the subsystem's shat in
+    the state, the family's f, then a, (b - a)/2, gamma, epsilon and delta."""
+    return (offset, clazz.f, config.a, (config.b - config.a) / 2.0,
+            config.gamma, config.epsilon, config.delta)
 
-    Elementwise: state unpacks to (shat, x, y) and the three derivatives come
-    back as a tuple, floats for one subsystem or arrays for a block of
-    sample rows (phi and clazz.f must then accept arrays).
+
+def prototype_rhs(q, s, xi_val, bank: Sequence[tuple], phi: Callable[[float], float]) -> list:
+    """Right-hand side of a bank of perturbed subsystems (delta = 0 is unperturbed).
+
+    bank holds one subsystem_constants tuple per subsystem; subsystem i reads
+    (shat, x, y) at q[offset_i : offset_i + 3], and the 3m derivatives come
+    back as one list in bank order. Elementwise: floats when s is a float
+    (the filter derivative goes through float(), since an f may return a
+    numpy scalar), arrays for a block of sample rows when s is an array (phi
+    and f must then accept arrays). The read-back and the dead zone are
+    theta_hat and signals.deadzone_norm written out, in the same association
+    order.
     """
-    shat, x, y = state
-    th = theta_hat(x, config.a, config.b)
-    g = config.gamma * (deadzone_norm(shat - s, config.epsilon) + config.delta)
-    r2 = x * x + y * y
-    return -phi(shat) + clazz.f(xi_val, th), g * (x - y - x * r2), g * (x + y - y * r2)
+    rows = isinstance(s, np.ndarray)
+    clip = np.maximum if rows else max
+    out = []
+    for i, f, a, half_span, gamma, epsilon, delta in bank:
+        shat, x, y = q[i], q[i + 1], q[i + 2]
+        ds = -phi(shat) + f(xi_val, a + half_span * (x + 1.0))
+        g = gamma * (clip(abs(shat - s) - epsilon, 0.0) + delta)
+        r2 = x * x + y * y
+        out += (ds if rows else float(ds), g * (x - y - x * r2), g * (x + y - y * r2))
+    return out
 
 
 def polar_rates(x: float, y: float, g: float) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .prototype import PrototypeConfig, prototype_rhs
+from .prototype import PrototypeConfig, prototype_rhs, subsystem_constants
 from .signals import SignalClass
 
 __all__ = [
@@ -259,9 +259,11 @@ def domain_box(
 
 
 def _target_fn(clazz: SignalClass, config: PrototypeConfig, phi) -> Callable:
+    bank = [subsystem_constants(clazz, config)]
+
     def fn(Z: np.ndarray) -> np.ndarray:
         xi_val, s, shat, x, y = np.atleast_2d(Z).T
-        return np.stack(prototype_rhs((shat, x, y), s, xi_val, clazz, config, phi), axis=1)
+        return np.stack(prototype_rhs((shat, x, y), s, xi_val, bank, phi), axis=1)
 
     return fn
 
@@ -448,11 +450,12 @@ def estimate_rhs_lipschitz(
     box = np.asarray(box, dtype=float)
     Z = box[:, 0] + rng.uniform(size=(n_samples, 5)) * (box[:, 1] - box[:, 0])
     xi_val, s, q = Z[:, 0], Z[:, 1], Z[:, 2:].T
+    bank = [subsystem_constants(clazz, config)]
     J = np.empty((len(Z), 3, 3))
     for j in range(3):
         dq = np.zeros((3, 1))
         dq[j] = h
-        fp = np.stack(prototype_rhs(q + dq, s, xi_val, clazz, config, phi), axis=1)
-        fm = np.stack(prototype_rhs(q - dq, s, xi_val, clazz, config, phi), axis=1)
+        fp = np.stack(prototype_rhs(q + dq, s, xi_val, bank, phi), axis=1)
+        fm = np.stack(prototype_rhs(q - dq, s, xi_val, bank, phi), axis=1)
         J[:, :, j] = (fp - fm) / (2.0 * h)
     return float(np.linalg.norm(J, 2, axis=(1, 2)).max(initial=0.0))

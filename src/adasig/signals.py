@@ -282,9 +282,21 @@ def _make_linear(theta_range, xi_sup):
     )
 
 
+def _sin(x):
+    """sin that keeps a Python float a float: math.sin on a float, np.sin on
+    anything else (same bits). +-inf gives nan, as np.sin does, where
+    math.sin would raise."""
+    if type(x) is not float:
+        return np.sin(x)
+    try:
+        return math.sin(x)
+    except ValueError:
+        return math.nan
+
+
 def _make_sine(theta_range, xi_sup):
     return dict(
-        f=lambda xi, th: np.sin(th * xi),
+        f=lambda xi, th: _sin(th * xi),
         equivalence=_singleton,
         lipschitz_theta=xi_sup,
         lipschitz_xi=max(abs(theta_range[0]), abs(theta_range[1])),
@@ -319,4 +331,4 @@ def builtin_class(name: str, theta_range=(0.5, 2.0), xi_sup: float = 1.0, id: in
 
 
 def sin_input() -> InputSignal:
-    return InputSignal(xi=np.sin, xi_sup=1.0, dxi_sup=1.0)
+    return InputSignal(xi=_sin, xi_sup=1.0, dxi_sup=1.0)

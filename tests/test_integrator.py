@@ -361,8 +361,17 @@ def test_prototype_rhs_sees_only_python_floats(monkeypatch):
     bank = [(c, make_config(gamma=0.3, epsilon=0.02, delta=0.05, nu_x=1.0)) for c in classes]
     integrator.integrate_system(make_spec(noise_bound=0.02), classes[1], 1.5, bank, SIN,
                                 horizon=0.5, dt=1e-2, seed=4, s0=0.3)
-    assert len(seen) == 4 * 50 * 3
+    assert len(seen) == 4 * 50
+    assert all(len(row) == 1 + 3 * 3 + 1 for row in seen)
     assert all(type(v) is float for row in seen for v in row)
+
+
+def test_network_bank_makes_no_prototype_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(integrator, "prototype_rhs", lambda *args: calls.append(args))
+    integrator.integrate_system(make_spec(), LINEAR, 1.5, [random_network(3, "tanh", 0)], SIN,
+                                horizon=0.1, dt=1e-2)
+    assert calls == []
 
 
 def random_network(N, sigmoid, seed, a=0.5, b=2.5):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from adasig import prototype, signals
 
 LINEAR = signals.builtin_class("linear", (1.0, 2.0))
+FAMILIES = ["linear", "sine", "quadratic-affine"]
 
 
 def make_config(**kw):
@@ -38,32 +39,47 @@ class TestConfigValidation:
             make_config(nu_x=7.0)
 
 
+def reference_prototype_rhs(state, s, xi_val, clazz, config, phi):
+    """The per-subsystem rhs the bank form replaced: one subsystem per call,
+    through theta_hat and signals.deadzone_norm."""
+    shat, x, y = state
+    th = prototype.theta_hat(x, config.a, config.b)
+    g = config.gamma * (signals.deadzone_norm(shat - s, config.epsilon) + config.delta)
+    r2 = x * x + y * y
+    return -phi(shat) + clazz.f(xi_val, th), g * (x - y - x * r2), g * (x + y - y * r2)
+
+
+def one(clazz, config):
+    """A one-subsystem bank whose state is (shat, x, y)."""
+    return [prototype.subsystem_constants(clazz, config)]
+
+
 class TestPrototypeRhs:
     def test_fixed_point_on_circle(self):
         # matched filter, delta=0: g=0, rotator frozen
         cfg = make_config()
         state = np.array([0.7, 1.0, 0.0])
-        d = prototype.prototype_rhs(state, 0.7, 0.3, LINEAR, cfg, phi=lambda s: s)
+        d = prototype.prototype_rhs(state, 0.7, 0.3, one(LINEAR, cfg), phi=lambda s: s)
         assert d[1] == 0.0 and d[2] == 0.0
 
     def test_pure_rotation_rate(self):
         # on the circle at (1, 0) with g = gamma*delta: dx=0, dy=g
         cfg = make_config(delta=0.01)
         state = np.array([0.7, 1.0, 0.0])
-        d = prototype.prototype_rhs(state, 0.7, 0.3, LINEAR, cfg, phi=lambda s: s)
+        d = prototype.prototype_rhs(state, 0.7, 0.3, one(LINEAR, cfg), phi=lambda s: s)
         assert d[1] == pytest.approx(0.0)
         assert d[2] == pytest.approx(cfg.gamma * cfg.delta)
 
     def test_filter_component(self):
         cfg = make_config()
         state = np.array([0.5, 0.0, 1.0])  # theta_hat = 1.5
-        d = prototype.prototype_rhs(state, 0.5, 0.4, LINEAR, cfg, phi=lambda s: s)
+        d = prototype.prototype_rhs(state, 0.5, 0.4, one(LINEAR, cfg), phi=lambda s: s)
         assert d[0] == pytest.approx(-0.5 + 1.5 * 0.4)
 
     def test_deadzone_suppresses_rotation(self):
         cfg = make_config(epsilon=0.2)
         state = np.array([0.6, 1.0, 0.0])  # |shat - s| = 0.1 < epsilon
-        d = prototype.prototype_rhs(state, 0.5, 0.0, LINEAR, cfg, phi=lambda s: s)
+        d = prototype.prototype_rhs(state, 0.5, 0.0, one(LINEAR, cfg), phi=lambda s: s)
         assert d[1] == 0.0 and d[2] == 0.0
 
     @settings(max_examples=30, deadline=None)
@@ -76,13 +92,63 @@ class TestPrototypeRhs:
     )
     def test_row_block_matches_single_rows(self, family, epsilon, delta, slope, seed):
         clazz = signals.builtin_class(family, (1.0, 2.0))
-        cfg = make_config(epsilon=epsilon, delta=delta)
+        bank = one(clazz, make_config(epsilon=epsilon, delta=delta))
         phi = lambda s: slope * s
         xi_val, s, shat, x, y = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, 64))
-        block = prototype.prototype_rhs((shat, x, y), s, xi_val, clazz, cfg, phi)
-        rows = [prototype.prototype_rhs(q, s[k], xi_val[k], clazz, cfg, phi)
+        block = prototype.prototype_rhs((shat, x, y), s, xi_val, bank, phi)
+        rows = [prototype.prototype_rhs(q, s[k], xi_val[k], bank, phi)
                 for k, q in enumerate(zip(shat.tolist(), x.tolist(), y.tolist()))]
         assert np.array_equal(np.stack(block, axis=1), np.array(rows))
+
+    def test_floats_stay_floats(self):
+        # a family whose f returns a numpy scalar must not leak it either
+        numpy_f = signals.SignalClass(
+            id=3, name="numpy-scalar", f=lambda xi, th: np.float64(th * xi),
+            theta_range=(1.0, 2.0), equivalence=lambda th: [(th, th)],
+            lipschitz_theta=1.0, lipschitz_xi=2.0)
+        classes = [signals.builtin_class(f, (1.0, 2.0)) for f in FAMILIES] + [numpy_f]
+        bank = [prototype.subsystem_constants(c, make_config(epsilon=0.05), 1 + 3 * i)
+                for i, c in enumerate(classes)]
+        q = [0.3, 0.4, 0.6, -0.8, 0.1, 1.0, 0.0, 0.5, 0.0, -1.0, 0.2, 0.6, 0.8]
+        d = prototype.prototype_rhs(q, 0.3, 0.7, bank, lambda s: 2.0 * s)
+        assert len(d) == 12 and all(type(v) is float for v in d)
+
+
+class TestBankMatchesPerSubsystemReference:
+    """One bank call equals the per-subsystem calls, entry by entry, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        subsystems=st.lists(
+            st.tuples(st.sampled_from(FAMILIES), st.sampled_from([0.0, 0.3]),
+                      st.sampled_from([0.0, 0.01]), st.floats(0.01, 2.0),
+                      st.floats(0.5, 1.5), st.floats(0.1, 2.0)),
+            min_size=1, max_size=4),
+        rows=st.sampled_from([None, 1, 17]),
+        slope=st.sampled_from([1.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_reference(self, subsystems, rows, slope, seed):
+        rng = np.random.default_rng(seed)
+        phi = lambda s: slope * s
+        m = len(subsystems)
+        size = () if rows is None else (rows,)
+        # Entries sit at offsets 1, 4, ... behind s, as in the integrator.
+        xi_val, s = rng.uniform(-2.0, 2.0, (2, *size))
+        q = rng.uniform(-2.0, 2.0, (1 + 3 * m, *size))
+        if rows is None:
+            xi_val, s, q = float(xi_val), float(s), q.tolist()
+        bank, ref = [], []
+        for i, (family, epsilon, delta, gamma, a, span) in enumerate(subsystems):
+            clazz = signals.builtin_class(family, (1.0, 2.0))
+            cfg = make_config(gamma=gamma, epsilon=epsilon, delta=delta, a=a, b=a + span)
+            bank.append(prototype.subsystem_constants(clazz, cfg, 1 + 3 * i))
+            ref += reference_prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, clazz, cfg, phi)
+        out = prototype.prototype_rhs(q, s, xi_val, bank, phi)
+        assert len(out) == 3 * m
+        assert np.array_equal(np.array(out), np.array(ref))
+        if rows is None:
+            assert all(type(v) is float for v in out)
 
 
 class TestPolarRates:

@@ -27,8 +27,9 @@ class TestSampleRhs:
     def test_targets_match_rhs_pointwise(self):
         cfg = make_config()
         ds = rnn.sample_rhs(LINEAR, cfg, small_box(), 200, phi=lambda s: s, seed=1)
+        bank = [prototype.subsystem_constants(LINEAR, cfg)]
         for z, y in zip(ds.inputs[:20], ds.targets[:20]):
-            direct = prototype.prototype_rhs(z[2:], z[1], z[0], LINEAR, cfg, lambda s: s)
+            direct = prototype.prototype_rhs(z[2:], z[1], z[0], bank, lambda s: s)
             assert np.max(np.abs(direct - y)) < 1e-15
 
     @pytest.mark.parametrize("family", ["linear", "sine", "quadratic-affine"])
@@ -37,7 +38,8 @@ class TestSampleRhs:
         cfg = make_config(epsilon=0.1)
         phi = lambda s: 2.0 * s
         ds = rnn.sample_rhs(clazz, cfg, small_box(), 500, phi=phi, seed=4)
-        ref = np.array([prototype.prototype_rhs(np.array([sh, x, y]), s, xi_val, clazz, cfg, phi)
+        bank = [prototype.subsystem_constants(clazz, cfg)]
+        ref = np.array([prototype.prototype_rhs(np.array([sh, x, y]), s, xi_val, bank, phi)
                         for xi_val, s, sh, x, y in ds.inputs])
         assert np.array_equal(ds.targets, ref)
 
@@ -309,6 +311,7 @@ class TestLipschitzEstimate:
         """Largest spectral norm of a central-difference Jacobian, one row at a time."""
         rng = np.random.default_rng(seed)
         Z = box[:, 0] + rng.uniform(size=(n_samples, 5)) * (box[:, 1] - box[:, 0])
+        bank = [prototype.subsystem_constants(clazz, config)]
         worst = 0.0
         for xi_val, s, sh, x, y in Z:
             q = np.array([sh, x, y])
@@ -316,8 +319,8 @@ class TestLipschitzEstimate:
             for j in range(3):
                 dq = np.zeros(3)
                 dq[j] = h
-                fp = np.array(prototype.prototype_rhs(q + dq, s, xi_val, clazz, config, phi))
-                fm = np.array(prototype.prototype_rhs(q - dq, s, xi_val, clazz, config, phi))
+                fp = np.array(prototype.prototype_rhs(q + dq, s, xi_val, bank, phi))
+                fm = np.array(prototype.prototype_rhs(q - dq, s, xi_val, bank, phi))
                 J[:, j] = (fp - fm) / (2.0 * h)
             worst = max(worst, float(np.linalg.norm(J, 2)))
         return worst

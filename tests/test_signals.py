@@ -120,6 +120,35 @@ class TestBuiltinFamilies:
             assert signals.set_distance(1.5, c.equivalence_set(1.5)) == 0.0
 
 
+class TestFloatSine:
+    """The sine of sin_input and the sine family: math.sin on a Python float,
+    np.sin on anything else, with the same bits."""
+
+    SINES = [signals.sin_input().xi,
+             lambda v: signals.builtin_class("sine", (1.0, 2.0)).f(v, 1.0)]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_floats_match_np_sin_on_arrays(self, xs):
+        for sin in self.SINES:
+            out = [sin(v) for v in xs]
+            assert all(type(v) is float for v in out)
+            assert np.array_equal(out, sin(np.array(xs)))
+            assert np.array_equal(sin(np.array(xs)), np.sin(np.array(xs)))
+
+    def test_wide_sample_matches_np_sin(self):
+        xs = np.random.default_rng(0).uniform(-1e3, 1e3, 100_000)
+        assert np.array_equal([signals.sin_input().xi(v) for v in xs.tolist()], np.sin(xs))
+
+    @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+    def test_inf_and_nan_give_nan(self, v):
+        for sin in self.SINES:
+            out = sin(v)
+            assert type(out) is float and math.isnan(out)
+
+    def test_numpy_scalar_stays_numpy(self):
+        assert type(signals.sin_input().xi(np.float64(0.5))) is np.float64
+
+
 class TestPersistency:
     def test_linear_family_sin_input(self):
         # |dtheta * sin t| peaks at dtheta in every window of length 2*pi
