@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, classify, rnn, signals
 from .config import THETA_BOUND_FALLBACK, VERSION, ExperimentConfig, load_config, sub_seed
-from .integrator import integrate_system, rk4_step
+from .integrator import integrate_system, rk4_step, write_csv
 from .prototype import TuningReport, choose_winding, compute_L, compute_c, error_bound, tune_hstar
 
 EXIT_OK = 0
@@ -26,6 +26,9 @@ EXIT_PARSE = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_ENTERED = 3
 EXIT_VERIFY_FAIL = 4
+
+# eps_N is the largest error over a held-out sample, not a certified bound.
+EPS_N_BASIS = "sampled"
 
 
 class InfeasibleTuning(Exception):
@@ -302,7 +305,7 @@ def cmd_fit_rnn(args) -> int:
     last_nets, sweep = None, []
     for N in cfg.rnn.N_list:
         nets, reports = fit_bank(cfg, N=N)
-        sweep.append({"N": N, "eps_N": [n.eps_N for n in nets]})
+        sweep.append({"N": N, "eps_N": [n.eps_N for n in nets], "eps_N_basis": EPS_N_BASIS})
         last_nets = nets
     for i, net in enumerate(last_nets):
         net.to_json(out / f"network_{i + 1}.json")
@@ -320,7 +323,7 @@ def cmd_fit_rnn(args) -> int:
                 seed=sub_seed(cfg.seed, f"lip_{i}"),
             )
             rep = rnn.divergence_check(traj_p, traj_r, net.eps_N, L_i, class_index=i)
-            results.append(asdict(rep) | {"L_i": L_i})
+            results.append(asdict(rep) | {"L_i": L_i, "eps_N_basis": EPS_N_BASIS})
             passed = passed and rep.passed
         _write_json(out / "divergence.json", _stamp({"per_class": results}, cfg))
     print(f"fit-rnn: eps_N={[f'{n.eps_N:.4g}' for n in last_nets]} "
@@ -349,8 +352,7 @@ def cmd_report(args) -> int:
                                            cfg.class_configs()[i], i)
         entry = math.nan if conv.entry_time is None else conv.entry_time
         rows.append([theta, entry, conv.residence, conv.winding_spent])
-    np.savetxt(out / "sweep.csv", rows, fmt="%.17g", delimiter=",",
-               header="theta,entry_time,residence,winding_spent", comments="")
+    write_csv(out / "sweep.csv", "theta,entry_time,residence,winding_spent", [np.array(rows)])
     entry_times = [row[1] for row in rows]
     entered = not any(math.isnan(t) for t in entry_times)
     summary = _stamp(

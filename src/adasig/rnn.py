@@ -399,6 +399,7 @@ class DivergenceReport:
     max_bound: float
     passed: bool
     first_violation_t: Optional[float] = None
+    domain_escape_t: Optional[float] = None
 
 
 def divergence_check(
@@ -410,7 +411,12 @@ def divergence_check(
     tol: float = 1e-9,
 ) -> DivergenceReport:
     """Pointwise gap between prototype and network subsystem trajectories vs.
-    the Gronwall envelope (eps_N / L_i) (exp(L_i (t - t0)) - 1)."""
+    the Gronwall envelope (eps_N / L_i) (exp(L_i (t - t0)) - 1).
+
+    The envelope holds only while the networks stay inside their fitted
+    domain boxes, so a run whose network bank left one (the trajectory's
+    meta "domain_escape_t", the first recorded time any network of the bank
+    was outside its box) fails, and the report carries that time."""
     if not np.allclose(traj_prototype.times, traj_rnn.times):
         raise ValueError("trajectories must share the time grid")
     i = class_index
@@ -424,11 +430,13 @@ def divergence_check(
     bound = eps_N / L_i * (np.exp(L_i * t) - 1.0)
     bad = gap > bound + tol
     first = float(traj_prototype.times[np.argmax(bad)]) if bad.any() else None
+    escape = traj_rnn.meta.get("domain_escape_t")
     return DivergenceReport(
         max_gap=float(gap.max()),
         max_bound=float(bound.max()),
-        passed=not bad.any(),
+        passed=not bad.any() and escape is None,
         first_violation_t=first,
+        domain_escape_t=escape,
     )
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from adasig import cli, config
+from adasig import cli, config, rnn
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -362,8 +362,26 @@ class TestFitRnnCommand:
         capsys.readouterr()
         net = json.loads((tmp_path / "network_1.json").read_text())
         assert net["N"] == 60
+        fit = json.loads((tmp_path / "fit_report.json").read_text())
+        assert [e["eps_N_basis"] for e in fit["sweep"]] == ["sampled"]
         div = json.loads((tmp_path / "divergence.json").read_text())
         assert all(r["passed"] for r in div["per_class"])
+        assert all(r["domain_escape_t"] is None and r["eps_N_basis"] == "sampled"
+                   for r in div["per_class"])
+
+    def test_domain_escape_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        """Networks fitted on a box too small for the run leave it: the
+        divergence verdict fails with the escape time, and fit-rnn exits 4."""
+        real = rnn.domain_box
+        monkeypatch.setattr(rnn, "domain_box", lambda *a, **kw: 0.5 * real(*a, **kw))
+        raw = small_config(rnn={"N": 60, "n_train": 4000, "sigmoid": "tanh",
+                                "check_horizon": 0.5})
+        path = write_config(tmp_path, raw)
+        assert cli.main(["fit-rnn", "--config", path, "--out", str(tmp_path)]) == 4
+        assert "divergence=FAIL" in capsys.readouterr().out
+        (entry,) = json.loads((tmp_path / "divergence.json").read_text())["per_class"]
+        assert not entry["passed"]
+        assert 0.0 < entry["domain_escape_t"] <= 0.5
 
 
 @pytest.fixture(scope="module")

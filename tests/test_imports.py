@@ -6,7 +6,8 @@ the base of an attribute, inside a string annotation, or in ``__all__``.
 The package ``__init__`` is skipped: its imports are the public API.
 
 Likewise every top-level def and class of the package is referenced
-somewhere in src/, tests/, demos/ or perfbench/ outside its own definition.
+somewhere in src/, tests/, demos/ or perfbench/ outside its own definition,
+and the package writes CSV through one writer, never through np.savetxt.
 """
 import ast
 import json
@@ -117,6 +118,25 @@ def test_detects_a_dead_name():
            "def recursive(n): return recursive(n - 1)\n")
     corpus = {"m": mod, "user": "import m\nm.used()\n"}
     assert dead_names({"m": mod}, corpus) == ["m.dead", "m.recursive"]
+
+
+def savetxt_references(source: str) -> list[int]:
+    """Lines that name savetxt, as np.savetxt or bare after an import."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and node.attr == "savetxt"
+                   or isinstance(node, ast.Name) and node.id == "savetxt"})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_csv_writer(path):
+    """Every CSV goes through integrator.write_csv."""
+    assert savetxt_references(path.read_text()) == []
+
+
+def test_detects_a_savetxt_call():
+    source = ("import numpy as np\nfrom numpy import savetxt\n"
+              "np.savetxt('a.csv', x)\nsavetxt('b.csv', x)\n'np.savetxt in a string'\n")
+    assert savetxt_references(source) == [3, 4]
 
 
 def test_readme_lists_the_config_key_table():

@@ -1,6 +1,10 @@
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adasig import integrator, plant, prototype, rnn, signals
 
@@ -214,7 +218,53 @@ class TestIntegrateSystem:
             )
 
 
+def savetxt_csv(header, table):
+    """The numpy writer whose bytes write_csv reproduces."""
+    out = io.StringIO()
+    np.savetxt(out, table, fmt="%.17g", delimiter=",", header=header, comments="")
+    return out.getvalue()
+
+
+# Values whose %.17g text is easy to get wrong: signed zeros, subnormals,
+# magnitudes near the float64 limits, whole numbers, and nan/inf as in the
+# sweep rows of a run that never entered its target set.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1e300, -1e300,
+               1e-300, -1e-300, 1.0, -3.0, 2.0**53, 1e16, math.nan, math.inf, -math.inf]
+
+
+def split_columns(table, widths):
+    """The table's columns as a list of (n, w) blocks."""
+    cols, j = [], 0
+    for w in widths:
+        cols.append(table[:, j : j + w])
+        j += w
+    return cols
+
+
 class TestCsvExport:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(
+            lambda ws: sum(ws) <= 16),
+        n_rows=st.integers(0, 11),
+        data=st.data(),
+    )
+    @example(widths=[1] * 16, n_rows=7, data=None)
+    @example(widths=[4], n_rows=0, data=None)
+    def test_write_csv_matches_savetxt(self, widths, n_rows, data):
+        n_cols = sum(widths)
+        elements = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(width=64))
+        if data is None:  # the explicit examples tile EDGE_VALUES
+            table = np.resize(np.array(EDGE_VALUES), (n_rows, n_cols))
+        else:
+            table = data.draw(arrays(np.float64, (n_rows, n_cols), elements=elements))
+        header = ",".join(f"c{j}" for j in range(n_cols))
+        with pytest.MonkeyPatch.context() as mp:
+            # three-row blocks, so that row counts cross block boundaries
+            mp.setattr(integrator, "CSV_BLOCK_ROWS", 3)
+            text = integrator.write_csv(None, header, split_columns(table, widths))
+        assert text == savetxt_csv(header, table)
+
     def test_header_and_digits(self):
         cfg = make_config()
         traj = integrator.integrate_system(
@@ -253,17 +303,25 @@ class TestCsvExport:
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("n_classes", [0, 1, 3])
-    def test_bytes_match_rowwise_formatter(self, tmp_path, n_classes):
+    def test_bytes_match_rowwise_formatter(self, tmp_path, monkeypatch, n_classes):
+        """A str path, a Path, an open file and None get the same bytes,
+        those of the row-by-row formatter, across 64-row block borders."""
+        monkeypatch.setattr(integrator, "CSV_BLOCK_ROWS", 64)
         cfg = make_config(delta=0.01)
         traj = integrator.integrate_system(
             make_spec(noise_bound=0.01), LINEAR, 1.5, [(LINEAR, cfg)] * n_classes, SIN,
             horizon=2.0, dt=1e-2, seed=3, record_every=1,
         )
-        path = tmp_path / "traj.csv"
         text = traj.to_csv()
-        assert traj.to_csv(path) is None
         assert text == self.rowwise_csv(traj)
-        assert path.read_bytes() == text.encode()
+        assert traj.to_csv(str(tmp_path / "str.csv")) is None
+        assert traj.to_csv(tmp_path / "path.csv") is None
+        with open(tmp_path / "open.csv", "w") as fh:
+            fh.write("# a line written before\n")
+            assert traj.to_csv(fh) is None
+        assert (tmp_path / "str.csv").read_bytes() == text.encode()
+        assert (tmp_path / "path.csv").read_bytes() == text.encode()
+        assert (tmp_path / "open.csv").read_bytes() == b"# a line written before\n" + text.encode()
 
 
 def reference_prototype_rhs(state, s, xi_val, clazz, config, phi):
@@ -316,6 +374,10 @@ def reference_integration(spec, clazz, theta, bank, inp, horizon, dt, seed, s0):
 
 FAMILIES = ["linear", "sine", "quadratic-affine"]
 
+# A read-back interval [a, a + span] per subsystem: (b - a)/2 = 1, as in
+# make_config, would hide a regrouped read-back such as a + (half*x + half).
+READBACK = st.tuples(st.floats(0.2, 1.5), st.floats(0.3, 2.5))
+
 
 class TestBankMatchesPerClassReference:
     @settings(max_examples=20, deadline=None)
@@ -330,15 +392,17 @@ class TestBankMatchesPerClassReference:
         theta=st.floats(1.0, 2.0),
         s0=st.floats(0.0, 1.0),
         nu_x=st.floats(0.0, 6.0),
+        readbacks=st.lists(READBACK, min_size=3, max_size=3),
         seed=st.integers(0, 1000),
     )
     def test_states_bit_identical(self, families, delta, noise_bound, slope, theta, s0,
-                                  nu_x, seed):
+                                  nu_x, readbacks, seed):
         spec = plant.PlantSpec(phi=lambda s: slope * s, phi_min=slope,
                                s0_range=(0.0, 1.0), noise_bound=noise_bound)
         classes = [signals.builtin_class(f, (1.0, 2.0), id=i) for i, f in enumerate(families)]
-        bank = [(c, make_config(gamma=0.3, epsilon=noise_bound / slope, delta=delta, nu_x=nu_x))
-                for c in classes]
+        bank = [(c, make_config(gamma=0.3, epsilon=noise_bound / slope, delta=delta, nu_x=nu_x,
+                                a=a, b=a + span))
+                for c, (a, span) in zip(classes, readbacks)]
         traj = integrator.integrate_system(
             spec, classes[0], theta, bank, SIN, horizon=1.5, dt=1e-2, seed=seed,
             record_every=1, s0=s0,
@@ -391,13 +455,17 @@ ENTRY = st.one_of(st.just("proto"),
 
 
 def build_bank(kinds, seed):
+    """Prototypes and networks, each with a read-back interval [a, b] of its own."""
+    rng = np.random.default_rng(seed)
     bank = []
     for j, kind in enumerate(kinds):
+        a = rng.uniform(0.2, 1.5)
+        b = a + rng.uniform(0.3, 2.5)
         if kind == "proto":
             clazz = signals.builtin_class(FAMILIES[j % 3], (1.0, 2.0), id=j)
-            bank.append((clazz, make_config(gamma=0.3, delta=0.05)))
+            bank.append((clazz, make_config(gamma=0.3, delta=0.05, a=a, b=b)))
         else:
-            bank.append(random_network(*kind, seed=seed + j))
+            bank.append(random_network(*kind, seed=seed + j, a=a, b=b))
     return bank
 
 

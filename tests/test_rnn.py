@@ -231,18 +231,20 @@ class TestSerialization:
         assert len(d["alpha"]) == 3
 
 
+def zero_network():
+    """A network whose rhs is zero: its subsystem state never moves."""
+    return rnn.SigmoidNetwork(
+        N=1, sigmoid="tanh", omega=np.zeros((1, 5)), beta=np.zeros(1),
+        alpha=np.zeros((1, 3)), domain=small_box(), eps_N=0.0, a=0.5, b=2.5,
+    )
+
+
 class TestSimulateRnn:
     """A network bank runs through integrate_system like a prototype bank."""
 
-    def zero_network(self):
-        return rnn.SigmoidNetwork(
-            N=1, sigmoid="tanh", omega=np.zeros((1, 5)), beta=np.zeros(1),
-            alpha=np.zeros((1, 3)), domain=small_box(), eps_N=0.0, a=0.5, b=2.5,
-        )
-
     def test_zero_network_frozen(self):
         traj = integrator.integrate_system(
-            make_spec(), LINEAR, 1.5, [self.zero_network()], SIN, horizon=1.0, dt=1e-2
+            make_spec(), LINEAR, 1.5, [zero_network()], SIN, horizon=1.0, dt=1e-2
         )
         assert np.ptp(traj.column("shat_1")) == 0.0
         assert np.ptp(traj.column("x_1")) == 0.0
@@ -250,19 +252,19 @@ class TestSimulateRnn:
     def test_seed_determinism(self):
         spec = plant.PlantSpec(phi=lambda s: s, s0_range=(0.0, 1.0), noise_bound=0.01)
         kw = dict(horizon=1.0, dt=1e-2, seed=11)
-        a = integrator.integrate_system(spec, LINEAR, 1.5, [self.zero_network()], SIN, **kw)
-        b = integrator.integrate_system(spec, LINEAR, 1.5, [self.zero_network()], SIN, **kw)
+        a = integrator.integrate_system(spec, LINEAR, 1.5, [zero_network()], SIN, **kw)
+        b = integrator.integrate_system(spec, LINEAR, 1.5, [zero_network()], SIN, **kw)
         assert np.array_equal(a.states, b.states)
 
     def test_state_count_is_three_per_class(self):
-        nets = [self.zero_network() for _ in range(4)]
+        nets = [zero_network() for _ in range(4)]
         traj = integrator.integrate_system(
             make_spec(), LINEAR, 1.5, nets, SIN, horizon=0.1, dt=1e-2
         )
         assert traj.states.shape[1] == 1 + 3 * 4
 
     def test_domain_escape_recorded(self):
-        net = self.zero_network()
+        net = zero_network()
         net.domain = net.domain * 1e-3  # everything is immediately outside
         traj = integrator.integrate_system(
             make_spec(), LINEAR, 1.5, [net], SIN, horizon=0.5, dt=1e-2
@@ -289,6 +291,21 @@ class TestDivergenceCheck:
         rep = rnn.divergence_check(traj, traj, eps_N=0.1, L_i=2.0)
         t = traj.times - traj.times[0]
         assert (0.1 / 2.0) * (np.exp(2.0 * t[0]) - 1.0) == 0.0
+
+    def test_domain_escape_fails(self):
+        """Inside its box the frozen network stays within the envelope; the
+        same network with a shrunken box fails, with the escape time."""
+        _, spec, traj_p = self.run_pair()
+        net = zero_network()
+        rep = rnn.divergence_check(traj_p, integrator.integrate_system(
+            spec, LINEAR, 1.5, [net], SIN, horizon=1.0, dt=1e-2), eps_N=10.0, L_i=2.0)
+        assert rep.passed and rep.domain_escape_t is None
+        net.domain = net.domain * 0.5  # x = 1 lies outside [-0.6, 0.6]
+        traj_r = integrator.integrate_system(spec, LINEAR, 1.5, [net], SIN, horizon=1.0, dt=1e-2)
+        rep = rnn.divergence_check(traj_p, traj_r, eps_N=10.0, L_i=2.0)
+        assert rep.first_violation_t is None and rep.max_gap <= rep.max_bound
+        assert not rep.passed
+        assert rep.domain_escape_t == traj_r.meta["domain_escape_t"] == traj_r.times[1]
 
     def test_mismatched_initial_state_rejected(self):
         cfg, spec, traj_p = self.run_pair()
