@@ -13,7 +13,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .integrator import Trajectory
-from .prototype import TuningReport
 
 __all__ = ["DecisionReport", "decide", "band_from_noise"]
 
@@ -33,22 +32,11 @@ class DecisionReport:
         return asdict(self)
 
 
-def band_from_noise(
-    delta_eta: float, phi_min: float, tuning: Optional[TuningReport] = None
-) -> tuple[float, float]:
-    """(h_f band component, theta acceptance radius) induced by noise level.
-
-    The mismatch band grows by delta_eta/phi_min; the parameter radius is the
-    certified accuracy bound from the tuning report (0 when delta_eta = 0).
-    """
+def band_from_noise(delta_eta: float, phi_min: float) -> float:
+    """The growth delta_eta/phi_min of the h_f band under noise of level delta_eta."""
     if delta_eta < 0 or phi_min <= 0:
         raise ValueError("need delta_eta >= 0 and phi_min > 0")
-    hf = delta_eta / phi_min
-    if delta_eta == 0.0:
-        return 0.0, 0.0
-    if tuning is None:
-        raise ValueError("theta radius requires a tuning report when delta_eta > 0")
-    return hf, tuning.error_bound
+    return delta_eta / phi_min
 
 
 def decide(

@@ -106,7 +106,6 @@ def run_simulate(cfg: ExperimentConfig, theta=None, horizon=None, bank=None):
         seed=sub_seed(cfg.seed, "noise"),
         record_every=record_every,
         s0=cfg.simulation.s0,
-        meta={"config_hash": cfg.hash, "version": VERSION},
     )
 
 
@@ -120,17 +119,13 @@ def theta_bound_for(cfg: ExperimentConfig, tuning: TuningReport) -> float:
 
 def run_decide(cfg: ExperimentConfig, traj, tuning: TuningReport):
     dec = cfg.decision
-    hf_noise, theta_radius = classify.band_from_noise(
-        cfg.plant.noise_bound, cfg.plant.phi_min,
-        tuning if cfg.plant.noise_bound > 0 else None,
-    )
     return classify.decide(
         traj,
         T_star=dec.T_star,
         eps=dec.eps,
-        D_of_noise=hf_noise,
+        D_of_noise=classify.band_from_noise(cfg.plant.noise_bound, cfg.plant.phi_min),
         settle=dec.settle,
-        band_theta=theta_radius if theta_radius > 0 else theta_bound_for(cfg, tuning),
+        band_theta=theta_bound_for(cfg, tuning),
     )
 
 

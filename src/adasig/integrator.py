@@ -132,32 +132,6 @@ def rk4_step(
     return out
 
 
-def _bank_entry(entry):
-    """Normalize a bank element to (kind, class or None, config or network)."""
-    if isinstance(entry, tuple) and len(entry) == 2:
-        clazz, config = entry
-        if not isinstance(clazz, SignalClass) or not isinstance(config, PrototypeConfig):
-            raise TypeError("prototype bank entries must be (SignalClass, PrototypeConfig)")
-        return ("prototype", clazz, config)
-    if isinstance(entry, SigmoidNetwork):
-        if entry.omega.ndim != 2:
-            raise ValueError("a stacked network is not a bank entry; pass its networks")
-        return ("network", None, entry)
-    raise TypeError(f"unsupported bank entry {type(entry).__name__}")
-
-
-def _network_stacks(entries) -> list[tuple[SigmoidNetwork, np.ndarray]]:
-    """Stack the bank's networks by (N, sigmoid), each with the state
-    columns of its members in stack order."""
-    groups: dict[tuple, list[int]] = {}
-    for i, (kind, _, obj) in enumerate(entries):
-        if kind == "network":
-            groups.setdefault((obj.N, obj.sigmoid), []).append(i)
-    return [(SigmoidNetwork.stack([entries[i][2] for i in idx]),
-             np.array([1 + 3 * i + j for i in idx for j in range(3)]))
-            for idx in groups.values()]
-
-
 def integrate_system(
     spec: PlantSpec,
     clazz: SignalClass,
@@ -171,19 +145,28 @@ def integrate_system(
     record_every: int = 10,
     s0: Optional[float] = None,
     init_states: Optional[Sequence[np.ndarray]] = None,
-    meta: Optional[dict] = None,
 ) -> Trajectory:
     """Integrate the measurement jointly with a bank of classifier subsystems.
 
-    Each bank entry is either (SignalClass, PrototypeConfig) or a fitted
-    SigmoidNetwork. An empty bank integrates the plant alone. Networks that
-    share N and the sigmoid are stacked into one network, whose rhs maps all
-    of their states at once in every RK4 stage.
+    The bank is all prototypes, (SignalClass, PrototypeConfig) pairs, or all
+    fitted SigmoidNetworks, which are stacked into one network whose rhs maps
+    every network's state in each RK4 stage. An empty bank integrates the
+    plant alone.
     """
     if dt <= 0 or horizon < 0 or record_every < 1:
         raise ValueError("need dt > 0, horizon >= 0 and record_every >= 1")
-    entries = [_bank_entry(e) for e in bank]
-    m = len(entries)
+    m = len(bank)
+    net, prototypes = None, []
+    if m and all(isinstance(e, SigmoidNetwork) for e in bank):
+        net, subsystems = SigmoidNetwork.stack(bank), bank
+    elif all(isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], SignalClass)
+             and isinstance(e[1], PrototypeConfig) for e in bank):
+        subsystems = [config for _, config in bank]
+        prototypes = [subsystem_constants(c, config, 1 + 3 * i)
+                      for i, (c, config) in enumerate(bank)]
+    else:
+        raise TypeError("a bank is all (SignalClass, PrototypeConfig) pairs "
+                        "or all SigmoidNetworks")
     if s0 is None:
         s0 = 0.5 * (spec.s0_range[0] + spec.s0_range[1])
     lo, hi = spec.s0_range
@@ -192,18 +175,9 @@ def integrate_system(
 
     state = np.empty(1 + 3 * m)
     state[0] = s0
-    for i, (_, _, obj) in enumerate(entries):
+    for i, obj in enumerate(subsystems):
         init = init_state(obj, s0) if init_states is None else init_states[i]
         state[1 + 3 * i : 4 + 3 * i] = init
-    prototypes = [subsystem_constants(c, obj, 1 + 3 * i)
-                  for i, (kind, c, obj) in enumerate(entries) if kind == "prototype"]
-    stacks = _network_stacks(entries)
-    # rhs lists the derivatives prototypes first, then stack by stack; order
-    # puts them back into bank order when that differs.
-    cols = [0] + [p[0] + j for p in prototypes for j in range(3)]
-    for _, sel in stacks:
-        cols += sel.tolist()
-    order = None if cols == list(range(1 + 3 * m)) else np.argsort(cols).tolist()
 
     n = int(round(horizon / dt))
     eta = make_noise(spec, max(n, 1), seed)
@@ -214,18 +188,16 @@ def integrate_system(
     def rhs(q: list, t: float) -> list:
         # Everything stays a Python float: an np.float64 that slipped into
         # the state would make every later operation a slow numpy scalar op.
-        # The prototypes are one prototype_rhs call on the whole stage state;
-        # network stacks take their states as one array.
+        # The bank is one prototype_rhs call on the whole stage state, or one
+        # rhs call of the stacked network on its 3m states.
         xi_val = float(inp.xi(t))
         s = q[0]
         dq = [plant_rhs(s, xi_val, clazz, theta, spec, eta_now)]
         if prototypes:
             dq += prototype_rhs(q, s, xi_val, prototypes, phi)
-        if stacks:
-            qa = np.array(q)
-            for net, sel in stacks:
-                dq += net.rhs(xi_val, s, qa[sel]).ravel().tolist()
-        return dq if order is None else [dq[j] for j in order]
+        elif net is not None:
+            dq += net.rhs(xi_val, s, q[1:]).ravel().tolist()
+        return dq
 
     times = [t0]
     states = np.empty((n // record_every + 1, 1 + 3 * m))
@@ -242,22 +214,8 @@ def integrate_system(
                 times.append(t0 + (k + 1) * dt)
                 states[(k + 1) // record_every] = state
 
-    # Domain escape: every recorded row after the first, with xi at the step
-    # end t0 + k dt + dt, checked against every stack in one call each.
-    escape_t = None
-    if stacks:
-        rec = states[1:]
-        k = np.arange(1, len(rec) + 1) * record_every - 1
-        xi_rec = inp.xi(t0 + k * dt + dt)[:, None]
-        inside = np.ones(len(rec), dtype=bool)
-        for net, sel in stacks:
-            q = rec[:, sel].reshape(len(rec), -1, 3)
-            inside &= net.in_domain(xi_rec, rec[:, :1], q).all(axis=1)
-        if not inside.all():
-            escape_t = times[1 + int(np.argmin(inside))]
-
-    a = np.array([obj.a for _, _, obj in entries])
-    b = np.array([obj.b for _, _, obj in entries])
+    a = np.array([obj.a for obj in subsystems])
+    b = np.array([obj.b for obj in subsystems])
     readouts = np.empty((len(states), 2 * m))
     readouts[:, 0::2] = theta_hat(states[:, 2::3], a, b)
     readouts[:, 1::2] = states[:, :1] - states[:, 1::3]
@@ -268,10 +226,16 @@ def integrate_system(
         columns += [f"shat_{i}", f"x_{i}", f"y_{i}"]
         rcolumns += [f"theta_hat_{i}", f"hf_{i}"]
     info = {"dt": dt, "seed": seed, "record_every": record_every, "t0": t0}
-    if meta:
-        info.update(meta)
-    if escape_t is not None:
-        info["domain_escape_t"] = escape_t
+    if net is not None:
+        # Domain escape: every recorded row after the first, with xi at the
+        # step end t0 + k dt + dt, in one check that flags each network.
+        rec = states[1:]
+        k = np.arange(1, len(rec) + 1) * record_every - 1
+        xi_rec = inp.xi(t0 + k * dt + dt)[:, None]
+        inside = net.in_domain(xi_rec, rec[:, :1], rec[:, 1:].reshape(len(rec), m, 3))
+        if not inside.all():
+            info["domain_escape_t"] = [None if col.all() else times[1 + int(col.argmin())]
+                                       for col in inside.T]
     return Trajectory(
         times=np.array(times),
         states=states,

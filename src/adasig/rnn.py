@@ -188,13 +188,10 @@ class SigmoidNetwork:
         )
 
     @classmethod
-    def from_json(cls, text_or_path: str) -> "SigmoidNetwork":
-        try:
-            d = json.loads(text_or_path)
-        except (json.JSONDecodeError, ValueError):
-            with open(text_or_path) as fh:
-                d = json.load(fh)
-        return cls.from_dict(d)
+    def from_json(cls, path) -> "SigmoidNetwork":
+        """Read a network that to_json wrote; path is a str or PathLike."""
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -413,10 +410,10 @@ def divergence_check(
     """Pointwise gap between prototype and network subsystem trajectories vs.
     the Gronwall envelope (eps_N / L_i) (exp(L_i (t - t0)) - 1).
 
-    The envelope holds only while the networks stay inside their fitted
-    domain boxes, so a run whose network bank left one (the trajectory's
-    meta "domain_escape_t", the first recorded time any network of the bank
-    was outside its box) fails, and the report carries that time."""
+    The envelope holds only while the network stays inside its fitted domain
+    box, so a class whose network left it fails, and the report carries the
+    first recorded time outside (entry class_index of the trajectory's meta
+    "domain_escape_t", which is absent when no network left its box)."""
     if not np.allclose(traj_prototype.times, traj_rnn.times):
         raise ValueError("trajectories must share the time grid")
     i = class_index
@@ -430,7 +427,7 @@ def divergence_check(
     bound = eps_N / L_i * (np.exp(L_i * t) - 1.0)
     bad = gap > bound + tol
     first = float(traj_prototype.times[np.argmax(bad)]) if bad.any() else None
-    escape = traj_rnn.meta.get("domain_escape_t")
+    escape = traj_rnn.meta.get("domain_escape_t", [None] * (i + 1))[i]
     return DivergenceReport(
         max_gap=float(gap.max()),
         max_bound=float(bound.max()),

@@ -77,20 +77,17 @@ class TestReadout:
 
 class TestBandFromNoise:
     def test_zero_noise(self):
-        assert classify.band_from_noise(0.0, 1.0) == (0.0, 0.0)
+        assert classify.band_from_noise(0.0, 1.0) == 0.0
 
     def test_hf_component(self):
-        report = prototype.TuningReport(
-            c=1.0, gamma_star=0.1, gamma=0.05, h_star=1.0, k_prime=1,
-            L=1.0, error_bound=4.216, epsilon=1e-4, delta=0.0,
-        )
-        hf, th = classify.band_from_noise(1e-4, 1.0, report)
-        assert hf == pytest.approx(1e-4)
-        assert th == pytest.approx(4.216)
+        assert classify.band_from_noise(1e-4, 1.0) == pytest.approx(1e-4)
+        assert classify.band_from_noise(1e-4, 2.0) == pytest.approx(5e-5)
 
-    def test_requires_tuning_when_noisy(self):
+    def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
-            classify.band_from_noise(1e-4, 1.0)
+            classify.band_from_noise(-1e-4, 1.0)
+        with pytest.raises(ValueError):
+            classify.band_from_noise(1e-4, 0.0)
 
 
 class TestDecide:

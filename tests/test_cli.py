@@ -330,6 +330,17 @@ class TestSimulateCommand:
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[1] == "t,s,shat_1,x_1,y_1,theta_hat_1,hf_1"
 
+    def test_configured_theta_bound_under_noise(self, tmp_path, capsys):
+        """With noise, decision.json's band_theta is the configured
+        theta_bound, the bound convergence.json uses, not the tuning error bound."""
+        raw = small_config(plant={"noise_bound": 1e-6}, simulation={"horizon": 40.0})
+        path = write_config(tmp_path, raw)
+        cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+        capsys.readouterr()
+        decision = json.loads((tmp_path / "decision.json").read_text())
+        conv = json.loads((tmp_path / "convergence.json").read_text())
+        assert decision["band_theta"] == conv["bound_used"] == 0.1
+
 
 class TestVerifyCommand:
     def test_persistency_pass(self, tmp_path, capsys):

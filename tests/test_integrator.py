@@ -449,24 +449,20 @@ def random_network(N, sigmoid, seed, a=0.5, b=2.5):
     )
 
 
-# A bank entry: "proto" or a network as (N, sigmoid).
-ENTRY = st.one_of(st.just("proto"),
-                  st.tuples(st.sampled_from([3, 8]), st.sampled_from(["tanh", "logistic"])))
-
-
-def build_bank(kinds, seed):
-    """Prototypes and networks, each with a read-back interval [a, b] of its own."""
+def build_bank(N, sigmoid, m, seed):
+    """m networks sharing N and the sigmoid, each with a read-back interval
+    [a, b] of its own."""
     rng = np.random.default_rng(seed)
     bank = []
-    for j, kind in enumerate(kinds):
+    for j in range(m):
         a = rng.uniform(0.2, 1.5)
         b = a + rng.uniform(0.3, 2.5)
-        if kind == "proto":
-            clazz = signals.builtin_class(FAMILIES[j % 3], (1.0, 2.0), id=j)
-            bank.append((clazz, make_config(gamma=0.3, delta=0.05, a=a, b=b)))
-        else:
-            bank.append(random_network(*kind, seed=seed + j, a=a, b=b))
+        bank.append(random_network(N, sigmoid, seed=seed + j, a=a, b=b))
     return bank
+
+
+NETWORK_KIND = dict(N=st.sampled_from([3, 8]), sigmoid=st.sampled_from(["tanh", "logistic"]),
+                    m=st.integers(1, 4))
 
 
 class TestNetworkBankMatchesPerNetworkReference:
@@ -474,20 +470,17 @@ class TestNetworkBankMatchesPerNetworkReference:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        kinds=st.lists(ENTRY, min_size=1, max_size=5).filter(
-            lambda ks: 1 <= sum(k != "proto" for k in ks) <= 4),
+        **NETWORK_KIND,
         noise_bound=st.sampled_from([0.0, 0.02]),
         s0=st.floats(0.0, 1.0),
         seed=st.integers(0, 1000),
     )
-    @example(kinds=[(8, "tanh")], noise_bound=0.0, s0=0.5, seed=1)
-    @example(kinds=[(8, "logistic")] * 4, noise_bound=0.02, s0=0.2, seed=2)
-    @example(kinds=[(3, "tanh"), (8, "tanh"), (3, "tanh")], noise_bound=0.0, s0=0.7, seed=3)
-    @example(kinds=[(8, "tanh"), "proto", (8, "tanh"), (3, "logistic")], noise_bound=0.02,
-             s0=0.4, seed=4)
-    def test_states_bit_identical(self, kinds, noise_bound, s0, seed):
+    @example(N=8, sigmoid="tanh", m=1, noise_bound=0.0, s0=0.5, seed=1)
+    @example(N=8, sigmoid="logistic", m=4, noise_bound=0.02, s0=0.2, seed=2)
+    @example(N=3, sigmoid="tanh", m=3, noise_bound=0.0, s0=0.7, seed=3)
+    def test_states_bit_identical(self, N, sigmoid, m, noise_bound, s0, seed):
         spec = make_spec(noise_bound=noise_bound)
-        bank = build_bank(kinds, seed)
+        bank = build_bank(N, sigmoid, m, seed)
         traj = integrator.integrate_system(
             spec, LINEAR, 1.5, bank, SIN, horizon=1.5, dt=1e-2, seed=seed,
             record_every=1, s0=s0,
@@ -501,51 +494,80 @@ class TestNetworkBankMatchesPerNetworkReference:
             integrator.integrate_system(make_spec(), LINEAR, 1.5, [stack], SIN, horizon=0.1)
 
 
+class TestOneKindPerBank:
+    """A bank is all prototypes or all networks of one N and one sigmoid."""
+
+    def test_mixed_bank_rejected(self):
+        net, proto = random_network(3, "tanh", 0), (LINEAR, make_config())
+        for bank in ([net, proto], [proto, net]):
+            with pytest.raises(TypeError):
+                integrator.integrate_system(make_spec(), LINEAR, 1.5, bank, SIN, horizon=0.1)
+
+    @pytest.mark.parametrize("other", [(8, "tanh"), (3, "logistic")])
+    def test_networks_must_share_n_and_sigmoid(self, other):
+        bank = [random_network(3, "tanh", 0), random_network(*other, 1)]
+        with pytest.raises(ValueError, match="share N"):
+            integrator.integrate_system(make_spec(), LINEAR, 1.5, bank, SIN, horizon=0.1)
+
+
 def reference_escape_t(traj, bank, inp, t0, dt, record_every):
-    """The first recorded row after the start where a network leaves its box,
-    checked one row and one network at a time with xi at the step end."""
+    """Per network, the first recorded row after the start where it is
+    outside its box, checked one row and one network at a time with xi at
+    the step end; None for a network that never leaves its box."""
+    escapes = [None] * len(bank)
     for j in range(1, len(traj.times)):
         k = j * record_every - 1
         t = t0 + k * dt
         xi_val = float(inp.xi(np.asarray(t + dt)))
         row = traj.states[j]
         for i, e in enumerate(bank):
-            if isinstance(e, tuple):
-                continue
             z = np.array([xi_val, row[0], *row[1 + 3 * i : 4 + 3 * i]])
-            if not (np.all(z >= e.domain[:, 0]) and np.all(z <= e.domain[:, 1])):
-                return t0 + (k + 1) * dt
-    return None
+            inside = np.all(z >= e.domain[:, 0]) and np.all(z <= e.domain[:, 1])
+            if escapes[i] is None and not inside:
+                escapes[i] = t0 + (k + 1) * dt
+    return escapes
 
 
 class TestDomainEscape:
     @settings(max_examples=25, deadline=None)
     @given(
-        kinds=st.lists(ENTRY, min_size=1, max_size=4).filter(
-            lambda ks: any(k != "proto" for k in ks)),
-        shrink=st.floats(0.3, 1.2),
+        **NETWORK_KIND,
+        shrinks=st.lists(st.floats(0.3, 1.2), min_size=4, max_size=4),
         record_every=st.sampled_from([1, 3, 7]),
         t0=st.sampled_from([0.0, 0.3]),
         degenerate=st.booleans(),
         seed=st.integers(0, 1000),
     )
-    def test_matches_per_row_reference(self, kinds, shrink, record_every, t0, degenerate,
-                                       seed):
-        bank = build_bank(kinds, seed)
+    def test_matches_per_row_reference(self, N, sigmoid, m, shrinks, record_every, t0,
+                                       degenerate, seed):
+        bank = build_bank(N, sigmoid, m, seed)
         rng = np.random.default_rng(seed)
-        for e in bank:
-            if not isinstance(e, tuple):
-                # boxes that the run leaves at some recorded row, or never
-                e.domain = np.array([[-1.1, 1.1], [-2.0, 2.0], [-2.0, 2.0],
-                                     [-1.0, 1.0], [-1.0, 1.0]])
-                e.domain[rng.integers(0, 5)] *= shrink
+        for e, shrink in zip(bank, shrinks):
+            # boxes that the run leaves at some recorded row, or never
+            e.domain = np.array([[-1.1, 1.1], [-2.0, 2.0], [-2.0, 2.0],
+                                 [-1.0, 1.0], [-1.0, 1.0]])
+            e.domain[rng.integers(0, 5)] *= shrink
         inp = signals.degenerate_xi(0.0) if degenerate else SIN
         traj = integrator.integrate_system(
             make_spec(), LINEAR, 1.5, bank, inp, t0=t0, horizon=2.0, dt=1e-2, seed=seed,
             record_every=record_every, s0=0.5,
         )
         expected = reference_escape_t(traj, bank, inp, t0, 1e-2, record_every)
-        assert traj.meta.get("domain_escape_t") == expected
+        if any(t is not None for t in expected):
+            assert traj.meta["domain_escape_t"] == expected
+        else:
+            assert "domain_escape_t" not in traj.meta
+
+    def test_xi_read_at_the_step_end(self):
+        """A frozen network whose box admits only |xi| <= 0.5 leaves it at the
+        first recorded time t with sin(t) > 0.5: xi is read at the step end."""
+        net = random_network(3, "tanh", 0)
+        net.alpha = np.zeros((3, 3))
+        net.domain[0] = [-0.5, 0.5]
+        traj = integrator.integrate_system(make_spec(), LINEAR, 1.5, [net], SIN, horizon=1.0,
+                                           dt=1e-2, record_every=1)
+        t = traj.times
+        assert traj.meta["domain_escape_t"] == [t[np.argmax(np.sin(t) > 0.5)]]
 
     def test_no_networks_no_escape_key(self):
         traj = integrator.integrate_system(

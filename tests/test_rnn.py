@@ -213,12 +213,13 @@ class TestSerialization:
         net, _ = rnn.fit_network(ds, N=25, seed=1)
         path = tmp_path / "net.json"
         net.to_json(path)
-        back = rnn.SigmoidNetwork.from_json(str(path))
-        assert back.N == net.N and back.sigmoid == net.sigmoid
-        assert np.array_equal(back.omega, net.omega)
-        assert np.array_equal(back.alpha, net.alpha)
-        Z = ds.inputs[:10]
-        assert np.array_equal(back.evaluate(Z), net.evaluate(Z))
+        for source in (str(path), path):  # a str or a PathLike
+            back = rnn.SigmoidNetwork.from_json(source)
+            assert back.N == net.N and back.sigmoid == net.sigmoid
+            assert np.array_equal(back.omega, net.omega)
+            assert np.array_equal(back.alpha, net.alpha)
+            Z = ds.inputs[:10]
+            assert np.array_equal(back.evaluate(Z), net.evaluate(Z))
 
     def test_json_fields(self):
         cfg = make_config()
@@ -269,7 +270,7 @@ class TestSimulateRnn:
         traj = integrator.integrate_system(
             make_spec(), LINEAR, 1.5, [net], SIN, horizon=0.5, dt=1e-2
         )
-        assert "domain_escape_t" in traj.meta
+        assert traj.meta["domain_escape_t"] == [traj.times[1]]
 
 
 class TestDivergenceCheck:
@@ -305,7 +306,23 @@ class TestDivergenceCheck:
         rep = rnn.divergence_check(traj_p, traj_r, eps_N=10.0, L_i=2.0)
         assert rep.first_violation_t is None and rep.max_gap <= rep.max_bound
         assert not rep.passed
-        assert rep.domain_escape_t == traj_r.meta["domain_escape_t"] == traj_r.times[1]
+        assert traj_r.meta["domain_escape_t"] == [rep.domain_escape_t] == [traj_r.times[1]]
+
+    def test_domain_escape_fails_only_its_class(self):
+        """Two frozen networks, only the second with a shrunken box: class 0
+        passes without an escape, class 1 fails at its own escape time."""
+        cfg, spec = make_config(), make_spec()
+        kw = dict(horizon=1.0, dt=1e-2)
+        traj_p = integrator.integrate_system(
+            spec, LINEAR, 1.5, [(LINEAR, cfg), (LINEAR, cfg)], SIN, **kw)
+        nets = [zero_network(), zero_network()]
+        nets[1].domain = nets[1].domain * 0.5
+        traj_r = integrator.integrate_system(spec, LINEAR, 1.5, nets, SIN, **kw)
+        reps = [rnn.divergence_check(traj_p, traj_r, eps_N=10.0, L_i=2.0, class_index=i)
+                for i in range(2)]
+        assert reps[0].passed and reps[0].domain_escape_t is None
+        assert not reps[1].passed and reps[1].first_violation_t is None
+        assert reps[1].domain_escape_t == 0.1
 
     def test_mismatched_initial_state_rejected(self):
         cfg, spec, traj_p = self.run_pair()
