@@ -23,9 +23,9 @@ def main():
     cfg = config.load_config(str(CONFIG))
     names = [c.name for c in cfg.classes]
     print(f"fitting {len(names)} networks, N = {cfg.rnn.N} units each...")
-    nets, reports = cli.fit_bank(cfg)
-    for name, net, rep in zip(names, nets, reports):
-        print(f"  {name:<18} train sup err {rep.train_error_sup:.4g}, "
+    nets, train_errors = cli.fit_bank(cfg)
+    for name, net, train_error in zip(names, nets, train_errors):
+        print(f"  {name:<18} train sup err {train_error:.4g}, "
               f"validation eps_N {net.eps_N:.4g}")
 
     check_h = cfg.rnn.check_horizon

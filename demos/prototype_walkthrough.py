@@ -8,6 +8,7 @@ budget being respected while the parameter estimate settles.
 Run:  python demos/prototype_walkthrough.py
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,9 @@ def main():
 
     traj = cli.run_simulate(cfg)
     pconf = cfg.class_configs()[0]
-    spent, budget = analysis.winding_budget(traj, pconf)
+    spent = analysis.convergence_report(traj, cfg.classes[0], cfg.true_theta,
+                                        cli.theta_bound_for(cfg, tuning), pconf).winding_spent
+    budget = math.pi - pconf.nu_x + 2.0 * math.pi * pconf.k_prime
     print("\n--- run ---")
     print(f"integrated {traj.times[-1]:.0f} time units, {len(traj.times)} samples")
     print(f"winding spent {spent:.4f} of budget {budget:.4f}")

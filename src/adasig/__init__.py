@@ -16,7 +16,6 @@ from .analysis import (
     check_state_bounds,
     convergence_report,
     verify_filtered_pe,
-    winding_budget,
 )
 from .classify import DecisionReport, band_from_noise, decide
 from .config import ExperimentConfig, config_hash, load_config
@@ -30,7 +29,6 @@ from .prototype import (
     compute_c,
     error_bound,
     init_state,
-    polar_rates,
     prototype_rhs,
     subsystem_constants,
     theta_hat,
@@ -38,7 +36,6 @@ from .prototype import (
     tune_hstar,
 )
 from .rnn import (
-    FitReport,
     SigmoidNetwork,
     divergence_check,
     domain_box,
@@ -48,14 +45,10 @@ from .rnn import (
 )
 from .signals import (
     InputSignal,
-    PersistencyEstimate,
     RhoEnvelope,
     SignalClass,
     builtin_class,
-    deadzone_norm,
     degenerate_xi,
-    estimate_lipschitz,
-    estimate_persistency,
     persistency_envelope,
     set_distance,
     sin_input,

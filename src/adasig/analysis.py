@@ -6,7 +6,6 @@ Everything here is pure post-processing over immutable trajectories.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -20,7 +19,6 @@ __all__ = [
     "PEReport",
     "ConvergenceReport",
     "verify_filtered_pe",
-    "winding_budget",
     "convergence_report",
     "check_state_bounds",
 ]
@@ -137,22 +135,12 @@ def verify_filtered_pe(
     )
 
 
-def winding_budget(
-    traj: Trajectory, config: PrototypeConfig, class_index: int = 0
-) -> tuple[float, float]:
-    """Phase spent (gamma * integral of the dead-zone mismatch) vs. the budget.
-
-    The budget pi - nu_x + 2*pi*k' only constrains unperturbed (delta = 0)
-    runs; with delta > 0 the rotator accrues extra phase by design.
-    """
-    if config.delta > 0:
-        warnings.warn("winding budget applies to delta=0 runs; delta adds rotation")
-    budget = math.pi - config.nu_x + 2.0 * math.pi * config.k_prime
-    return _winding_spent(traj, config, class_index), budget
-
-
 def _winding_spent(traj: Trajectory, config: PrototypeConfig, class_index: int) -> float:
-    """gamma times the trapezoidal integral of max(|shat - s| - epsilon, 0)."""
+    """gamma times the trapezoidal integral of max(|shat - s| - epsilon, 0).
+
+    An unperturbed (delta = 0) admissible run spends at most the budget
+    pi - nu_x + 2*pi*k'; with delta > 0 the rotator accrues extra phase by
+    design."""
     s = traj.column("s")
     shat = traj.column(f"shat_{class_index + 1}")
     e = np.maximum(np.abs(shat - s) - config.epsilon, 0.0)

@@ -43,11 +43,10 @@ def rho_envelope_for(cfg: ExperimentConfig, class_index: int) -> signals.RhoEnve
     clazz = cfg.classes[class_index]
     span = cfg.prototype.b - cfg.prototype.a
     separations = np.linspace(span / 8.0, span, 8)
-    est = signals.persistency_envelope(
+    return signals.RhoEnvelope(signals.persistency_envelope(
         clazz, cfg.inp, clazz.theta_range[0], separations,
         cfg.tuning.window_T, cfg.tuning.pe_horizon, dt=1e-2,
-    )
-    return signals.RhoEnvelope(est.rho_samples)
+    ))
 
 
 def run_tune(cfg: ExperimentConfig, class_index=None) -> TuningReport:
@@ -130,7 +129,8 @@ def run_decide(cfg: ExperimentConfig, traj, tuning: TuningReport):
 
 
 def fit_bank(cfg: ExperimentConfig, N=None):
-    """Fit one network per class to its subsystem right-hand side."""
+    """Fit one network per class to its subsystem right-hand side; returns
+    the networks and their training sup-errors."""
     r = cfg.rnn
     N = r.N if N is None else N
     configs = cfg.class_configs()
@@ -138,7 +138,7 @@ def fit_bank(cfg: ExperimentConfig, N=None):
                              cfg.prototype.a, cfg.prototype.b)
     s0_bound = max(abs(v) for v in cfg.plant.s0_range)
     s_bound = max(s0_bound, (true_sup + cfg.plant.noise_bound) / cfg.plant.phi_min)
-    nets, reports = [], []
+    nets, train_errors = [], []
     for i, (clazz, pconf) in enumerate(zip(cfg.classes, configs)):
         box = rnn.domain_box(
             clazz, pconf, cfg.inp.xi_sup, s_bound,
@@ -149,15 +149,15 @@ def fit_bank(cfg: ExperimentConfig, N=None):
             clazz, pconf, box, r.n_train, cfg.plant.phi,
             seed=sub_seed(cfg.seed, f"sample_{i}"),
         )
-        net, rep = rnn.fit_network(
+        net, train_error = rnn.fit_network(
             ds, N,
             ridge=r.ridge,
             seed=sub_seed(cfg.seed, f"fit_{i}"),
             sigmoid=r.sigmoid,
         )
         nets.append(net)
-        reports.append(rep)
-    return nets, reports
+        train_errors.append(train_error)
+    return nets, train_errors
 
 
 # ---------------------------------------------------------------- commands
@@ -234,17 +234,17 @@ def cmd_verify(args) -> int:
         window_T, horizon = cfg.tuning.window_T, cfg.tuning.pe_horizon
         clazz = cfg.classes[cfg.true_class]
         lo, hi = clazz.theta_range
-        est = signals.persistency_envelope(
+        rho_samples = signals.persistency_envelope(
             clazz, cfg.inp, lo, np.linspace((hi - lo) / 4, hi - lo, 4),
             window_T, horizon, dt=1e-2,
         )
-        passed = est.satisfied
+        passed = all(gap > 0 for _, gap in rho_samples)
         payload = _stamp(
             {
                 "check": "persistency",
                 "window_T": window_T,
                 "horizon": horizon,
-                "rho_samples": est.rho_samples,
+                "rho_samples": rho_samples,
                 "satisfied": passed,
             },
             cfg,
@@ -299,7 +299,7 @@ def cmd_fit_rnn(args) -> int:
     check_h = cfg.rnn.check_horizon
     last_nets, sweep = None, []
     for N in cfg.rnn.N_list:
-        nets, reports = fit_bank(cfg, N=N)
+        nets, _ = fit_bank(cfg, N=N)
         sweep.append({"N": N, "eps_N": [n.eps_N for n in nets], "eps_N_basis": EPS_N_BASIS})
         last_nets = nets
     for i, net in enumerate(last_nets):

@@ -2,10 +2,11 @@
 
 `KEYS` is the whole config format: every section with each key's type and
 its one default.  `load_config` resolves every section against it once:
-it rejects unknown keys and values of the wrong type, fills in defaults
-(derived ones included), checks the simulation grid and the decision
-window, and fixes every class's gain.  All randomness in a run flows from
-the single simulation seed through named sub-seeds.
+it rejects unknown keys, values of the wrong type and values outside
+their range (naming the key), fills in defaults (derived ones included),
+checks the simulation grid and the decision window, and fixes every
+class's gain.  All randomness in a run flows from the single simulation
+seed through named sub-seeds.
 """
 from __future__ import annotations
 
@@ -94,6 +95,12 @@ def _resolve(section: str, given, where: str) -> SimpleNamespace:
             raise ValueError(f"{where}.{key} must be {kind}, got {given[key]!r}")
         out[key] = value
     return SimpleNamespace(**out)
+
+
+def _check(ok: bool, key: str, value, rule: str) -> None:
+    """Reject a config value that breaks its rule, naming its key."""
+    if not ok:
+        raise ValueError(f"{key} must be {rule}, got {value!r}")
 
 
 def config_hash(raw: dict) -> str:
@@ -186,6 +193,8 @@ def _build_plant(section: SimpleNamespace) -> PlantSpec:
     kind = section.phi
     if kind not in _PHI_KINDS:
         raise ValueError(f"unknown phi kind {kind!r}")
+    _check(kind == "linear" or section.slope == 1.0, "plant.slope", section.slope,
+           f"1 for phi kind {kind!r}")
     phi_min = section.slope if kind == "linear" else 1.0
     for key in ("phi_min", "phi_max"):
         value = getattr(section, key)
@@ -260,8 +269,8 @@ def load_config(path_or_dict) -> ExperimentConfig:
     inp = _build_input(sec["input"])
     entries = [_resolve("classes", c, f"classes[{i}]") for i, c in enumerate(raw["classes"])]
     classes = [
-        signals.builtin_class(c.family, theta_range=c.theta_range, xi_sup=inp.xi_sup, id=i)
-        for i, c in enumerate(entries)
+        signals.builtin_class(c.family, theta_range=c.theta_range, xi_sup=inp.xi_sup)
+        for c in entries
     ]
     true_class, true_theta = getattr(sec["true"], "class"), sec["true"].theta
     if not 0 <= true_class < len(classes):
@@ -278,14 +287,36 @@ def load_config(path_or_dict) -> ExperimentConfig:
                 f"range of class {clazz.name!r}"
             )
     tuning, rnn_sec = sec["tuning"], sec["rnn"]
+    _check(tuning.window_T > 0, "tuning.window_T", tuning.window_T, "positive")
     if tuning.pe_horizon is None:
         tuning.pe_horizon = 8.0 * tuning.window_T
+    _check(tuning.pe_horizon >= tuning.window_T, "tuning.pe_horizon", tuning.pe_horizon,
+           f"at least tuning.window_T = {tuning.window_T}")
+    dec = sec["decision"]
+    _check(dec.eps >= 0, "decision.eps", dec.eps, "non-negative")
+    _check(dec.settle is None or dec.settle >= 0, "decision.settle", dec.settle, "non-negative")
+    _check(dec.theta_bound is None or dec.theta_bound > 0, "decision.theta_bound",
+           dec.theta_bound, "positive")
+    _check(rnn_sec.N >= 1, "rnn.N", rnn_sec.N, "at least 1")
     if rnn_sec.N_list is None:
         rnn_sec.N_list = [rnn_sec.N]
+    _check(min(rnn_sec.N_list) >= 1, "rnn.N_list", rnn_sec.N_list, "at least 1 in every entry")
+    _check(rnn_sec.n_train >= 1, "rnn.n_train", rnn_sec.n_train, "at least 1")
+    _check(rnn_sec.ridge >= 0, "rnn.ridge", rnn_sec.ridge, "non-negative")
+    _check(rnn_sec.check_horizon >= 0, "rnn.check_horizon", rnn_sec.check_horizon,
+           "non-negative")
     if rnn_sec.sigmoid not in SIGMOIDS:
         raise ValueError(f"unknown rnn sigmoid {rnn_sec.sigmoid!r}")
-    if sec["sweep"].count < 1:
-        raise ValueError(f"sweep.count must be at least 1, got {sec['sweep'].count}")
+    sweep = sec["sweep"]
+    _check(sweep.count >= 1, "sweep.count", sweep.count, "at least 1")
+    _check(sweep.grid is None or all(lo <= g <= hi for g in sweep.grid), "sweep.grid",
+           sweep.grid, f"inside the true class's theta_range [{lo}, {hi}]")
+
+    s0_lo, s0_hi = sec["plant"].s0_range
+    _check(s0_lo <= s0_hi, "plant.s0_range", [s0_lo, s0_hi], "an interval with lo <= hi")
+    s0 = sec["simulation"].s0
+    _check(s0 is None or s0_lo <= s0 <= s0_hi, "simulation.s0", s0,
+           f"inside plant.s0_range [{s0_lo}, {s0_hi}]")
 
     plant = _build_plant(sec["plant"])
     configs, gamma_stars = _class_configs(p, classes, plant)

@@ -26,7 +26,6 @@ __all__ = [
     "theta_hat",
     "subsystem_constants",
     "prototype_rhs",
-    "polar_rates",
     "compute_c",
     "tune_gamma",
     "tune_hstar",
@@ -84,9 +83,9 @@ def prototype_rhs(q, s, xi_val, bank: Sequence[tuple], phi: Callable[[float], fl
     back as one list in bank order. Elementwise: floats when s is a float
     (the filter derivative goes through float(), since an f may return a
     numpy scalar), arrays for a block of sample rows when s is an array (phi
-    and f must then accept arrays). The read-back and the dead zone are
-    theta_hat and signals.deadzone_norm written out, in the same association
-    order.
+    and f must then accept arrays). The read-back is theta_hat written out,
+    in the same association order, and the dead zone is
+    max(|shat - s| - epsilon, 0).
     """
     rows = isinstance(s, np.ndarray)
     clip = np.maximum if rows else max
@@ -98,18 +97,6 @@ def prototype_rhs(q, s, xi_val, bank: Sequence[tuple], phi: Callable[[float], fl
         r2 = x * x + y * y
         out += (ds if rows else float(ds), g * (x - y - x * r2), g * (x + y - y * r2))
     return out
-
-
-def polar_rates(x: float, y: float, g: float) -> tuple[float, float]:
-    """Exact polar form of the rotator: (dr/dt, dnu/dt) = (g r (1 - r^2), g).
-
-    Transforming the Cartesian rotator gives a cubic radial term r(1 - r^2);
-    the unit circle is its attracting invariant set for r > 0.
-    """
-    r = math.hypot(x, y)
-    if r == 0.0:
-        raise ValueError("polar rates are singular at the origin")
-    return g * r * (1.0 - r * r), g
 
 
 def compute_c(d_theta: float, phi_min: float, a: float, b: float) -> float:

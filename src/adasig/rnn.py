@@ -20,7 +20,6 @@ from .signals import SignalClass
 
 __all__ = [
     "SigmoidNetwork",
-    "FitReport",
     "RHSDataset",
     "domain_box",
     "sample_rhs",
@@ -65,7 +64,7 @@ class SigmoidNetwork:
     A bank of m networks that share N and the sigmoid stacks into one network
     of 3m states (see stack): every array gains a leading network axis, and
     eps_N, a, b and nu_x become (m,) arrays.  A single network is the m = 1
-    case without that axis; features, evaluate, rhs and in_domain serve both.
+    case without that axis; features, rhs and in_domain serve both.
     """
 
     N: int
@@ -118,11 +117,6 @@ class SigmoidNetwork:
 
     def features(self, Z: np.ndarray) -> np.ndarray:
         return _features(Z, self.omega, self.beta, self.sigmoid)
-
-    def evaluate(self, Z: np.ndarray) -> np.ndarray:
-        """Batch evaluation on rows (xi, s, shat, x, y) -> (N_rows, 3); a
-        stack maps (N_rows, 5) or (m, N_rows, 5) rows to (m, N_rows, 3)."""
-        return self.features(np.atleast_2d(np.asarray(Z, dtype=float))) @ self.alpha
 
     def rhs(self, xi_val: float, s: float, state: np.ndarray) -> np.ndarray:
         """Derivatives of the 3m states: (3,) for one network, (m, 3) for a
@@ -192,15 +186,6 @@ class SigmoidNetwork:
         """Read a network that to_json wrote; path is a str or PathLike."""
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-@dataclass
-class FitReport:
-    N: int
-    train_error_sup: float
-    validation_error_sup: float
-    domain: list
-    seed: int
 
 
 @dataclass
@@ -330,11 +315,12 @@ def fit_network(
     seed: int = 0,
     sigmoid: str = "logistic",
     n_validation: int = 30000,
-) -> tuple[SigmoidNetwork, FitReport]:
+) -> tuple[SigmoidNetwork, float]:
     """Random-feature fit with ridge least squares per output dimension.
 
-    eps_N is the sup-error over a held-out seeded validation sample of the
-    domain box (re-evaluating the exact right-hand side there).
+    Returns the network and its sup-error on the training sample. The
+    network's eps_N is the sup-error over a held-out seeded validation
+    sample of the domain box (re-evaluating the exact right-hand side there).
     """
     if N < 1:
         raise ValueError("need at least one unit")
@@ -380,14 +366,7 @@ def fit_network(
         b=dataset.b,
         nu_x=dataset.nu_x,
     )
-    report = FitReport(
-        N=N,
-        train_error_sup=train_sup,
-        validation_error_sup=val_sup,
-        domain=[list(row) for row in box],
-        seed=seed,
-    )
-    return net, report
+    return net, train_sup
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Signal families, input signals, dead-zone/set norms and regularity estimators.
+"""Signal families, input signals, the set distance and the excitation envelope.
 
 A signal family is a scalar map f(xi, theta) together with the interval of
 admissible parameters, a declared equivalence structure (parameter values
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,27 +19,14 @@ import numpy as np
 __all__ = [
     "SignalClass",
     "InputSignal",
-    "PersistencyEstimate",
-    "LipschitzEstimate",
     "RhoEnvelope",
-    "deadzone_norm",
     "set_distance",
-    "estimate_persistency",
     "persistency_envelope",
     "degenerate_xi",
-    "estimate_lipschitz",
     "builtin_class",
     "sin_input",
     "BUILTIN_FAMILIES",
 ]
-
-
-def deadzone_norm(x, delta: float):
-    """|x| - delta outside the dead zone of half-width delta, else 0 (elementwise)."""
-    if delta < 0:
-        raise ValueError(f"dead-zone width must be non-negative, got {delta}")
-    d = abs(x) - delta
-    return np.maximum(d, 0.0) if isinstance(d, np.ndarray) else max(d, 0.0)
 
 
 def set_distance(x, intervals: Sequence[tuple[float, float]]):
@@ -60,11 +47,10 @@ class SignalClass:
 
     equivalence maps theta to a finite list of (lo, hi) intervals; singleton
     parameter values are represented as degenerate intervals. The declared
-    lipschitz_theta / lipschitz_xi constants are upper bounds that
-    estimate_lipschitz can cross-check on a grid.
+    lipschitz_theta / lipschitz_xi constants are upper bounds on the slopes
+    of f over theta_range.
     """
 
-    id: int
     name: str
     f: Callable[[np.ndarray, float], np.ndarray]
     theta_range: tuple[float, float]
@@ -93,59 +79,6 @@ class InputSignal:
     dxi_sup: float
 
 
-@dataclass
-class PersistencyEstimate:
-    """Sampled lower envelope of the excitation gap between two parameters.
-
-    Each sample pairs a parameter separation with the worst-window maximum
-    deviation |f(xi(t), theta) - f(xi(t), theta')| observed over a horizon.
-    """
-
-    window_T: float
-    rho_samples: list[tuple[float, float]] = field(default_factory=list)
-    satisfied: bool = False
-
-    def add(self, separation: float, deviation: float) -> None:
-        self.rho_samples.append((separation, deviation))
-        self.rho_samples.sort(key=lambda p: p[0])
-        seps = [p[0] for p in self.rho_samples]
-        if len(set(seps)) != len(seps):
-            raise ValueError("duplicate separation in persistency samples")
-
-
-def estimate_persistency(
-    clazz: SignalClass,
-    inp: InputSignal,
-    theta: float,
-    theta_prime: float,
-    window_T: float,
-    horizon: float,
-    dt: float = 1e-3,
-) -> PersistencyEstimate:
-    """Worst-window excitation gap between theta and theta_prime.
-
-    Tiles [0, horizon] with windows of length window_T, takes the maximum of
-    |f(xi, theta) - f(xi, theta')| inside each window and returns the minimum
-    over windows as one sample of the rho lower envelope, at separation
-    dist(theta, E(theta')).
-    """
-    if window_T <= 0 or dt <= 0:
-        raise ValueError("window_T and dt must be positive")
-    if horizon < window_T:
-        raise ValueError("horizon must cover at least one window")
-    t = np.arange(0.0, horizon + dt / 2, dt)
-    gap = np.abs(clazz.f(inp.xi(t), theta) - clazz.f(inp.xi(t), theta_prime))
-    per_win = int(round(window_T / dt))
-    n_win = len(t) // per_win
-    window_max = gap[: n_win * per_win].reshape(n_win, per_win).max(axis=1)
-    envelope = float(window_max.min())
-    sep = set_distance(theta, clazz.equivalence_set(theta_prime))
-    est = PersistencyEstimate(window_T=window_T)
-    est.add(sep, envelope)
-    est.satisfied = envelope > 0.0
-    return est
-
-
 def persistency_envelope(
     clazz: SignalClass,
     inp: InputSignal,
@@ -154,15 +87,33 @@ def persistency_envelope(
     window_T: float,
     horizon: float,
     dt: float = 1e-3,
-) -> PersistencyEstimate:
-    """Envelope samples at several separations from a fixed reference theta."""
-    est = PersistencyEstimate(window_T=window_T)
-    est.satisfied = True
+) -> list[tuple[float, float]]:
+    """Samples of the rho lower envelope around a fixed reference theta.
+
+    For each separation, theta = theta_ref + separation: [0, horizon] is
+    tiled with windows of length window_T, the maximum of
+    |f(xi, theta) - f(xi, theta_ref)| is taken inside each window, and the
+    minimum over windows is the worst-window gap. Returns one
+    (dist(theta, E(theta_ref)), worst-window gap) pair per separation, in
+    the order given.
+    """
+    if window_T <= 0 or dt <= 0:
+        raise ValueError("window_T and dt must be positive")
+    if horizon < window_T:
+        raise ValueError("horizon must cover at least one window")
+    t = np.arange(0.0, horizon + dt / 2, dt)
+    xi = inp.xi(t)
+    per_win = int(round(window_T / dt))
+    n_win = len(t) // per_win
+    f_ref = clazz.f(xi, theta_ref)
+    target = clazz.equivalence_set(theta_ref)
+    samples = []
     for sep in separations:
-        one = estimate_persistency(clazz, inp, theta_ref + sep, theta_ref, window_T, horizon, dt)
-        est.add(one.rho_samples[0][0], one.rho_samples[0][1])
-        est.satisfied = est.satisfied and one.satisfied
-    return est
+        theta = theta_ref + sep
+        gap = np.abs(clazz.f(xi, theta) - f_ref)
+        window_max = gap[: n_win * per_win].reshape(n_win, per_win).max(axis=1)
+        samples.append((set_distance(theta, target), float(window_max.min())))
+    return samples
 
 
 class RhoEnvelope:
@@ -219,47 +170,6 @@ def degenerate_xi(t0: float = 0.0) -> InputSignal:
         return np.where(w >= 0.0, w * w, 0.0)
 
     return InputSignal(xi=xi, xi_sup=1.0, dxi_sup=2.0)
-
-
-@dataclass
-class LipschitzEstimate:
-    d_theta: float
-    d_xi: float
-    d_f: float
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def estimate_lipschitz(
-    clazz: SignalClass,
-    inp: InputSignal,
-    theta_grid: np.ndarray,
-    xi_grid: np.ndarray,
-    tol: float = 1e-9,
-) -> LipschitzEstimate:
-    """Finite-difference estimates of the theta/xi Lipschitz constants.
-
-    d_f = 2 * d_xi * dxi_sup bounds the slope of the difference signal
-    f(xi(t), theta) - f(xi(t), theta') used by the accuracy analysis.
-    """
-    tg = np.asarray(theta_grid, dtype=float)
-    xg = np.asarray(xi_grid, dtype=float)
-    F = clazz.f(xg[None, :], tg[:, None])  # (n_theta, n_xi)
-    with np.errstate(invalid="ignore"):
-        d_theta = float(np.max(np.abs(np.diff(F, axis=0)) / np.abs(np.diff(tg))[:, None]))
-        d_xi = float(np.max(np.abs(np.diff(F, axis=1)) / np.abs(np.diff(xg))[None, :]))
-    d_f = 2.0 * d_xi * inp.dxi_sup
-    est = LipschitzEstimate(d_theta=d_theta, d_xi=d_xi, d_f=d_f)
-    if d_theta > clazz.lipschitz_theta + tol:
-        est.violations.append(
-            f"theta slope {d_theta:.6g} exceeds declared {clazz.lipschitz_theta:.6g}"
-        )
-    if d_xi > clazz.lipschitz_xi + tol:
-        est.violations.append(f"xi slope {d_xi:.6g} exceeds declared {clazz.lipschitz_xi:.6g}")
-    return est
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +232,12 @@ BUILTIN_FAMILIES = {
 }
 
 
-def builtin_class(name: str, theta_range=(0.5, 2.0), xi_sup: float = 1.0, id: int = 0) -> SignalClass:
+def builtin_class(name: str, theta_range=(0.5, 2.0), xi_sup: float = 1.0) -> SignalClass:
     """Construct one of the shipped families by name."""
     if name not in BUILTIN_FAMILIES:
         raise KeyError(f"unknown family {name!r}; available: {sorted(BUILTIN_FAMILIES)}")
     spec = BUILTIN_FAMILIES[name](tuple(theta_range), xi_sup)
-    return SignalClass(id=id, name=name, theta_range=tuple(theta_range), **spec)
+    return SignalClass(name=name, theta_range=tuple(theta_range), **spec)
 
 
 def sin_input() -> InputSignal:

@@ -48,8 +48,8 @@ def one_class():
 def rnn_demo():
     cfg = config.load_config(str(CONFIG_DIR / "rnn_demo.json"))
     tuning = cli.run_tune(cfg)
-    nets, reports = cli.fit_bank(cfg)
-    return cfg, tuning, nets, reports
+    nets, train_errors = cli.fit_bank(cfg)
+    return cfg, tuning, nets, train_errors
 
 
 # ----------------------------------------------------------------- criteria
@@ -101,7 +101,7 @@ def test_03_polar_equivalence():
         dx, dy = d[1], d[2]
         dr_c = (x * dx + y * dy) / r
         dnu_c = (x * dy - y * dx) / (r * r)
-        dr_p, dnu_p = prototype.polar_rates(x, y, g)
+        dr_p, dnu_p = g * r * (1.0 - r * r), g  # the exact polar form
         worst = max(worst, abs(dr_c - dr_p), abs(dnu_c - dnu_p))
     ok = worst < 1e-12
     _line(3, "polar equivalence of rotator", ok, f"max abs diff {worst:.3e} < 1e-12")
@@ -125,10 +125,12 @@ def test_04_tuning_formulas():
 
 def test_05_winding_budget(one_class):
     """An unperturbed admissible run spends at most pi - nu_x + 2 pi k' of phase."""
-    cfg, _, traj = one_class
+    cfg, tuning, traj = one_class
     pconf = cfg.class_configs()[0]
     assert pconf.delta == 0.0
-    spent, budget = analysis.winding_budget(traj, pconf, class_index=0)
+    spent = analysis.convergence_report(traj, cfg.classes[0], cfg.true_theta,
+                                        cli.theta_bound_for(cfg, tuning), pconf).winding_spent
+    budget = math.pi - pconf.nu_x + 2.0 * math.pi * pconf.k_prime
     ok = spent <= budget
     _line(5, "winding budget", ok, f"spent {spent:.4f} <= budget {budget:.4f}")
     assert ok
@@ -166,7 +168,7 @@ def test_07_perturbed_return_time():
     gamma, delta = 2.0 * math.pi, 1e-3
     period = 2.0 * math.pi / (gamma * delta)  # = 1000
     silent = signals.SignalClass(
-        id=0, name="silent",
+        name="silent",
         f=lambda xi, th: 0.0 * xi,
         theta_range=(1.0, 2.0),
         equivalence=lambda th: [(th, th)],
@@ -216,15 +218,14 @@ def test_08_filtered_excitation_lemma():
 def test_09_degenerate_input(tmp_path):
     """Inputs with unboundedly growing quiet stretches defeat excitation."""
     inp = signals.degenerate_xi()
-    est = signals.estimate_persistency(
-        LINEAR, inp, 1.3, 2.0, window_T=2.0 * math.pi, horizon=600.0, dt=1e-2
+    [(_, envelope)] = signals.persistency_envelope(
+        LINEAR, inp, 1.3, [0.7], window_T=2.0 * math.pi, horizon=600.0, dt=1e-2
     )
-    envelope = est.rho_samples[0][1]
     code = cli.main([
         "verify", "--config", str(CONFIG_DIR / "degenerate_input.json"),
         "--which", "persistency", "--out", str(tmp_path),
     ])
-    ok = envelope == 0.0 and not est.satisfied and code == cli.EXIT_VERIFY_FAIL
+    ok = envelope == 0.0 and code == cli.EXIT_VERIFY_FAIL
     _line(9, "degenerate input detected", ok,
           f"late-window envelope={envelope}, verify exit code={code}")
     assert ok

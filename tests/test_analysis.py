@@ -61,28 +61,34 @@ class TestVerifyFilteredPE:
             analysis.verify_filtered_pe(self.z[:-1], self.u, self.dt, 2 * np.pi, 3.9)
 
 
+def spent(traj, cfg):
+    return analysis.convergence_report(traj, LINEAR, 1.5, 0.01, cfg).winding_spent
+
+
+def reference_spent(traj, cfg):
+    """gamma times the trapezoidal integral of the dead-zone mismatch, with
+    the dead zone taken one sample at a time."""
+    e = [np.maximum(abs(a - b) - cfg.epsilon, 0.0)
+         for a, b in zip(traj.column("shat_1"), traj.column("s"))]
+    return cfg.gamma * float(np.trapezoid(e, traj.times))
+
+
 class TestWindingBudget:
+    """An unperturbed admissible run spends at most pi - nu_x + 2 pi k'."""
+
     def test_budget_value(self):
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, nu_x=0.0, k_prime=1)
-        traj = sim(cfg, horizon=1.0)
-        _, budget = analysis.winding_budget(traj, cfg)
-        assert budget == pytest.approx(3 * math.pi)
+        budget = math.pi - cfg.nu_x + 2.0 * math.pi * cfg.k_prime
+        assert 0.0 < spent(sim(cfg, horizon=20.0), cfg) <= budget
 
     def test_zero_error_run_spends_nothing(self):
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=1.5, nu_x=0.0, k_prime=1)
         traj = sim(cfg, theta=1.5, horizon=5.0)  # matched from t=0
-        spent, _ = analysis.winding_budget(traj, cfg)
-        assert spent == pytest.approx(0.0, abs=1e-12)
-
-    def test_perturbed_run_warns(self):
-        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, delta=0.01, k_prime=1)
-        traj = sim(cfg, horizon=1.0)
-        with pytest.warns(UserWarning):
-            analysis.winding_budget(traj, cfg)
+        assert spent(traj, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_spent_nondecreasing_in_horizon(self):
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, k_prime=1)
-        spents = [analysis.winding_budget(sim(cfg, horizon=h), cfg)[0] for h in (5.0, 10.0)]
+        spents = [spent(sim(cfg, horizon=h), cfg) for h in (5.0, 10.0)]
         assert spents[0] <= spents[1] + 1e-12
 
 
@@ -90,13 +96,8 @@ class TestConvergenceReport:
     def test_winding_spent_matches_budget_unperturbed(self):
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, epsilon=0.01, k_prime=1)
         traj = sim(cfg, horizon=10.0)
-        spent, _ = analysis.winding_budget(traj, cfg)
         rep = analysis.convergence_report(traj, LINEAR, 1.5, 0.01, cfg)
-        # per-sample reference for the vectorized dead-zone integral
-        e = [signals.deadzone_norm(a - b, cfg.epsilon)
-             for a, b in zip(traj.column("shat_1"), traj.column("s"))]
-        assert spent == cfg.gamma * float(np.trapezoid(e, traj.times)) > 0
-        assert rep.winding_spent == spent
+        assert rep.winding_spent == reference_spent(traj, cfg) > 0
 
     def test_perturbed_run_reports_spent_without_warning(self):
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, delta=0.01, k_prime=1)
@@ -104,9 +105,7 @@ class TestConvergenceReport:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = analysis.convergence_report(traj, LINEAR, 1.5, 0.01, cfg)
-        with pytest.warns(UserWarning):
-            spent, _ = analysis.winding_budget(traj, cfg)
-        assert rep.winding_spent == spent
+        assert rep.winding_spent == reference_spent(traj, cfg)
 
     def test_matched_start_enters_at_t0(self):
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=1.5)

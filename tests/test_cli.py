@@ -247,7 +247,41 @@ BAD_KEYS = [
 ]
 
 
+# (key path, value): each value is out of its key's range, and load_config
+# rejects it with a message that names the key
+BAD_VALUES = [
+    (("plant", "slope"), 2.0),  # phi "identity" has slope 1
+    (("plant", "s0_range"), [1.0, 0.0]),
+    (("simulation", "s0"), 1.5),  # outside s0_range [0, 1]
+    (("sweep", "grid"), [1.6, 2.5]),  # outside theta_range [1.3, 2.0]
+    (("tuning", "window_T"), 0.0),
+    (("tuning", "window_T"), -1.0),
+    (("tuning", "pe_horizon"), 3.0),  # shorter than window_T = 2 pi
+    (("decision", "eps"), -0.01),
+    (("decision", "settle"), -1.0),
+    (("decision", "theta_bound"), 0.0),
+    (("decision", "theta_bound"), -0.1),
+    (("rnn", "N"), 0),
+    (("rnn", "N_list"), [50, 0]),
+    (("rnn", "n_train"), 0),
+    (("rnn", "ridge"), -1e-10),
+    (("rnn", "check_horizon"), -2.0),
+]
+
+
 class TestLoadTimeRejection:
+    @pytest.mark.parametrize("path,value", BAD_VALUES,
+                             ids=[".".join(p) + f"={v!r}" for p, v in BAD_VALUES])
+    def test_out_of_range_value_exits_1_naming_the_key(self, tmp_path, capsys, path, value):
+        raw = small_config()
+        _set(raw, path, value)
+        out = tmp_path / "out"
+        assert cli.main(["tune", "--config", write_config(tmp_path, raw),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {'.'.join(path)} must be ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("path,value,command", BAD_KEYS,
                              ids=[".".join(map(str, p)) + f"={v!r}" for p, v, _ in BAD_KEYS])
     def test_exits_1_before_any_output(self, tmp_path, capsys, path, value, command):

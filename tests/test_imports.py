@@ -5,8 +5,9 @@ top-level import must appear somewhere else in the module, as a name, as
 the base of an attribute, inside a string annotation, or in ``__all__``.
 The package ``__init__`` is skipped: its imports are the public API.
 
-Likewise every top-level def and class of the package is referenced
-somewhere in src/, tests/, demos/ or perfbench/ outside its own definition,
+Likewise every top-level def and class of the package, and every public
+method of its classes, is referenced somewhere in src/, demos/ or
+perfbench/ outside its own definition (a name only tests reach is dead),
 and the package writes CSV through one writer, never through np.savetxt.
 """
 import ast
@@ -69,55 +70,81 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["math (line 1)", "Optional (line 3)"]
 
 
-def references(tree: ast.Module) -> set[tuple[str, str | None]]:
-    """(name, top-level def or class it sits in, else None) for every name
-    and attribute in the module, leaving out ``__all__``."""
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def references(tree: ast.Module) -> set[tuple[str, tuple[str, ...]]]:
+    """(name, owner) for every name and attribute in the module, leaving out
+    ``__all__``. The owner is () at module level, (f,) inside the top-level
+    def or class f, and (C, m) inside method m of the top-level class C."""
     refs = set()
     for top in tree.body:
         if isinstance(top, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
             continue
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        owner = (top.name,) if isinstance(top, DEFS) else ()
+        in_method = {}
+        if isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, DEFS):
+                    in_method |= {id(node): owner + (item.name,) for node in ast.walk(item)}
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
-                refs.add((node.id, owner))
+                refs.add((node.id, in_method.get(id(node), owner)))
             elif isinstance(node, ast.Attribute):
-                refs.add((node.attr, owner))
+                refs.add((node.attr, in_method.get(id(node), owner)))
     return refs
 
 
+def definitions(tree: ast.Module):
+    """Top-level defs and classes as (f,), and the public methods of
+    top-level classes as (C, m)."""
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            yield (node.name,)
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, item.name) for item in node.body
+                        if isinstance(item, DEFS) and not item.name.startswith("_"))
+
+
 def dead_names(modules: dict[str, str], corpus: dict[str, str]) -> list[str]:
-    """Top-level defs and classes of ``modules`` that no file of ``corpus``
-    (label -> source; it holds the modules too) references outside the
-    definition itself."""
+    """Definitions of ``modules`` that no file of ``corpus`` (label ->
+    source; it holds the modules too) references outside the definition
+    itself. A method counts as referenced by any attribute of its name."""
     refs = {label: references(ast.parse(src)) for label, src in corpus.items()}
     dead = []
     for label, src in modules.items():
-        for node in ast.parse(src).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not any(
-                    name == node.name and (other != label or owner != node.name)
-                    for other, names in refs.items() for name, owner in names):
-                dead.append(f"{label}.{node.name}")
+        for path in definitions(ast.parse(src)):
+            if not any(name == path[-1] and (other != label or owner[:len(path)] != path)
+                       for other, names in refs.items() for name, owner in names):
+                dead.append(".".join((label, *path)))
     return dead
 
 
 def test_every_package_name_is_used():
+    """Only the package, the demos and the benchmark count as callers: a
+    name that only tests reach is dead."""
     def label(p):
         return str(p.relative_to(ROOT).with_suffix(""))
 
     corpus = {label(p): p.read_text()
-              for d in ("src", "tests", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")}
+              for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")}
     modules = {label(p): p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
     assert dead_names(modules, corpus) == []
 
 
 def test_detects_a_dead_name():
-    mod = ("__all__ = ['used', 'dead', 'recursive']\n"
+    mod = ("__all__ = ['used', 'dead', 'recursive', 'C']\n"
            "def used(): pass\n"
            "def dead(): pass\n"
-           "def recursive(n): return recursive(n - 1)\n")
-    corpus = {"m": mod, "user": "import m\nm.used()\n"}
-    assert dead_names({"m": mod}, corpus) == ["m.dead", "m.recursive"]
+           "def recursive(n): return recursive(n - 1)\n"
+           "class C:\n"
+           "    def used_method(self): return self.helper()\n"
+           "    def helper(self): pass\n"
+           "    def dead_method(self): return self.dead_method()\n"
+           "    def _private(self): pass\n")
+    corpus = {"m": mod, "user": "import m\nm.used()\nm.C().used_method()\n"}
+    assert dead_names({"m": mod}, corpus) == ["m.dead", "m.recursive", "m.C.dead_method"]
 
 
 def savetxt_references(source: str) -> list[int]:

@@ -399,7 +399,7 @@ class TestBankMatchesPerClassReference:
                                   nu_x, readbacks, seed):
         spec = plant.PlantSpec(phi=lambda s: slope * s, phi_min=slope,
                                s0_range=(0.0, 1.0), noise_bound=noise_bound)
-        classes = [signals.builtin_class(f, (1.0, 2.0), id=i) for i, f in enumerate(families)]
+        classes = [signals.builtin_class(f, (1.0, 2.0)) for f in families]
         bank = [(c, make_config(gamma=0.3, epsilon=noise_bound / slope, delta=delta, nu_x=nu_x,
                                 a=a, b=a + span))
                 for c, (a, span) in zip(classes, readbacks)]
@@ -421,7 +421,7 @@ def test_prototype_rhs_sees_only_python_floats(monkeypatch):
 
     real = integrator.prototype_rhs
     monkeypatch.setattr(integrator, "prototype_rhs", recording)
-    classes = [signals.builtin_class(f, (1.0, 2.0), id=i) for i, f in enumerate(FAMILIES)]
+    classes = [signals.builtin_class(f, (1.0, 2.0)) for f in FAMILIES]
     bank = [(c, make_config(gamma=0.3, epsilon=0.02, delta=0.05, nu_x=1.0)) for c in classes]
     integrator.integrate_system(make_spec(noise_bound=0.02), classes[1], 1.5, bank, SIN,
                                 horizon=0.5, dt=1e-2, seed=4, s0=0.3)

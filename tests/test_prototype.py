@@ -41,10 +41,10 @@ class TestConfigValidation:
 
 def reference_prototype_rhs(state, s, xi_val, clazz, config, phi):
     """The per-subsystem rhs the bank form replaced: one subsystem per call,
-    through theta_hat and signals.deadzone_norm."""
+    through theta_hat and an elementwise dead zone."""
     shat, x, y = state
     th = prototype.theta_hat(x, config.a, config.b)
-    g = config.gamma * (signals.deadzone_norm(shat - s, config.epsilon) + config.delta)
+    g = config.gamma * (np.maximum(abs(shat - s) - config.epsilon, 0.0) + config.delta)
     r2 = x * x + y * y
     return -phi(shat) + clazz.f(xi_val, th), g * (x - y - x * r2), g * (x + y - y * r2)
 
@@ -103,7 +103,7 @@ class TestPrototypeRhs:
     def test_floats_stay_floats(self):
         # a family whose f returns a numpy scalar must not leak it either
         numpy_f = signals.SignalClass(
-            id=3, name="numpy-scalar", f=lambda xi, th: np.float64(th * xi),
+            name="numpy-scalar", f=lambda xi, th: np.float64(th * xi),
             theta_range=(1.0, 2.0), equivalence=lambda th: [(th, th)],
             lipschitz_theta=1.0, lipschitz_xi=2.0)
         classes = [signals.builtin_class(f, (1.0, 2.0)) for f in FAMILIES] + [numpy_f]
@@ -151,35 +151,43 @@ class TestBankMatchesPerSubsystemReference:
             assert all(type(v) is float for v in out)
 
 
+def polar_rates(x, y, g):
+    """The rotator's exact polar form (dr/dt, dnu/dt) = (g r (1 - r^2), g):
+    a cubic radial term whose attracting invariant set for r > 0 is the
+    unit circle."""
+    r = math.hypot(x, y)
+    return g * r * (1.0 - r * r), g
+
+
+def rotator_polar(x, y, g):
+    """(dr/dt, dnu/dt) of prototype_rhs's rotator at (x, y) with gain g,
+    from dr = (x dx + y dy)/r and dnu = (x dy - y dx)/r^2. The gain is
+    realized as gamma |shat - s| with gamma = 1, shat = g and s = 0."""
+    bank = one(LINEAR, make_config(gamma=1.0))
+    _, dx, dy = prototype.prototype_rhs([g, x, y], 0.0, 0.3, bank, phi=lambda s: s)
+    r = math.hypot(x, y)
+    return (x * dx + y * dy) / r, (x * dy - y * dx) / (r * r)
+
+
 class TestPolarRates:
     def test_invariant_circle(self):
-        dr, dnu = prototype.polar_rates(0.6, 0.8, 3.0)
+        dr, dnu = rotator_polar(0.6, 0.8, 3.0)
         assert dr == pytest.approx(0.0, abs=1e-12)
-        assert dnu == 3.0
+        assert dnu == pytest.approx(3.0, rel=1e-12)
 
     def test_zero_gain(self):
-        assert prototype.polar_rates(0.3, 0.4, 0.0) == (0.0, 0.0)
-
-    def test_origin_singular(self):
-        with pytest.raises(ValueError):
-            prototype.polar_rates(0.0, 0.0, 1.0)
+        assert rotator_polar(0.3, 0.4, 0.0) == (0.0, 0.0)
 
     def test_matches_cartesian_transform(self):
-        # dr = (x dx + y dy)/r and dnu = (x dy - y dx)/r^2 from the Cartesian rhs
         rng = np.random.default_rng(0)
-        cfg = make_config(delta=1.0)
         worst = 0.0
         for _ in range(200):
             x, y = rng.uniform(-2, 2, 2)
-            r = math.hypot(x, y)
-            if r < 1e-3:
+            if math.hypot(x, y) < 1e-3:
                 continue
-            g = cfg.gamma * cfg.delta
-            dx = g * (x - y - x * (x * x + y * y))
-            dy = g * (x + y - y * (x * x + y * y))
-            dr_c = (x * dx + y * dy) / r
-            dnu_c = (x * dy - y * dx) / (r * r)
-            dr_p, dnu_p = prototype.polar_rates(x, y, g)
+            g = float(rng.uniform(0.0, 1.0))
+            dr_c, dnu_c = rotator_polar(x, y, g)
+            dr_p, dnu_p = polar_rates(x, y, g)
             worst = max(worst, abs(dr_c - dr_p), abs(dnu_c - dnu_p))
         assert worst < 1e-12
 

@@ -4,44 +4,59 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adasig import signals
+from adasig import prototype, signals
+
+
+def deadzone(e, epsilon):
+    """The dead zone max(|e| - epsilon, 0) as prototype_rhs applies it: the
+    rotator speed dy/dt at (x, y) = (1, 0) with gamma = 1, delta = 0,
+    shat = e and s = xi = 0. An array e goes through the row-block path."""
+    config = prototype.PrototypeConfig(gamma=1.0, a=0.5, b=2.5, epsilon=epsilon)
+    bank = [prototype.subsystem_constants(signals.builtin_class("linear"), config)]
+    if isinstance(e, np.ndarray):
+        zeros = np.zeros_like(e)
+        q, s = (e, zeros + 1.0, zeros), zeros
+    else:
+        q, s = [e, 1.0, 0.0], 0.0
+    return prototype.prototype_rhs(q, s, s, bank, phi=lambda v: v)[2]
 
 
 class TestDeadzoneNorm:
+    """The dead zone of the rotator gain, written out in prototype_rhs."""
+
     def test_inside_zone_is_zero(self):
-        assert signals.deadzone_norm(0.05, 0.1) == 0.0
-        assert signals.deadzone_norm(-0.05, 0.1) == 0.0
+        assert deadzone(0.05, 0.1) == 0.0
+        assert deadzone(-0.05, 0.1) == 0.0
 
     def test_outside_zone(self):
-        assert signals.deadzone_norm(0.3, 0.1) == pytest.approx(0.2)
-        assert signals.deadzone_norm(-0.3, 0.1) == pytest.approx(0.2)
+        assert deadzone(0.3, 0.1) == pytest.approx(0.2)
+        assert deadzone(-0.3, 0.1) == pytest.approx(0.2)
 
     def test_zero_width_is_abs(self):
-        assert signals.deadzone_norm(-2.5, 0.0) == 2.5
+        assert deadzone(-2.5, 0.0) == 2.5
 
     def test_negative_width_rejected(self):
         with pytest.raises(ValueError):
-            signals.deadzone_norm(1.0, -0.1)
+            deadzone(1.0, -0.1)
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(0, 1e3))
     def test_one_lipschitz(self, x, y, delta):
-        dx = signals.deadzone_norm(x, delta)
-        dy = signals.deadzone_norm(y, delta)
+        dx = deadzone(x, delta)
+        dy = deadzone(y, delta)
         assert abs(dx - dy) <= abs(x - y) + 1e-9
 
     @given(st.floats(-1e6, 1e6), st.floats(0, 1e3))
     def test_bounded_by_abs(self, x, delta):
-        assert 0.0 <= signals.deadzone_norm(x, delta) <= abs(x)
+        assert 0.0 <= deadzone(x, delta) <= abs(x)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20), st.floats(0, 1e3))
     def test_elementwise_matches_scalar(self, xs, delta):
-        expect = [signals.deadzone_norm(x, delta) for x in xs]
-        assert np.array_equal(signals.deadzone_norm(np.array(xs), delta), expect)
+        expect = [deadzone(x, delta) for x in xs]
+        assert np.array_equal(deadzone(np.array(xs), delta), expect)
 
     def test_scalar_result_is_float(self):
-        assert type(signals.deadzone_norm(-0.05, 0.1)) is float
-        with pytest.raises(ValueError):
-            signals.deadzone_norm(np.ones(3), -0.1)
+        assert type(deadzone(-0.05, 0.1)) is float
+        assert isinstance(deadzone(np.ones(3), 0.1), np.ndarray)
 
 
 class TestSetDistance:
@@ -153,30 +168,53 @@ class TestPersistency:
     def test_linear_family_sin_input(self):
         # |dtheta * sin t| peaks at dtheta in every window of length 2*pi
         c = signals.builtin_class("linear", (1.0, 2.0))
-        est = signals.estimate_persistency(
-            c, signals.sin_input(), 1.5, 1.2, 2 * math.pi, 40.0, dt=1e-3
+        [(sep, dev)] = signals.persistency_envelope(
+            c, signals.sin_input(), 1.2, [0.3], 2 * math.pi, 40.0, dt=1e-3
         )
-        sep, dev = est.rho_samples[0]
         assert sep == pytest.approx(0.3)
         assert dev == pytest.approx(0.3, rel=1e-3)
-        assert est.satisfied
 
     def test_envelope_monotone_after_regularization(self):
         c = signals.builtin_class("linear", (1.0, 2.0))
-        est = signals.persistency_envelope(
+        samples = signals.persistency_envelope(
             c, signals.sin_input(), 1.0, [0.1, 0.2, 0.4], 2 * math.pi, 40.0, dt=1e-2
         )
-        rho = signals.RhoEnvelope(est.rho_samples)
+        rho = signals.RhoEnvelope(samples)
         vals = [rho(s) for s in [0.05, 0.1, 0.2, 0.4]]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_degenerate_input_envelope_vanishes(self):
         c = signals.builtin_class("linear", (1.0, 2.0))
-        est = signals.estimate_persistency(
-            c, signals.degenerate_xi(), 2.0, 1.0, 2 * math.pi, 600.0, dt=1e-2
+        [(_, dev)] = signals.persistency_envelope(
+            c, signals.degenerate_xi(), 1.0, [1.0], 2 * math.pi, 600.0, dt=1e-2
         )
-        assert est.rho_samples[0][1] == 0.0
-        assert not est.satisfied
+        assert dev == 0.0
+
+    @staticmethod
+    def window_loop(clazz, inp, theta_ref, sep, window_T, horizon, dt):
+        """The worst-window gap with the windows taken one at a time."""
+        t = np.arange(0.0, horizon + dt / 2, dt)
+        xi = inp.xi(t)
+        gap = np.abs(clazz.f(xi, theta_ref + sep) - clazz.f(xi, theta_ref))
+        per_win = int(round(window_T / dt))
+        return min(float(np.max(gap[k * per_win : (k + 1) * per_win]))
+                   for k in range(len(t) // per_win))
+
+    @pytest.mark.parametrize("family", sorted(signals.BUILTIN_FAMILIES))
+    @pytest.mark.parametrize("make_input", [signals.sin_input, signals.degenerate_xi],
+                             ids=["sin", "degenerate"])
+    def test_matches_window_loop_reference(self, family, make_input):
+        clazz = signals.builtin_class(family, (1.0, 2.0))
+        inp = make_input()
+        calls = []
+        counted = signals.InputSignal(xi=lambda t: calls.append(t) or inp.xi(t),
+                                      xi_sup=inp.xi_sup, dxi_sup=inp.dxi_sup)
+        seps = [-0.3, 0.125, 0.5, 1.0]
+        args = (2 * math.pi, 300.0, 1e-2)
+        samples = signals.persistency_envelope(clazz, counted, 1.0, seps, *args)
+        assert len(calls) == 1  # xi is sampled once for every separation
+        assert samples == [(abs(1.0 + sep - 1.0), self.window_loop(clazz, inp, 1.0, sep, *args))
+                           for sep in seps]
 
     def test_rho_inverse_roundtrip(self):
         rho = signals.RhoEnvelope([(0.1, 0.05), (0.2, 0.11), (0.4, 0.3)])
@@ -191,19 +229,26 @@ class TestPersistency:
 
 
 class TestLipschitz:
-    def test_linear_family_constants(self):
-        c = signals.builtin_class("linear", (1.0, 2.0))
-        est = signals.estimate_lipschitz(
-            c, signals.sin_input(), np.linspace(1.0, 2.0, 21), np.linspace(-1, 1, 21)
-        )
-        assert est.d_theta <= c.lipschitz_theta + 1e-6
-        assert est.d_xi <= c.lipschitz_xi + 1e-6
-        assert est.ok
+    @pytest.mark.parametrize("family", sorted(signals.BUILTIN_FAMILIES))
+    def test_declared_constants_bound_grid_slopes(self, family):
+        """Finite differences of f on a grid of theta_range x [-xi_sup, xi_sup]
+        stay below the declared lipschitz_theta and lipschitz_xi."""
+        c = signals.builtin_class(family, (1.0, 2.0))
+        tg, xg = np.linspace(1.0, 2.0, 41), np.linspace(-1.0, 1.0, 41)
+        F = c.f(xg[None, :], tg[:, None])
+        d_theta = np.max(np.abs(np.diff(F, axis=0)) / np.diff(tg)[:, None])
+        d_xi = np.max(np.abs(np.diff(F, axis=1)) / np.diff(xg)[None, :])
+        assert d_theta <= c.lipschitz_theta + 1e-9
+        assert d_xi <= c.lipschitz_xi + 1e-9
 
     def test_d_f_composition(self):
-        c = signals.builtin_class("linear", (1.0, 2.0))
-        inp = signals.sin_input()
-        est = signals.estimate_lipschitz(
-            c, inp, np.linspace(1.0, 2.0, 11), np.linspace(-1, 1, 11)
-        )
-        assert est.d_f == pytest.approx(2.0 * est.d_xi * inp.dxi_sup)
+        """D_f = 2 lipschitz_xi dxi_sup bounds the slope of the difference
+        signal f(xi(t), theta) - f(xi(t), theta') over theta_range."""
+        inp, dt = signals.sin_input(), 1e-3
+        t = np.arange(0.0, 4 * math.pi, dt)
+        for family in signals.BUILTIN_FAMILIES:
+            c = signals.builtin_class(family, (1.0, 2.0))
+            d_f = 2.0 * c.lipschitz_xi * inp.dxi_sup
+            for theta, theta_prime in [(1.0, 2.0), (1.3, 1.9)]:
+                diff = c.f(inp.xi(t), theta) - c.f(inp.xi(t), theta_prime)
+                assert np.max(np.abs(np.diff(diff))) / dt <= d_f
