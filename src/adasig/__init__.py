@@ -20,7 +20,7 @@ from .analysis import (
 from .classify import DecisionReport, band_from_noise, decide
 from .config import ExperimentConfig, config_hash, load_config
 from .integrator import Trajectory, integrate_system, rk4_step
-from .plant import PlantSpec, make_noise, plant_rhs
+from .plant import PlantSpec, make_noise
 from .prototype import (
     PrototypeConfig,
     TuningReport,

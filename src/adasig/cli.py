@@ -46,7 +46,7 @@ def rho_envelope_for(cfg: ExperimentConfig, class_index: int) -> signals.RhoEnve
     return signals.RhoEnvelope(signals.persistency_envelope(
         clazz, cfg.inp, clazz.theta_range[0], separations,
         cfg.tuning.window_T, cfg.tuning.pe_horizon, dt=1e-2,
-    ))
+    ), reach=span)
 
 
 def run_tune(cfg: ExperimentConfig, class_index=None) -> TuningReport:

@@ -195,6 +195,7 @@ def _build_plant(section: SimpleNamespace) -> PlantSpec:
         raise ValueError(f"unknown phi kind {kind!r}")
     _check(kind == "linear" or section.slope == 1.0, "plant.slope", section.slope,
            f"1 for phi kind {kind!r}")
+    _check(section.slope > 0, "plant.slope", section.slope, "positive")
     phi_min = section.slope if kind == "linear" else 1.0
     for key in ("phi_min", "phi_max"):
         value = getattr(section, key)
@@ -286,6 +287,13 @@ def load_config(path_or_dict) -> ExperimentConfig:
                 f"(a, b) = ({p.a}, {p.b}) must strictly contain the parameter "
                 f"range of class {clazz.name!r}"
             )
+    _check(p.gamma is None or p.gamma > 0, "prototype.gamma", p.gamma, "positive")
+    _check(p.delta >= 0, "prototype.delta", p.delta, "non-negative")
+    _check(p.kappa > 1, "prototype.kappa", p.kappa, "greater than 1")
+    _check(0 < p.d < 1, "prototype.d", p.d, "in (0, 1)")
+    _check(0 <= p.nu_x <= 2 * math.pi, "prototype.nu_x", p.nu_x, "in [0, 2 pi]")
+    _check(p.k_prime >= 0, "prototype.k_prime", p.k_prime, "non-negative")
+    _check(0 < p.safety < 1, "prototype.safety", p.safety, "in (0, 1)")
     tuning, rnn_sec = sec["tuning"], sec["rnn"]
     _check(tuning.window_T > 0, "tuning.window_T", tuning.window_T, "positive")
     if tuning.pe_horizon is None:
@@ -312,6 +320,8 @@ def load_config(path_or_dict) -> ExperimentConfig:
     _check(sweep.grid is None or all(lo <= g <= hi for g in sweep.grid), "sweep.grid",
            sweep.grid, f"inside the true class's theta_range [{lo}, {hi}]")
 
+    noise_bound = sec["plant"].noise_bound
+    _check(noise_bound >= 0, "plant.noise_bound", noise_bound, "non-negative")
     s0_lo, s0_hi = sec["plant"].s0_range
     _check(s0_lo <= s0_hi, "plant.s0_range", [s0_lo, s0_hi], "an interval with lo <= hi")
     s0 = sec["simulation"].s0

@@ -6,6 +6,7 @@ hf_i). Everything is deterministic given the seed; records are immutable.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .plant import PlantSpec, make_noise, plant_rhs
+from .plant import PlantSpec, make_noise
 from .prototype import PrototypeConfig, init_state, prototype_rhs, subsystem_constants, theta_hat
 from .rnn import SigmoidNetwork
 from .signals import InputSignal, SignalClass
@@ -115,21 +116,46 @@ def rk4_step(
     sequence of the same length. With h = dt/2 and w = dt/6 each element is
     x + h*k at the stages and x + w*(k1 + 2*k2 + 2*k3 + k4) at the end, the
     association order of the array expressions, so the bits equal those of
-    numpy's elementwise RK4. Raises FloatingPointError on an inf or nan.
+    numpy's elementwise RK4. Raises ValueError for dt <= 0 and
+    FloatingPointError on an inf or nan. The step runs rk4_stepper(n), the
+    straight-line code for a state of length n.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    h = 0.5 * dt
-    w = dt / 6.0
-    x = list(state)
-    a = rhs(x, t)
-    b = rhs([v + h * k for v, k in zip(x, a)], t + h)
-    c = rhs([v + h * k for v, k in zip(x, b)], t + h)
-    d = rhs([v + dt * k for v, k in zip(x, c)], t + dt)
-    out = [v + w * (p + 2.0 * q + 2.0 * r + z) for v, p, q, r, z in zip(x, a, b, c, d)]
-    if not all(map(math.isfinite, out)):
-        raise FloatingPointError(f"integration diverged at t={t}")
-    return out
+    return rk4_stepper(len(state))(rhs, state, t, dt)
+
+
+@functools.cache
+def rk4_stepper(n: int) -> Callable:
+    """rk4_step for states of length n, compiled from straight-line source.
+
+    The state is unpacked into locals x0..x{n-1}; each stage hands rhs a list
+    display of them and unpacks its result into locals of its own, so no
+    list is built or zipped per element. The source depends on n alone and
+    is the function's __doc__.
+    """
+    def row(expr):
+        return ", ".join(expr.format(i=i) for i in range(n))
+
+    src = "\n    ".join([
+        "def step(rhs, state, t, dt):",
+        "if dt <= 0:",
+        "    raise ValueError('dt must be positive')",
+        f"[{row('x{i}')}] = state",
+        "h = 0.5 * dt",
+        f"[{row('a{i}')}] = rhs([{row('x{i}')}], t)",
+        f"[{row('b{i}')}] = rhs([{row('x{i} + h*a{i}')}], t + h)",
+        f"[{row('c{i}')}] = rhs([{row('x{i} + h*b{i}')}], t + h)",
+        f"[{row('d{i}')}] = rhs([{row('x{i} + dt*c{i}')}], t + dt)",
+        "w = dt / 6.0",
+        *(f"y{i} = x{i} + w*(a{i} + 2.0*b{i} + 2.0*c{i} + d{i})" for i in range(n)),
+        f"if not ({' and '.join(f'isfinite(y{i})' for i in range(n)) or 'True'}):",
+        "    raise FloatingPointError(f'integration diverged at t={t}')",
+        f"return [{row('y{i}')}]",
+    ]) + "\n"
+    namespace = {"isfinite": math.isfinite}
+    exec(compile(src, f"<rk4_stepper({n})>", "exec"), namespace)
+    step = namespace["step"]
+    step.__doc__ = src
+    return step
 
 
 def integrate_system(
@@ -183,16 +209,18 @@ def integrate_system(
     eta = make_noise(spec, max(n, 1), seed)
     eta_now = 0.0
 
-    phi = spec.phi
+    xi, f, phi = inp.xi, clazz.f, spec.phi
 
     def rhs(q: list, t: float) -> list:
         # Everything stays a Python float: an np.float64 that slipped into
         # the state would make every later operation a slow numpy scalar op.
-        # The bank is one prototype_rhs call on the whole stage state, or one
-        # rhs call of the stacked network on its 3m states.
-        xi_val = float(inp.xi(t))
+        # The plant is -phi(s) + f(xi, theta) + eta written out. The bank is
+        # one prototype_rhs call on the whole stage state, or one rhs call of
+        # the stacked network on its 3m states. prototype_rhs and rk4_step
+        # are read from the module on every call, where a tracer may wrap them.
+        xi_val = float(xi(t))
         s = q[0]
-        dq = [plant_rhs(s, xi_val, clazz, theta, spec, eta_now)]
+        dq = [-phi(s) + float(f(xi_val, theta)) + eta_now]
         if prototypes:
             dq += prototype_rhs(q, s, xi_val, prototypes, phi)
         elif net is not None:

@@ -3,7 +3,8 @@
 The measured quantity s(t) solves  s' = -phi(s) + f(xi(t), theta) + eta(t),
 where phi has slope at least phi_min > 0, so the filter forgets its initial
 condition exponentially, and eta is bounded noise. The phi kinds a config
-can name are linear, and phi_min is their slope.
+can name are linear, and phi_min is their slope. The right-hand side is
+written out in integrator.integrate_system's stage function.
 """
 from __future__ import annotations
 
@@ -12,9 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .signals import SignalClass
-
-__all__ = ["PlantSpec", "plant_rhs", "make_noise"]
+__all__ = ["PlantSpec", "make_noise"]
 
 
 @dataclass
@@ -29,19 +28,6 @@ class PlantSpec:
             raise ValueError("need phi_min > 0")
         if self.noise_bound < 0:
             raise ValueError("noise bound must be non-negative")
-
-
-def plant_rhs(
-    s: float,
-    xi_val: float,
-    clazz: SignalClass,
-    theta: float,
-    spec: PlantSpec,
-    eta: float = 0.0,
-) -> float:
-    """-phi(s) + f(xi, theta) + eta, given the input value xi = xi(t)."""
-    drive = float(clazz.f(xi_val, theta))
-    return -spec.phi(s) + drive + eta
 
 
 def make_noise(spec: PlantSpec, n_steps: int, seed: int) -> np.ndarray:

@@ -122,9 +122,14 @@ class RhoEnvelope:
     Built from sampled (separation, deviation) pairs; regularized to be
     non-decreasing so that an inverse exists. Evaluating the inverse outside
     the certified range extrapolates linearly and emits a warning.
+
+    reach is the largest separation that was asked for. A sample taken at
+    theta_ref + sep records its distance after theta_ref + sep is rounded,
+    which can fall an ulp short of sep; evaluating rho up to reach therefore
+    does not warn.
     """
 
-    def __init__(self, samples: Sequence[tuple[float, float]]):
+    def __init__(self, samples: Sequence[tuple[float, float]], reach: float):
         pts = sorted((s, d) for s, d in samples)
         if not pts or pts[0][0] < 0:
             raise ValueError("need samples at non-negative separations")
@@ -132,9 +137,10 @@ class RhoEnvelope:
         devs = np.array([0.0] + [p[1] for p in pts])
         self.seps = seps
         self.devs = np.maximum.accumulate(devs)
+        self.reach = reach
 
     def __call__(self, sep: float) -> float:
-        if sep > self.seps[-1]:
+        if sep > self.reach:
             warnings.warn("rho evaluated beyond the certified separation range")
         return float(np.interp(sep, self.seps, self.devs))
 

@@ -266,6 +266,14 @@ BAD_VALUES = [
     (("rnn", "n_train"), 0),
     (("rnn", "ridge"), -1e-10),
     (("rnn", "check_horizon"), -2.0),
+    (("prototype", "gamma"), 0.0),
+    (("prototype", "delta"), -1e-3),
+    (("prototype", "kappa"), 1.0),
+    (("prototype", "d"), 1.0),
+    (("prototype", "nu_x"), 7.0),  # above 2 pi
+    (("prototype", "k_prime"), -1),
+    (("prototype", "safety"), 1.0),
+    (("plant", "noise_bound"), -1e-4),
 ]
 
 
@@ -292,6 +300,16 @@ class TestLoadTimeRejection:
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_linear_slope_must_be_positive(self, tmp_path, capsys):
+        raw = small_config(plant={"phi": "linear", "slope": -1.0})
+        del raw["plant"]["phi_min"], raw["plant"]["phi_max"]
+        out = tmp_path / "out"
+        assert cli.main(["tune", "--config", write_config(tmp_path, raw),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: plant.slope must be positive") and err.count("\n") == 1
         assert not out.exists()
 
     def test_decision_window_checked_after_dt_override(self, tmp_path, capsys):
@@ -336,6 +354,34 @@ class TestTuneCommand:
             assert key in payload
         assert payload["gamma_star"] == pytest.approx(0.1092950788552245)
         assert payload["k_prime"] == 1
+
+
+class TestRhoReach:
+    """run_tune evaluates rho at b - a, the largest separation it samples."""
+
+    @staticmethod
+    def rounding_config():
+        # theta_ref + (b - a) = 1.2 + 1.2 rounds so that the sampled distance
+        # is 1.1999999999999995, one ulp short of b - a = 1.1999999999999997
+        raw = small_config(prototype={"a": 1.1, "b": 2.3})
+        raw["classes"][0]["theta_range"] = [1.2, 2.0]
+        return config.load_config(raw)
+
+    def test_sampled_separation_is_silent(self):
+        cfg = self.rounding_config()
+        span = cfg.prototype.b - cfg.prototype.a
+        rho = cli.rho_envelope_for(cfg, 0)
+        assert rho.seps[-1] < span
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rho(span) == rho.devs[-1]
+            cli.run_tune(cfg)
+
+    def test_beyond_the_sampled_range_warns(self):
+        cfg = self.rounding_config()
+        rho = cli.rho_envelope_for(cfg, 0)
+        with pytest.warns(UserWarning, match="beyond the certified separation range"):
+            rho(1.01 * (cfg.prototype.b - cfg.prototype.a))
 
 
 class TestSimulateCommand:

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -87,30 +89,32 @@ def steps_until_divergence(step, rhs, state, dt, n_steps):
     return rows, None
 
 
+# Every state length a bank of m = 0..5 subsystems builds, and those between.
+STATE_SIZES = range(1, 17)
+
+
 class TestRk4MatchesArrayReference:
-    """The float stepper gives the array stepper's bits and diverges at the same step."""
+    """The float stepper gives the array stepper's bits and diverges at the
+    same step, for every state length from 1 to 16."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 13), cubic=st.booleans(), dt=st.floats(1e-4, 0.5),
-           seed=st.integers(0, 2**32 - 1))
-    def test_states_bit_identical(self, n, cubic, dt, seed):
-        rng = np.random.default_rng(seed)
-        A, c = rng.normal(size=(n, n)), rng.normal(size=n)
-        x0 = rng.uniform(-1.0, 1.0, size=n)
-        got, k_got = steps_until_divergence(
-            integrator.rk4_step, linear_cubic_rhs(A, c, cubic, True), x0.tolist(), dt, 20)
-        ref, k_ref = steps_until_divergence(
-            reference_rk4_step, linear_cubic_rhs(A, c, cubic, False), x0, dt, 20)
-        assert k_got == k_ref
-        assert np.array_equal(got, ref)
+    @settings(max_examples=30, deadline=None)
+    @given(cubic=st.booleans(), dt=st.floats(1e-4, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_states_bit_identical(self, cubic, dt, seed):
+        for n in STATE_SIZES:
+            rng = np.random.default_rng([seed, n])
+            A, c = rng.normal(size=(n, n)), rng.normal(size=n)
+            x0 = rng.uniform(-1.0, 1.0, size=n)
+            got, k_got = steps_until_divergence(
+                integrator.rk4_step, linear_cubic_rhs(A, c, cubic, True), x0.tolist(), dt, 20)
+            ref, k_ref = steps_until_divergence(
+                reference_rk4_step, linear_cubic_rhs(A, c, cubic, False), x0, dt, 20)
+            assert k_got == k_ref, n
+            assert np.array_equal(got, ref), n
 
-    @settings(max_examples=25, deadline=None)
-    @given(n=st.integers(1, 13), kind=st.sampled_from(["overflow", "nan"]),
-           dt=st.floats(0.01, 0.5), k_bad=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
-    def test_divergence_at_the_same_step(self, n, kind, dt, k_bad, seed):
-        rng = np.random.default_rng(seed)
-        x0 = rng.uniform(1.0, 10.0, size=n)
-
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["overflow", "nan"]), dt=st.floats(0.01, 0.5),
+           k_bad=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+    def test_divergence_at_the_same_step(self, kind, dt, k_bad, seed):
         def make(as_list):
             def rhs(q, t):
                 q = np.asarray(q, dtype=float)
@@ -119,11 +123,42 @@ class TestRk4MatchesArrayReference:
                 return dq.tolist() if as_list else dq
             return rhs
 
-        got, k_got = steps_until_divergence(integrator.rk4_step, make(True), x0.tolist(), dt, 100)
-        ref, k_ref = steps_until_divergence(reference_rk4_step, make(False), x0, dt, 100)
-        assert k_ref is not None
-        assert k_got == k_ref
-        assert np.array_equal(got, ref)
+        for n in STATE_SIZES:
+            x0 = np.random.default_rng([seed, n]).uniform(1.0, 10.0, size=n)
+            got, k_got = steps_until_divergence(integrator.rk4_step, make(True), x0.tolist(),
+                                                dt, 100)
+            ref, k_ref = steps_until_divergence(reference_rk4_step, make(False), x0, dt, 100)
+            assert k_ref is not None
+            assert k_got == k_ref, n
+            assert np.array_equal(got, ref), n
+
+
+class TestRk4Stepper:
+    """rk4_step runs one function per state length, built from the source on
+    its __doc__."""
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_built_once_per_length(self, n):
+        rhs = linear_cubic_rhs(np.eye(n), np.ones(n), True, True)
+        integrator.rk4_step(rhs, [0.5] * n, 0.0, 0.1)
+        misses = integrator.rk4_stepper.cache_info().misses
+        for k in range(3):
+            integrator.rk4_step(rhs, [0.5] * n, 0.1 * k, 0.1)
+        assert integrator.rk4_stepper.cache_info().misses == misses
+        assert integrator.rk4_stepper(n) is integrator.rk4_stepper(n)
+
+    @pytest.mark.parametrize("n", STATE_SIZES)
+    def test_doc_source_gives_the_same_bits(self, n):
+        source = integrator.rk4_stepper(n).__doc__
+        namespace = {"isfinite": math.isfinite}
+        exec(compile(source, "<doc>", "exec"), namespace)
+        rng = np.random.default_rng(n)
+        rhs = linear_cubic_rhs(rng.normal(size=(n, n)), rng.normal(size=n), True, True)
+        x0 = rng.uniform(-1.0, 1.0, size=n).tolist()
+        got, _ = steps_until_divergence(integrator.rk4_step, rhs, x0, 0.05, 20)
+        ref, _ = steps_until_divergence(namespace["step"], rhs, x0, 0.05, 20)
+        assert len(got) == 20 and np.array_equal(got, ref)
+        assert f"[{', '.join(f'x{i}' for i in range(n))}] = state" in source
 
 
 class TestTrajectory:
@@ -166,7 +201,7 @@ class TestIntegrateSystem:
         ref = [0.5]
         for k in range(2000):
             rhs = lambda q, t: np.array(
-                [plant.plant_rhs(q[0], float(SIN.xi(t)), LINEAR, 1.5, spec, eta[k])]
+                [-spec.phi(q[0]) + float(LINEAR.f(float(SIN.xi(t)), 1.5)) + eta[k]]
             )
             s = reference_rk4_step(rhs, s, k * 1e-3, 1e-3)
             ref.append(s[0])
@@ -358,7 +393,7 @@ def reference_integration(spec, clazz, theta, bank, inp, horizon, dt, seed, s0):
         def rhs(q, t):
             xi_val = float(inp.xi(np.asarray(t, dtype=float)))
             dq = np.empty_like(q)
-            dq[0] = plant.plant_rhs(q[0], xi_val, clazz, theta, spec, eta[k])
+            dq[0] = -spec.phi(q[0]) + float(clazz.f(xi_val, theta)) + eta[k]
             for i, e in enumerate(bank):
                 sub = q[1 + 3 * i : 4 + 3 * i]
                 if isinstance(e, tuple):
@@ -380,34 +415,41 @@ READBACK = st.tuples(st.floats(0.2, 1.5), st.floats(0.3, 2.5))
 
 
 class TestBankMatchesPerClassReference:
-    @settings(max_examples=20, deadline=None)
+    """Prototype banks of m = 0..5 subsystems (m = 0 is the plant alone), a
+    family drawn per subsystem, reproduce the per-class reference bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
     @given(
-        families=st.one_of(
-            st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=1),
-            st.lists(st.sampled_from(FAMILIES), min_size=3, max_size=3),
-        ),
+        true_family=st.sampled_from(FAMILIES),
+        families=st.lists(st.sampled_from(FAMILIES), min_size=0, max_size=5),
         delta=st.sampled_from([0.0, 0.05]),
         noise_bound=st.sampled_from([0.0, 0.02]),
         slope=st.sampled_from([1.0, 2.5]),
         theta=st.floats(1.0, 2.0),
         s0=st.floats(0.0, 1.0),
         nu_x=st.floats(0.0, 6.0),
-        readbacks=st.lists(READBACK, min_size=3, max_size=3),
+        readbacks=st.lists(READBACK, min_size=5, max_size=5),
         seed=st.integers(0, 1000),
     )
-    def test_states_bit_identical(self, families, delta, noise_bound, slope, theta, s0,
-                                  nu_x, readbacks, seed):
+    @example(true_family="sine", families=[], delta=0.0, noise_bound=0.02, slope=2.5,
+             theta=1.5, s0=0.3, nu_x=1.0, readbacks=[(0.5, 2.0)] * 5, seed=1)
+    @example(true_family="quadratic-affine", families=FAMILIES + FAMILIES[:2], delta=0.05,
+             noise_bound=0.02, slope=1.0, theta=1.2, s0=0.7, nu_x=4.0,
+             readbacks=[(0.2, 2.5), (0.4, 0.3), (1.5, 1.0), (0.9, 1.7), (0.3, 2.2)], seed=2)
+    def test_states_bit_identical(self, true_family, families, delta, noise_bound, slope,
+                                  theta, s0, nu_x, readbacks, seed):
         spec = plant.PlantSpec(phi=lambda s: slope * s, phi_min=slope,
                                s0_range=(0.0, 1.0), noise_bound=noise_bound)
+        clazz = signals.builtin_class(true_family, (1.0, 2.0))
         classes = [signals.builtin_class(f, (1.0, 2.0)) for f in families]
         bank = [(c, make_config(gamma=0.3, epsilon=noise_bound / slope, delta=delta, nu_x=nu_x,
                                 a=a, b=a + span))
                 for c, (a, span) in zip(classes, readbacks)]
         traj = integrator.integrate_system(
-            spec, classes[0], theta, bank, SIN, horizon=1.5, dt=1e-2, seed=seed,
+            spec, clazz, theta, bank, SIN, horizon=1.5, dt=1e-2, seed=seed,
             record_every=1, s0=s0,
         )
-        ref = reference_integration(spec, classes[0], theta, bank, SIN, 1.5, 1e-2, seed, s0)
+        ref = reference_integration(spec, clazz, theta, bank, SIN, 1.5, 1e-2, seed, s0)
         assert np.array_equal(traj.states, ref)
 
 
@@ -430,12 +472,74 @@ def test_prototype_rhs_sees_only_python_floats(monkeypatch):
     assert all(type(v) is float for row in seen for v in row)
 
 
+def test_plant_drive_kept_a_python_float():
+    """A family whose f returns an np.float64 leaves only Python floats in the state."""
+    clazz = dataclasses.replace(LINEAR, f=lambda xi, th: np.float64(th * xi))
+    seen = []
+
+    def recording(rhs, state, t, dt):
+        seen.extend(state)
+        return integrator.rk4_stepper(len(state))(rhs, state, t, dt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "rk4_step", recording)
+        integrator.integrate_system(make_spec(), clazz, 1.5, [], SIN, horizon=0.1, dt=1e-2)
+    assert len(seen) == 10 and all(type(v) is float for v in seen)
+
+
 def test_network_bank_makes_no_prototype_call(monkeypatch):
     calls = []
     monkeypatch.setattr(integrator, "prototype_rhs", lambda *args: calls.append(args))
     integrator.integrate_system(make_spec(), LINEAR, 1.5, [random_network(3, "tanh", 0)], SIN,
                                 horizon=0.1, dt=1e-2)
     assert calls == []
+
+
+def counting(monkeypatch, owner, name, counts):
+    """Replace owner.name with a wrapper that counts its calls in counts[name]."""
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+class TestLayerContract:
+    """The calls the benchmark's tracer counts at their layer boundaries: one
+    call of the module-global rk4_step per step, and per RK4 stage one xi
+    call and one bank call, prototype_rhs or the stacked network's rhs."""
+
+    STEPS = 50
+
+    def run(self, monkeypatch, bank):
+        counts = Counter()
+        counting(monkeypatch, integrator, "rk4_step", counts)
+        counting(monkeypatch, integrator, "prototype_rhs", counts)
+        counting(monkeypatch, rnn.SigmoidNetwork, "rhs", counts)
+        inp = signals.sin_input()
+        counting(monkeypatch, inp, "xi", counts)
+        integrator.integrate_system(make_spec(noise_bound=0.02), LINEAR, 1.5, bank, inp,
+                                    horizon=self.STEPS * 1e-2, dt=1e-2, seed=4, s0=0.3)
+        assert counts["rk4_step"] == self.STEPS, (
+            "integrate_system must call the module-global rk4_step once per step")
+        return counts
+
+    def test_prototype_bank(self, monkeypatch):
+        bank = [(signals.builtin_class(f, (1.0, 2.0)), make_config(gamma=0.3, delta=0.05))
+                for f in FAMILIES]
+        counts = self.run(monkeypatch, bank)
+        assert counts["prototype_rhs"] == 4 * self.STEPS, (
+            "each RK4 stage must make exactly one prototype_rhs call for the whole bank")
+        assert counts["xi"] == 4 * self.STEPS, "each RK4 stage must read xi exactly once"
+        assert counts["rhs"] == 0
+
+    def test_network_bank(self, monkeypatch):
+        counts = self.run(monkeypatch, build_bank(3, "tanh", 3, seed=0))
+        assert counts["rhs"] == 4 * self.STEPS, (
+            "each RK4 stage must make exactly one rhs call of the stacked network")
+        assert counts["prototype_rhs"] == 0
 
 
 def random_network(N, sigmoid, seed, a=0.5, b=2.5):

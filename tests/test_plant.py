@@ -27,18 +27,36 @@ class TestPlantSpec:
             make_spec(noise_bound=-0.1)
 
 
+def plant_derivative(spec, theta, s, t, seed=0):
+    """The plant's derivative at (s, t) as integrate_system's stage function
+    writes it out, with eta = make_noise(spec, 1, seed)[0] of the first step."""
+    seen = []
+
+    def step(rhs, state, t_step, dt):
+        seen.append(rhs([s], t)[0])
+        return list(state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrator, "rk4_step", step)
+        integrator.integrate_system(spec, LINEAR, theta, [], SIN, horizon=1e-3, dt=1e-3,
+                                    seed=seed)
+    [value] = seen
+    return value
+
+
 class TestPlantRhs:
     def test_value(self):
         spec = make_spec()
         # at t = pi/2: xi = 1, drive = theta, rhs = -s + theta
-        got = plant.plant_rhs(0.5, float(SIN.xi(np.pi / 2)), LINEAR, 1.5, spec)
+        got = plant_derivative(spec, 1.5, 0.5, np.pi / 2)
         assert got == pytest.approx(-0.5 + 1.5)
 
     def test_noise_enters_additively(self):
-        spec = make_spec()
-        xi = float(SIN.xi(0.3))
-        base = plant.plant_rhs(0.5, xi, LINEAR, 1.5, spec)
-        assert plant.plant_rhs(0.5, xi, LINEAR, 1.5, spec, eta=0.2) == pytest.approx(base + 0.2)
+        base = plant_derivative(make_spec(), 1.5, 0.5, 0.3)
+        noisy = make_spec(noise_bound=0.5)
+        [eta] = plant.make_noise(noisy, 1, seed=3)
+        assert eta != 0.0
+        assert plant_derivative(noisy, 1.5, 0.5, 0.3, seed=3) == pytest.approx(base + eta)
 
 
 class TestMakeNoise:

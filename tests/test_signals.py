@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ class TestPersistency:
         samples = signals.persistency_envelope(
             c, signals.sin_input(), 1.0, [0.1, 0.2, 0.4], 2 * math.pi, 40.0, dt=1e-2
         )
-        rho = signals.RhoEnvelope(samples)
+        rho = signals.RhoEnvelope(samples, reach=0.4)
         vals = [rho(s) for s in [0.05, 0.1, 0.2, 0.4]]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -216,13 +217,22 @@ class TestPersistency:
         assert samples == [(abs(1.0 + sep - 1.0), self.window_loop(clazz, inp, 1.0, sep, *args))
                            for sep in seps]
 
+    def test_reach_bounds_the_silent_range(self):
+        # the last sample's distance rounded below the requested 0.2
+        rho = signals.RhoEnvelope([(0.1, 0.05), (0.19999999999999996, 0.11)], reach=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rho(0.2) == 0.11
+        with pytest.warns(UserWarning, match="beyond the certified separation range"):
+            rho(0.2 * 1.01)
+
     def test_rho_inverse_roundtrip(self):
-        rho = signals.RhoEnvelope([(0.1, 0.05), (0.2, 0.11), (0.4, 0.3)])
+        rho = signals.RhoEnvelope([(0.1, 0.05), (0.2, 0.11), (0.4, 0.3)], reach=0.4)
         for v in [0.02, 0.08, 0.25]:
             assert rho(rho.inverse(v)) == pytest.approx(v, abs=1e-12)
 
     def test_rho_inverse_extrapolation_warns(self):
-        rho = signals.RhoEnvelope([(0.1, 0.05), (0.2, 0.11)])
+        rho = signals.RhoEnvelope([(0.1, 0.05), (0.2, 0.11)], reach=0.2)
         with pytest.warns(UserWarning):
             out = rho.inverse(1.0)
         assert out > 0.2
