@@ -45,11 +45,12 @@ def main():
     print(f"status: {dec.status}, announced at t' = {dec.t_prime}")
     print(f"theta estimate {dec.theta_estimate:.4f} (true {cfg.true_theta})")
 
-    theta_trace = traj.readouts[:, 0]
+    theta_trace = traj.theta_hat[:, 0]
     for frac in (0.1, 0.5, 1.0):
         k = min(int(frac * (len(theta_trace) - 1)), len(theta_trace) - 1)
         print(f"  theta_hat at t={traj.times[k]:7.1f}: {theta_trace[k]:.4f}")
-    r = np.hypot(traj.column("x_1"), traj.column("y_1"))
+    _, x, y = traj.subsystem(0).T
+    r = np.hypot(x, y)
     print(f"rotator radius stayed in [{r.min():.4f}, {r.max():.4f}] (unit circle)")
 
 

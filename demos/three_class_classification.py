@@ -36,8 +36,8 @@ def main():
     # residual each subsystem would have to defend
     print(f"\n{'class':<18} {'final |h_f|':>12} {'final theta_hat':>16}")
     for i, name in enumerate(names):
-        hf = abs(traj.readouts[-1, 2 * i + 1])
-        th = traj.readouts[-1, 2 * i]
+        hf = abs(traj.hf[-1, i])
+        th = traj.theta_hat[-1, i]
         print(f"{i}: {name:<15} {hf:12.4f} {th:16.4f}")
 
     dec = cli.run_decide(cfg, traj, tuning)
@@ -50,7 +50,8 @@ def main():
     # mismatched subsystems keep accruing rotator phase; the matched one stalls
     print("\nrotator phase accrued over the run:")
     for i, name in enumerate(names):
-        nu = np.unwrap(np.arctan2(traj.column(f"y_{i + 1}"), traj.column(f"x_{i + 1}")))
+        _, x, y = traj.subsystem(i).T
+        nu = np.unwrap(np.arctan2(y, x))
         print(f"  {name:<18} {nu[-1] - nu[0]:8.2f} rad")
 
 

@@ -23,6 +23,9 @@ __all__ = [
     "check_state_bounds",
 ]
 
+# Window lengths verify_filtered_pe scans, evenly spaced from L to the span.
+N_WINDOW_SCAN = 24
+
 
 @dataclass
 class PEReport:
@@ -81,23 +84,21 @@ def verify_filtered_pe(
     L: float,
     delta: float,
     Delta: float = 0.0,
-    u_inf: Optional[float] = None,
-    n_window_scan: int = 24,
 ) -> PEReport:
     """Check that a persistently exciting drive stays exciting after filtering.
 
     z is the filtered response to the drive u (both sampled on the same
     uniform grid with step dt).  First verifies the drive's own floor
     (every window of length L has integral of |u| at least delta), then the
-    sign condition (delta/L)^2 - Delta*u_inf > 0, then scans window lengths
-    for the largest empirical floor (L_star, delta_star) of z.
+    sign condition (delta/L)^2 - Delta*u_inf > 0 with u_inf = max |u|, then
+    scans N_WINDOW_SCAN window lengths for the largest empirical floor
+    (L_star, delta_star) of z.
     """
     z = np.asarray(z_traj, dtype=float)
     u = np.asarray(u_traj, dtype=float)
     if z.shape != u.shape:
         raise ValueError("z and u must share the sampling grid")
-    if u_inf is None:
-        u_inf = float(np.max(np.abs(u)))
+    u_inf = float(np.max(np.abs(u)))
 
     u_ints = _window_integrals(u, dt, L)
     delta_checked = float(np.min(u_ints))
@@ -113,11 +114,8 @@ def verify_filtered_pe(
     best = (0.0, 0.0)  # (delta_star, L_star)
     samples: list[float] = []
     n = len(z)
-    for wlen in np.linspace(L, (n - 1) * dt, n_window_scan):
-        try:
-            ints = _window_integrals(z, dt, float(wlen))
-        except ValueError:
-            continue
+    for wlen in np.linspace(L, (n - 1) * dt, N_WINDOW_SCAN):
+        ints = _window_integrals(z, dt, float(wlen))
         floor = float(np.min(ints))
         samples.append(floor)
         if floor > best[0]:
@@ -141,9 +139,8 @@ def _winding_spent(traj: Trajectory, config: PrototypeConfig, class_index: int) 
     An unperturbed (delta = 0) admissible run spends at most the budget
     pi - nu_x + 2*pi*k'; with delta > 0 the rotator accrues extra phase by
     design."""
-    s = traj.column("s")
-    shat = traj.column(f"shat_{class_index + 1}")
-    e = np.maximum(np.abs(shat - s) - config.epsilon, 0.0)
+    shat = traj.subsystem(class_index)[:, 0]
+    e = np.maximum(np.abs(shat - traj.states[:, 0]) - config.epsilon, 0.0)
     return config.gamma * float(np.trapezoid(e, traj.times))
 
 
@@ -152,7 +149,7 @@ def convergence_report(
     clazz: SignalClass,
     true_theta: float,
     bound: float,
-    config: Optional[PrototypeConfig] = None,
+    config: PrototypeConfig,
     class_index: int = 0,
 ) -> ConvergenceReport:
     """Entry time into the bound-neighborhood of the equivalence set of the
@@ -160,8 +157,7 @@ def convergence_report(
     if bound <= 0:
         raise ValueError("bound must be positive")
     target = clazz.equivalence(true_theta)
-    th = traj.column(f"theta_hat_{class_index + 1}")
-    inside = set_distance(th, target) <= bound
+    inside = set_distance(traj.theta_hat[:, class_index], target) <= bound
 
     entry_time: Optional[float] = None
     residence = 0.0
@@ -178,7 +174,7 @@ def convergence_report(
     return ConvergenceReport(
         entry_time=entry_time,
         residence=residence,
-        winding_spent=0.0 if config is None else _winding_spent(traj, config, class_index),
+        winding_spent=_winding_spent(traj, config, class_index),
         bound_used=bound,
         horizon=float(traj.times[-1]),
     )
@@ -198,10 +194,8 @@ def check_state_bounds(
     |shat_i| <= |shat_i(0)| + (max{|a|,|b|} * D_theta + noise_bound)/phi_min + tol.
     """
     violations = []
-    for i, cfg in enumerate(configs, start=1):
-        x = traj.column(f"x_{i}")
-        y = traj.column(f"y_{i}")
-        shat = traj.column(f"shat_{i}")
+    for i, cfg in enumerate(configs):
+        shat, x, y = traj.subsystem(i).T
         r0 = math.hypot(x[0], y[0])
         lim_xy = max(1.0, r0) + tol
         lim_s = (
@@ -210,7 +204,7 @@ def check_state_bounds(
             + tol
         )
         if np.max(np.abs(x)) > lim_xy or np.max(np.abs(y)) > lim_xy:
-            violations.append(f"class {i}: rotator state exceeds {lim_xy:.6g}")
+            violations.append(f"class {i + 1}: rotator state exceeds {lim_xy:.6g}")
         if np.max(np.abs(shat)) > lim_s:
-            violations.append(f"class {i}: filter state exceeds {lim_s:.6g}")
+            violations.append(f"class {i + 1}: filter state exceeds {lim_s:.6g}")
     return violations

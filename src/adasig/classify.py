@@ -57,6 +57,8 @@ def decide(
     if m == 0:
         raise ValueError("trajectory has no classifier subsystems")
     times = traj.times
+    if len(times) < 2:
+        raise ValueError("a decision needs at least two recorded rows")
     dt_rec = times[1] - times[0]
     w = int(round(T_star / dt_rec)) + 1
     if w > len(times):
@@ -65,9 +67,8 @@ def decide(
     if settle is None:
         settle = times[-1] - times[0] - T_star
 
-    hf = np.stack(
-        [np.abs(traj.column(f"hf_{i+1}")) for i in range(m)]
-    )  # (m, n)
+    # (m, n) in C order: over the F-order transpose the window max is ~30x slower.
+    hf = np.abs(traj.hf.T, order="C")
     win_max = sliding_window_view(hf, w, axis=1).max(axis=-1)  # (m, n-w+1)
     t_candidates = times[: win_max.shape[1]]
     eligible = t_candidates - times[0] <= settle + 1e-12
@@ -76,7 +77,7 @@ def decide(
     per_class = [
         {
             "min_window_sup_hf": float(win_max[i].min()),
-            "theta_hat_final": float(traj.column(f"theta_hat_{i+1}")[-1]),
+            "theta_hat_final": float(traj.theta_hat[-1, i]),
         }
         for i in range(m)
     ]
@@ -93,7 +94,7 @@ def decide(
         else:
             status = "decided"
             decided = int(winners[0])
-            window = traj.column(f"theta_hat_{decided+1}")[k : k + w]
+            window = traj.theta_hat[k : k + w, decided]
             theta_estimate = float(window.mean())
     return DecisionReport(
         decided=decided,

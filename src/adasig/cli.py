@@ -347,7 +347,8 @@ def cmd_report(args) -> int:
                                            cfg.class_configs()[i], i)
         entry = math.nan if conv.entry_time is None else conv.entry_time
         rows.append([theta, entry, conv.residence, conv.winding_spent])
-    write_csv(out / "sweep.csv", "theta,entry_time,residence,winding_spent", [np.array(rows)])
+    with open(out / "sweep.csv", "w") as fh:
+        write_csv(fh, "theta,entry_time,residence,winding_spent", [np.array(rows)])
     entry_times = [row[1] for row in rows]
     entered = not any(math.isnan(t) for t in entry_times)
     summary = _stamp(

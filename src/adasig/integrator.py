@@ -7,7 +7,6 @@ hf_i). Everything is deterministic given the seed; records are immutable.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -27,18 +26,21 @@ CSV_BLOCK_ROWS = 1024
 
 @dataclass
 class Trajectory:
+    """A recorded run of the measurement and an m-class bank.
+
+    states is (rows, 1 + 3m): s, then (shat_i, x_i, y_i) for each class i;
+    theta_hat and hf are the (rows, m) read-outs. Column names exist only
+    in the CSV header.
+    """
     times: np.ndarray
     states: np.ndarray
-    columns: list[str]
-    readouts: Optional[np.ndarray] = None
-    readout_columns: list[str] = field(default_factory=list)
+    theta_hat: np.ndarray
+    hf: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValueError("times and states lengths differ")
-        if self.readouts is not None and len(self.readouts) != len(self.times):
-            raise ValueError("readouts length differs from times")
+        if not len(self.times) == len(self.states) == len(self.theta_hat) == len(self.hf):
+            raise ValueError("times, states, theta_hat and hf lengths differ")
         if not np.all(np.isfinite(self.times)) or not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory contains non-finite entries")
         steps = np.diff(self.times)
@@ -49,12 +51,9 @@ class Trajectory:
     def n_classes(self) -> int:
         return (self.states.shape[1] - 1) // 3
 
-    def column(self, name: str) -> np.ndarray:
-        if name in self.columns:
-            return self.states[:, self.columns.index(name)]
-        if name in self.readout_columns:
-            return self.readouts[:, self.readout_columns.index(name)]
-        raise KeyError(name)
+    def subsystem(self, i: int) -> np.ndarray:
+        """Class i's (rows, 3) view of (shat, x, y), 0-based."""
+        return self.states[:, 1 + 3 * i : 4 + 3 * i]
 
     def csv_header(self) -> str:
         cols = ["t", "s"]
@@ -62,45 +61,29 @@ class Trajectory:
             cols += [f"shat_{i}", f"x_{i}", f"y_{i}", f"theta_hat_{i}", f"hf_{i}"]
         return ",".join(cols)
 
-    def to_csv(self, path=None) -> Optional[str]:
-        """Serialize with 17 significant digits (round-trip exact for float64).
-
-        With a path (a file name or an open text file) the rows are written
-        there and None is returned; without one the text is returned.
-        """
+    def to_csv(self, fh) -> None:
+        """Write to the open text file fh with 17 significant digits
+        (round-trip exact for float64)."""
         cols = [self.times[:, None], self.states[:, :1]]
         for i in range(self.n_classes):
-            cols += [self.states[:, 1 + 3 * i : 4 + 3 * i], self.readouts[:, 2 * i : 2 * i + 2]]
-        return write_csv(path, self.csv_header(), cols)
+            cols += [self.subsystem(i), self.theta_hat[:, i : i + 1], self.hf[:, i : i + 1]]
+        write_csv(fh, self.csv_header(), cols)
 
 
-def write_csv(path, header: str, columns: Sequence[np.ndarray]) -> Optional[str]:
+def write_csv(fh, header: str, columns: Sequence[np.ndarray]) -> None:
     """Write (n, k) column blocks side by side as CSV rows at 17 significant
-    digits, after one header line: the bytes of np.savetxt(fmt="%.17g",
-    delimiter=",", header=header, comments="") on the joined table.
+    digits, after one header line, to the open text file fh: the bytes of
+    np.savetxt(fmt="%.17g", delimiter=",", header=header, comments="") on
+    the joined table.
 
-    path is a file name, an open text file, or None to return the text. The
-    rows go out CSV_BLOCK_ROWS at a time, each block sliced from the columns
-    and formatted by one % operation on Python floats.
+    The rows go out CSV_BLOCK_ROWS at a time, each block sliced from the
+    columns and formatted by one % operation on Python floats.
     """
     row = ",".join(["%.17g"] * sum(c.shape[1] for c in columns)) + "\n"
-
-    def write(fh):
-        fh.write(header + "\n")
-        for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = np.concatenate([c[i : i + CSV_BLOCK_ROWS] for c in columns], axis=1)
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-
-    if path is None:
-        out = io.StringIO()
-        write(out)
-        return out.getvalue()
-    if hasattr(path, "write"):
-        write(path)
-    else:
-        with open(path, "w") as fh:
-            write(fh)
-    return None
+    fh.write(header + "\n")
+    for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.concatenate([c[i : i + CSV_BLOCK_ROWS] for c in columns], axis=1)
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def rk4_step(
@@ -170,7 +153,6 @@ def integrate_system(
     seed: int = 0,
     record_every: int = 10,
     s0: Optional[float] = None,
-    init_states: Optional[Sequence[np.ndarray]] = None,
 ) -> Trajectory:
     """Integrate the measurement jointly with a bank of classifier subsystems.
 
@@ -202,8 +184,7 @@ def integrate_system(
     state = np.empty(1 + 3 * m)
     state[0] = s0
     for i, obj in enumerate(subsystems):
-        init = init_state(obj, s0) if init_states is None else init_states[i]
-        state[1 + 3 * i : 4 + 3 * i] = init
+        state[1 + 3 * i : 4 + 3 * i] = init_state(obj, s0)
 
     n = int(round(horizon / dt))
     eta = make_noise(spec, max(n, 1), seed)
@@ -244,15 +225,6 @@ def integrate_system(
 
     a = np.array([obj.a for obj in subsystems])
     b = np.array([obj.b for obj in subsystems])
-    readouts = np.empty((len(states), 2 * m))
-    readouts[:, 0::2] = theta_hat(states[:, 2::3], a, b)
-    readouts[:, 1::2] = states[:, :1] - states[:, 1::3]
-
-    columns = ["s"]
-    rcolumns = []
-    for i in range(1, m + 1):
-        columns += [f"shat_{i}", f"x_{i}", f"y_{i}"]
-        rcolumns += [f"theta_hat_{i}", f"hf_{i}"]
     info = {"dt": dt, "seed": seed, "record_every": record_every, "t0": t0}
     if net is not None:
         # Domain escape: every recorded row after the first, with xi at the
@@ -267,8 +239,7 @@ def integrate_system(
     return Trajectory(
         times=np.array(times),
         states=states,
-        columns=columns,
-        readouts=readouts,
-        readout_columns=rcolumns,
+        theta_hat=theta_hat(states[:, 2::3], a, b),
+        hf=states[:, :1] - states[:, 1::3],
         meta=info,
     )

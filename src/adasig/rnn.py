@@ -396,9 +396,7 @@ def divergence_check(
     if not np.allclose(traj_prototype.times, traj_rnn.times):
         raise ValueError("trajectories must share the time grid")
     i = class_index
-    cols = [f"shat_{i+1}", f"x_{i+1}", f"y_{i+1}"]
-    qp = np.stack([traj_prototype.column(c) for c in cols], axis=1)
-    qr = np.stack([traj_rnn.column(c) for c in cols], axis=1)
+    qp, qr = traj_prototype.subsystem(i), traj_rnn.subsystem(i)
     if not np.allclose(qp[0], qr[0]):
         raise ValueError("trajectories must share the initial subsystem state")
     gap = np.linalg.norm(qp - qr, axis=1)

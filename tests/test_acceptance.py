@@ -76,7 +76,7 @@ def test_02_filter_contraction():
     kw = dict(t0=0.0, horizon=10.0, dt=1e-3, seed=7, record_every=1)
     ta = integrate_system(spec, LINEAR, 1.5, [], inp, s0=0.2, **kw)
     tb = integrate_system(spec, LINEAR, 1.5, [], inp, s0=0.9, **kw)
-    gap = np.abs(ta.column("s") - tb.column("s"))
+    gap = np.abs(ta.states[:, 0] - tb.states[:, 0])
     envelope = 0.7 * np.exp(-spec.phi_min * ta.times)
     worst = float(np.max(np.abs(gap - envelope)))
     ok = worst < 1e-6
@@ -180,7 +180,8 @@ def test_07_perturbed_return_time():
         spec, silent, 1.5, [(silent, pconf)], signals.sin_input(),
         horizon=2.2 * period, dt=0.05, record_every=10, s0=0.0,
     )
-    phase = np.unwrap(np.arctan2(traj.column("y_1"), traj.column("x_1")))
+    _, x, y = traj.subsystem(0).T
+    phase = np.unwrap(np.arctan2(y, x))
     # times at which the phase completes each full revolution
     returns = []
     for k in (1, 2):

@@ -69,7 +69,7 @@ def reference_spent(traj, cfg):
     """gamma times the trapezoidal integral of the dead-zone mismatch, with
     the dead zone taken one sample at a time."""
     e = [np.maximum(abs(a - b) - cfg.epsilon, 0.0)
-         for a, b in zip(traj.column("shat_1"), traj.column("s"))]
+         for a, b in zip(traj.subsystem(0)[:, 0], traj.states[:, 0])]
     return cfg.gamma * float(np.trapezoid(e, traj.times))
 
 

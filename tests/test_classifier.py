@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,52 +17,50 @@ def synthetic_traj(hf_funcs, theta_hats, dt=0.1, horizon=10.0):
     m = len(hf_funcs)
     t = np.arange(0.0, horizon + dt / 2, dt)
     n = len(t)
+    theta_hat = np.stack([f(t) for f in theta_hats], axis=1)
+    hf = np.stack([f(t) for f in hf_funcs], axis=1)
     states = np.zeros((n, 1 + 3 * m))
-    reads = np.zeros((n, 2 * m))
-    for i in range(m):
-        reads[:, 2 * i] = theta_hats[i](t)
-        reads[:, 2 * i + 1] = hf_funcs[i](t)
-        states[:, 1 + 3 * i] = -reads[:, 2 * i + 1]  # shat = s - hf, s = 0
-    columns = ["s"] + [f"{n}_{i+1}" for i in range(m) for n in ("shat", "x", "y")]
-    rcols = [f"{n}_{i+1}" for i in range(m) for n in ("theta_hat", "hf")]
-    return integrator.Trajectory(t, states, columns, reads, rcols, {"dt": dt})
+    states[:, 1::3] = -hf  # shat = s - hf, s = 0
+    return integrator.Trajectory(t, states, theta_hat, hf, {"dt": dt})
 
 
-def first_readouts(cfg, init, s0=0.0):
-    """(theta_hat_1, hf_1) recorded at t0 for one subsystem started at init."""
+def first_readouts(cfg, s0=0.0):
+    """(theta_hat_1, hf_1) recorded at t0 for one subsystem started at
+    (s0, cos nu_x, sin nu_x)."""
     clazz = signals.builtin_class("linear", (1.0, 2.0))
     spec = plant.PlantSpec(phi=lambda s: s, s0_range=(0.0, 1.0))
     traj = integrator.integrate_system(
-        spec, clazz, 1.5, [(clazz, cfg)], signals.sin_input(), horizon=0.0,
-        s0=s0, init_states=[np.asarray(init, dtype=float)],
+        spec, clazz, 1.5, [(clazz, cfg)], signals.sin_input(), horizon=0.0, s0=s0,
     )
-    return traj.readouts[0]
+    return traj.theta_hat[0, 0], traj.hf[0, 0]
 
 
 class TestReadout:
     """Read-outs are computed by integrate_system from the stacked states."""
 
     def test_matched_filter_zero(self):
-        cfg = make_config()
-        _, hf = first_readouts(cfg, [0.7, 0.0, 1.0], s0=0.7)
+        cfg = make_config(nu_x=math.pi / 2)
+        _, hf = first_readouts(cfg, s0=0.7)
         assert hf == 0.0
 
     def test_theta_readback_endpoints(self):
-        cfg = make_config()
-        ht, _ = first_readouts(cfg, [0.0, -1.0, 0.0])
+        cfg = make_config(nu_x=math.pi)
+        ht, _ = first_readouts(cfg)
         assert ht == cfg.a
-        ht, _ = first_readouts(cfg, [0.0, 1.0, 0.0])
+        cfg = make_config(nu_x=0.0)
+        ht, _ = first_readouts(cfg)
         assert ht == cfg.b
 
     def test_midpoint(self):
-        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.0, b=2.0)
-        ht, _ = first_readouts(cfg, [0.0, 0.0, 0.0])
+        # x = cos(pi/2) = 6.1e-17 vanishes in 1 + x
+        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.0, b=2.0, nu_x=math.pi / 2)
+        ht, _ = first_readouts(cfg)
         assert ht == 1.0
 
     def test_length_check(self):
         with pytest.raises(ValueError):
             integrator.Trajectory(np.array([0.0, 1.0]), np.zeros((2, 4)),
-                                  ["s", "shat_1", "x_1", "y_1"], np.zeros((3, 2)))
+                                  np.zeros((3, 1)), np.zeros((2, 1)))
 
     def test_memoryless_recomputation_matches_stored(self):
         cfg = make_config(delta=0.01)
@@ -71,8 +71,8 @@ class TestReadout:
         )
         for k in range(0, len(traj.times), 3):
             s, shat, x = traj.states[k, :3]
-            assert s - shat == traj.readouts[k, 1]
-            assert prototype.theta_hat(x, cfg.a, cfg.b) == traj.readouts[k, 0]
+            assert s - shat == traj.hf[k, 0]
+            assert prototype.theta_hat(x, cfg.a, cfg.b) == traj.theta_hat[k, 0]
 
 
 class TestBandFromNoise:
@@ -158,3 +158,10 @@ class TestDecide:
         traj = synthetic_traj([lambda t: 0.0 * t], [lambda t: 1.5 + 0.0 * t])
         with pytest.raises(ValueError):
             classify.decide(traj, T_star=100.0, eps=0.1)
+
+    def test_one_row_rejected(self):
+        # a zero horizon records one row: no step to size the window with
+        traj = synthetic_traj([lambda t: 0.0 * t], [lambda t: 1.5 + 0.0 * t], horizon=0.0)
+        assert len(traj.times) == 1
+        with pytest.raises(ValueError, match="two recorded rows"):
+            classify.decide(traj, T_star=1.0, eps=0.1)

@@ -8,10 +8,12 @@ The package ``__init__`` is skipped: its imports are the public API.
 Likewise every top-level def and class of the package, and every public
 method of its classes, is referenced somewhere in src/, demos/ or
 perfbench/ outside its own definition (a name only tests reach is dead),
-and the package writes CSV through one writer, never through np.savetxt.
+the package writes CSV through one writer, never through np.savetxt, and
+only integrator.py spells a trajectory column name.
 """
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,46 @@ def test_detects_a_savetxt_call():
     source = ("import numpy as np\nfrom numpy import savetxt\n"
               "np.savetxt('a.csv', x)\nsavetxt('b.csv', x)\n'np.savetxt in a string'\n")
     assert savetxt_references(source) == [3, 4]
+
+
+# Trajectory column names besides t and s: shat_i, x_i, y_i, theta_hat_i, hf_i.
+LAYOUT_PREFIXES = ("shat_", "x_", "y_", "theta_hat_", "hf_")
+LAYOUT_NAME = re.compile(f"({'|'.join(LAYOUT_PREFIXES)})\\d+")
+
+
+def layout_names(source: str) -> list[int]:
+    """Lines that spell a trajectory column name: a constant such as
+    "shat_1", or an f-string that starts with one of LAYOUT_PREFIXES and
+    then a field."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if LAYOUT_NAME.fullmatch(node.value):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.JoinedStr) and len(node.values) > 1:
+            head, field = node.values[:2]
+            if (isinstance(head, ast.Constant) and head.value in LAYOUT_PREFIXES
+                    and isinstance(field, ast.FormattedValue)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_one_module_knows_the_layout():
+    """Only integrator.py names trajectory columns, for the CSV header;
+    everything else reads Trajectory.subsystem, theta_hat and hf by index."""
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    found = {p.name: layout_names(p.read_text()) for p in paths if p.name != "integrator.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_detects_a_layout_name():
+    source = ('a = read("shat_1")\n'
+              'b = read(f"hf_{i + 1}")\n'
+              'c = [f"theta_hat_{k}" for k in ks]\n'
+              'd = ["s", "y_12"]\n'
+              'e = ["shat_", "x_axis", f"max_{i}", f"{i}_x_1", "t,s"]\n'
+              'f = f"x_{i}"[1:]\n')
+    assert layout_names(source) == [1, 2, 3, 4, 6]
 
 
 def test_readme_lists_the_config_key_table():

@@ -161,18 +161,41 @@ class TestRk4Stepper:
         assert f"[{', '.join(f'x{i}' for i in range(n))}] = state" in source
 
 
+def no_readouts(rows):
+    """theta_hat and hf of a bank with no classes."""
+    return np.zeros((rows, 0)), np.zeros((rows, 0))
+
+
 class TestTrajectory:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            integrator.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)), ["s"])
+            integrator.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 1)), *no_readouts(2))
+
+    @pytest.mark.parametrize("short", ["theta_hat", "hf"])
+    def test_readout_length_mismatch_rejected(self, short):
+        readouts = {"theta_hat": np.zeros((3, 1)), "hf": np.zeros((3, 1))}
+        readouts[short] = np.zeros((2, 1))
+        with pytest.raises(ValueError):
+            integrator.Trajectory(np.arange(3.0), np.zeros((3, 4)), **readouts)
 
     def test_nonuniform_times_rejected(self):
         with pytest.raises(ValueError):
-            integrator.Trajectory(np.array([0.0, 1.0, 3.0]), np.zeros((3, 1)), ["s"])
+            integrator.Trajectory(np.array([0.0, 1.0, 3.0]), np.zeros((3, 1)), *no_readouts(3))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            integrator.Trajectory(np.array([0.0, 1.0]), np.array([[0.0], [np.nan]]), ["s"])
+            integrator.Trajectory(np.array([0.0, 1.0]), np.array([[0.0], [np.nan]]),
+                                  *no_readouts(2))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_subsystem_is_its_state_columns(self, m):
+        traj = integrator.integrate_system(
+            make_spec(noise_bound=0.01), LINEAR, 1.5, [(LINEAR, make_config(delta=0.01))] * m,
+            SIN, horizon=0.5, dt=1e-2, record_every=1,
+        )
+        for i in range(m):
+            assert np.array_equal(traj.subsystem(i), traj.states[:, 1 + 3 * i : 4 + 3 * i])
+        assert traj.theta_hat.shape == traj.hf.shape == (len(traj.times), m)
 
 
 class TestIntegrateSystem:
@@ -185,9 +208,10 @@ class TestIntegrateSystem:
             make_spec(), LINEAR, 1.5, [(LINEAR, cfg)], SIN,
             horizon=5.0, dt=1e-3, record_every=10,
         )
-        assert np.max(np.abs(traj.column("x_1") - 1.0)) < 1e-12
-        assert np.max(np.abs(traj.column("y_1"))) < 1e-12
-        assert np.max(np.abs(traj.column("hf_1"))) < 1e-12
+        _, x, y = traj.subsystem(0).T
+        assert np.max(np.abs(x - 1.0)) < 1e-12
+        assert np.max(np.abs(y)) < 1e-12
+        assert np.max(np.abs(traj.hf[:, 0])) < 1e-12
 
     def test_empty_bank_matches_plant_only(self):
         spec = make_spec(noise_bound=0.1)
@@ -213,7 +237,8 @@ class TestIntegrateSystem:
         a = integrator.integrate_system(spec, LINEAR, 1.5, [(LINEAR, make_config())], SIN, **kw)
         b = integrator.integrate_system(spec, LINEAR, 1.5, [(LINEAR, make_config())], SIN, **kw)
         assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.readouts, b.readouts)
+        assert np.array_equal(a.theta_hat, b.theta_hat)
+        assert np.array_equal(a.hf, b.hf)
 
     def test_rk4_order_on_smooth_problem(self):
         # global error ratio between dt and dt/2 close to 2^4
@@ -297,8 +322,9 @@ class TestCsvExport:
         with pytest.MonkeyPatch.context() as mp:
             # three-row blocks, so that row counts cross block boundaries
             mp.setattr(integrator, "CSV_BLOCK_ROWS", 3)
-            text = integrator.write_csv(None, header, split_columns(table, widths))
-        assert text == savetxt_csv(header, table)
+            out = io.StringIO()
+            integrator.write_csv(out, header, split_columns(table, widths))
+        assert out.getvalue() == savetxt_csv(header, table)
 
     def test_header_and_digits(self):
         cfg = make_config()
@@ -306,14 +332,15 @@ class TestCsvExport:
             make_spec(), LINEAR, 1.5, [(LINEAR, cfg)], SIN, horizon=0.1, dt=1e-2,
             record_every=1,
         )
-        text = traj.to_csv()
-        lines = text.strip().split("\n")
+        out = io.StringIO()
+        traj.to_csv(out)
+        lines = out.getvalue().strip().split("\n")
         assert lines[0] == "t,s,shat_1,x_1,y_1,theta_hat_1,hf_1"
         # 17 significant digits round-trip float64 exactly
         row = lines[3].split(",")
         k = 2
         assert float(row[1]) == traj.states[k, 0]
-        assert float(row[5]) == traj.readouts[k, 0]
+        assert float(row[5]) == traj.theta_hat[k, 0]
 
     def test_two_class_header(self):
         cfg = make_config()
@@ -333,30 +360,25 @@ class TestCsvExport:
             row = [traj.times[k], traj.states[k, 0]]
             for i in range(traj.n_classes):
                 row += list(traj.states[k, 1 + 3 * i : 4 + 3 * i])
-                row += [traj.readouts[k, 2 * i], traj.readouts[k, 2 * i + 1]]
+                row += [traj.theta_hat[k, i], traj.hf[k, i]]
             lines.append(",".join(f"{v:.17g}" for v in row))
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("n_classes", [0, 1, 3])
     def test_bytes_match_rowwise_formatter(self, tmp_path, monkeypatch, n_classes):
-        """A str path, a Path, an open file and None get the same bytes,
-        those of the row-by-row formatter, across 64-row block borders."""
+        """An open file gets the bytes of the row-by-row formatter after what
+        it already holds, across 64-row block borders."""
         monkeypatch.setattr(integrator, "CSV_BLOCK_ROWS", 64)
         cfg = make_config(delta=0.01)
         traj = integrator.integrate_system(
             make_spec(noise_bound=0.01), LINEAR, 1.5, [(LINEAR, cfg)] * n_classes, SIN,
             horizon=2.0, dt=1e-2, seed=3, record_every=1,
         )
-        text = traj.to_csv()
-        assert text == self.rowwise_csv(traj)
-        assert traj.to_csv(str(tmp_path / "str.csv")) is None
-        assert traj.to_csv(tmp_path / "path.csv") is None
         with open(tmp_path / "open.csv", "w") as fh:
             fh.write("# a line written before\n")
-            assert traj.to_csv(fh) is None
-        assert (tmp_path / "str.csv").read_bytes() == text.encode()
-        assert (tmp_path / "path.csv").read_bytes() == text.encode()
-        assert (tmp_path / "open.csv").read_bytes() == b"# a line written before\n" + text.encode()
+            traj.to_csv(fh)
+        expected = "# a line written before\n" + self.rowwise_csv(traj)
+        assert (tmp_path / "open.csv").read_bytes() == expected.encode()
 
 
 def reference_prototype_rhs(state, s, xi_val, clazz, config, phi):

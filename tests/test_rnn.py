@@ -248,8 +248,9 @@ class TestSimulateRnn:
         traj = integrator.integrate_system(
             make_spec(), LINEAR, 1.5, [zero_network()], SIN, horizon=1.0, dt=1e-2
         )
-        assert np.ptp(traj.column("shat_1")) == 0.0
-        assert np.ptp(traj.column("x_1")) == 0.0
+        shat, x, _ = traj.subsystem(0).T
+        assert np.ptp(shat) == 0.0
+        assert np.ptp(x) == 0.0
 
     def test_seed_determinism(self):
         spec = plant.PlantSpec(phi=lambda s: s, s0_range=(0.0, 1.0), noise_bound=0.01)
@@ -326,10 +327,11 @@ class TestDivergenceCheck:
         assert reps[1].domain_escape_t == 0.1
 
     def test_mismatched_initial_state_rejected(self):
-        cfg, spec, traj_p = self.run_pair()
+        _, spec, traj_p = self.run_pair()
+        # starts at (0.9, cos(pi/2), 1.0); traj_p starts at (0.5, 1.0, 0.0)
         traj_q = integrator.integrate_system(
-            spec, LINEAR, 1.5, [(LINEAR, cfg)], SIN, horizon=1.0, dt=1e-2,
-            init_states=[np.array([0.9, 0.0, 1.0])],
+            spec, LINEAR, 1.5, [(LINEAR, make_config(nu_x=np.pi / 2))], SIN,
+            horizon=1.0, dt=1e-2, s0=0.9,
         )
         with pytest.raises(ValueError):
             rnn.divergence_check(traj_p, traj_q, eps_N=0.1, L_i=2.0)
