@@ -13,8 +13,7 @@ Run:  python demos/network_realization.py
 
 from pathlib import Path
 
-from adasig import cli, config, rnn
-from adasig.config import sub_seed
+from adasig import cli, config
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "rnn_demo.json"
 
@@ -28,17 +27,8 @@ def main():
         print(f"  {name:<18} train sup err {train_error:.4g}, "
               f"validation eps_N {net.eps_N:.4g}")
 
-    check_h = cfg.rnn.check_horizon
-    print(f"\ndivergence check over {check_h} time units:")
-    traj_p = cli.run_simulate(cfg, horizon=check_h)
-    traj_r = cli.run_simulate(cfg, horizon=check_h, bank=nets)
-    configs = cfg.class_configs()
-    for i, (name, net) in enumerate(zip(names, nets)):
-        L_i = rnn.estimate_rhs_lipschitz(
-            cfg.classes[i], configs[i], cfg.plant.phi, net.domain,
-            seed=sub_seed(cfg.seed, f"lip_{i}"),
-        )
-        rep = rnn.divergence_check(traj_p, traj_r, net.eps_N, L_i, class_index=i)
+    print(f"\ndivergence check over {cfg.rnn.check_horizon} time units:")
+    for name, (rep, L_i) in zip(names, cli.check_divergence(cfg, nets)):
         print(f"  {name:<18} L_i={L_i:.2f}  max gap {rep.max_gap:.4g} "
               f"<= bound {rep.max_bound:.4g}  ({'ok' if rep.passed else 'VIOLATED'})")
 

@@ -35,7 +35,7 @@ def main():
     pconf = cfg.class_configs()[0]
     spent = analysis.convergence_report(traj, cfg.classes[0], cfg.true_theta,
                                         cli.theta_bound_for(cfg, tuning), pconf).winding_spent
-    budget = math.pi - pconf.nu_x + 2.0 * math.pi * pconf.k_prime
+    budget = math.pi - pconf.nu_x + 2.0 * math.pi * tuning.k_prime
     print("\n--- run ---")
     print(f"integrated {traj.times[-1]:.0f} time units, {len(traj.times)} samples")
     print(f"winding spent {spent:.4f} of budget {budget:.4f}")

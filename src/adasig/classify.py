@@ -44,12 +44,11 @@ def decide(
     T_star: float,
     eps: float,
     D_of_noise: float = 0.0,
-    settle: Optional[float] = None,
     band_theta: Optional[float] = None,
 ) -> DecisionReport:
     """Earliest-window decision over a recorded trajectory.
 
-    Finds the earliest t' <= settle such that sup over [t', t' + T_star] of
+    Finds the earliest recorded t' such that sup over [t', t' + T_star] of
     |h_f,i| < eps + D_of_noise for exactly one class; several qualifying
     classes at that instant -> ambiguous, none ever -> undecided.
     """
@@ -64,15 +63,12 @@ def decide(
     if w > len(times):
         raise ValueError("horizon shorter than the decision window")
     band = eps + D_of_noise
-    if settle is None:
-        settle = times[-1] - times[0] - T_star
 
     # (m, n) in C order: over the F-order transpose the window max is ~30x slower.
     hf = np.abs(traj.hf.T, order="C")
     win_max = sliding_window_view(hf, w, axis=1).max(axis=-1)  # (m, n-w+1)
     t_candidates = times[: win_max.shape[1]]
-    eligible = t_candidates - times[0] <= settle + 1e-12
-    qualifies = (win_max < band) & eligible
+    qualifies = win_max < band
 
     per_class = [
         {

@@ -49,9 +49,9 @@ def rho_envelope_for(cfg: ExperimentConfig, class_index: int) -> signals.RhoEnve
     ), reach=span)
 
 
-def run_tune(cfg: ExperimentConfig, class_index=None) -> TuningReport:
-    """Evaluate every tuning formula for one class of the experiment."""
-    i = cfg.true_class if class_index is None else class_index
+def run_tune(cfg: ExperimentConfig) -> TuningReport:
+    """Evaluate every tuning formula for the true class of the experiment."""
+    i = cfg.true_class
     clazz = cfg.classes[i]
     pconf = cfg.class_configs()[i]
     a, b = pconf.a, pconf.b
@@ -123,16 +123,14 @@ def run_decide(cfg: ExperimentConfig, traj, tuning: TuningReport):
         T_star=dec.T_star,
         eps=dec.eps,
         D_of_noise=classify.band_from_noise(cfg.plant.noise_bound, cfg.plant.phi_min),
-        settle=dec.settle,
         band_theta=theta_bound_for(cfg, tuning),
     )
 
 
-def fit_bank(cfg: ExperimentConfig, N=None):
-    """Fit one network per class to its subsystem right-hand side; returns
-    the networks and their training sup-errors."""
+def fit_bank(cfg: ExperimentConfig):
+    """Fit one network of rnn.N units per class to its subsystem right-hand
+    side; returns the networks and their training sup-errors."""
     r = cfg.rnn
-    N = r.N if N is None else N
     configs = cfg.class_configs()
     true_sup = rnn.drive_sup(cfg.classes[cfg.true_class], cfg.inp.xi_sup,
                              cfg.prototype.a, cfg.prototype.b)
@@ -150,7 +148,7 @@ def fit_bank(cfg: ExperimentConfig, N=None):
             seed=sub_seed(cfg.seed, f"sample_{i}"),
         )
         net, train_error = rnn.fit_network(
-            ds, N,
+            ds, r.N,
             ridge=r.ridge,
             seed=sub_seed(cfg.seed, f"fit_{i}"),
             sigmoid=r.sigmoid,
@@ -158,6 +156,21 @@ def fit_bank(cfg: ExperimentConfig, N=None):
         nets.append(net)
         train_errors.append(train_error)
     return nets, train_errors
+
+
+def check_divergence(cfg: ExperimentConfig, nets) -> list:
+    """Gronwall check of fitted networks over rnn.check_horizon: one
+    (DivergenceReport, L_i) per class.  The prototype bank runs first, then
+    the network bank, each given the horizon by keyword."""
+    horizon = cfg.rnn.check_horizon
+    traj_p = run_simulate(cfg, horizon=horizon)
+    traj_r = run_simulate(cfg, horizon=horizon, bank=nets)
+    checks = []
+    for i, (clazz, pconf, net) in enumerate(zip(cfg.classes, cfg.class_configs(), nets)):
+        L_i = rnn.estimate_rhs_lipschitz(clazz, pconf, cfg.plant.phi, net.domain,
+                                         seed=sub_seed(cfg.seed, f"lip_{i}"))
+        checks.append((rnn.divergence_check(traj_p, traj_r, net.eps_N, L_i, class_index=i), L_i))
+    return checks
 
 
 # ---------------------------------------------------------------- commands
@@ -296,34 +309,21 @@ def verify_pe_example(cfg: ExperimentConfig) -> analysis.PEReport:
 def cmd_fit_rnn(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    check_h = cfg.rnn.check_horizon
-    last_nets, sweep = None, []
-    for N in cfg.rnn.N_list:
-        nets, _ = fit_bank(cfg, N=N)
-        sweep.append({"N": N, "eps_N": [n.eps_N for n in nets], "eps_N_basis": EPS_N_BASIS})
-        last_nets = nets
-    for i, net in enumerate(last_nets):
+    nets, _ = fit_bank(cfg)
+    for i, net in enumerate(nets):
         net.to_json(out / f"network_{i + 1}.json")
+    eps_N = [n.eps_N for n in nets]
+    sweep = [{"N": cfg.rnn.N, "eps_N": eps_N, "eps_N_basis": EPS_N_BASIS}]
     _write_json(out / "fit_report.json", _stamp({"sweep": sweep}, cfg))
 
-    passed = True
-    if check_h > 0:
-        traj_p = run_simulate(cfg, horizon=check_h)
-        traj_r = run_simulate(cfg, horizon=check_h, bank=last_nets)
-        configs = cfg.class_configs()
-        results = []
-        for i, net in enumerate(last_nets):
-            L_i = rnn.estimate_rhs_lipschitz(
-                cfg.classes[i], configs[i], cfg.plant.phi, net.domain,
-                seed=sub_seed(cfg.seed, f"lip_{i}"),
-            )
-            rep = rnn.divergence_check(traj_p, traj_r, net.eps_N, L_i, class_index=i)
-            results.append(asdict(rep) | {"L_i": L_i, "eps_N_basis": EPS_N_BASIS})
-            passed = passed and rep.passed
+    verdict = "skipped"  # rnn.check_horizon 0 runs no check
+    if cfg.rnn.check_horizon > 0:
+        checks = check_divergence(cfg, nets)
+        results = [asdict(rep) | {"L_i": L_i, "eps_N_basis": EPS_N_BASIS} for rep, L_i in checks]
         _write_json(out / "divergence.json", _stamp({"per_class": results}, cfg))
-    print(f"fit-rnn: eps_N={[f'{n.eps_N:.4g}' for n in last_nets]} "
-          f"divergence={'pass' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_VERIFY_FAIL
+        verdict = "pass" if all(rep.passed for rep, _ in checks) else "FAIL"
+    print(f"fit-rnn: eps_N={[f'{e:.4g}' for e in eps_N]} divergence={verdict}")
+    return EXIT_VERIFY_FAIL if verdict == "FAIL" else EXIT_OK
 
 
 def cmd_report(args) -> int:

@@ -33,11 +33,11 @@ REQUIRED = object()
 
 # section -> key -> (type, default); "classes" describes each entry of the
 # classes list.  A None default leaves the key unset; load_config fills in
-# the derived ones (tuning.pe_horizon, rnn.N_list) and the per-class gain.
+# the derived one (tuning.pe_horizon) and the per-class gain.
 KEYS = {
     "classes": {"family": ("str", REQUIRED), "theta_range": ("float pair", [0.5, 2.0])},
     "true": {"class": ("int", REQUIRED), "theta": ("float", REQUIRED)},
-    "input": {"kind": ("str", "sin"), "t0": ("float", 0.0)},
+    "input": {"kind": ("str", "sin")},
     "plant": {"phi": ("str", "identity"), "slope": ("float", 1.0),
               "phi_min": ("float", None), "phi_max": ("float", None),
               "s0_range": ("float pair", [0.0, 1.0]), "noise_bound": ("float", 0.0)},
@@ -48,11 +48,11 @@ KEYS = {
     "simulation": {"t0": ("float", 0.0), "horizon": ("float", 10.0), "dt": ("float", 1e-3),
                    "record_every": ("int", 10), "seed": ("int", 0), "s0": ("float", None)},
     "decision": {"T_star": ("float", 10.0), "eps": ("float", 0.02),
-                 "settle": ("float", None), "theta_bound": ("float", None)},
-    "rnn": {"N": ("int", 400), "N_list": ("int list", None), "n_train": ("int", 40000),
+                 "theta_bound": ("float", None)},
+    "rnn": {"N": ("int", 400), "n_train": ("int", 40000),
             "ridge": ("float", 1e-10), "sigmoid": ("str", "logistic"),
             "check_horizon": ("float", 0.0)},
-    "sweep": {"count": ("int", 11), "grid": ("float list", None)},
+    "sweep": {"count": ("int", 11)},
     "tuning": {"window_T": ("float", 2.0 * math.pi), "pe_horizon": ("float", None)},
 }
 THETA_BOUND_FALLBACK = 0.05  # decision.theta_bound when unset and the error bound is 0
@@ -73,8 +73,6 @@ _TYPES = {
     "bool": lambda v: v if isinstance(v, bool) else None,
     "str": lambda v: v if isinstance(v, str) else None,
     "float pair": lambda v: tuple(map(float, v)) if _reals(v) and len(v) == 2 else None,
-    "float list": lambda v: [float(x) for x in v] if _reals(v) else None,
-    "int list": lambda v: v if _reals(v) and all(isinstance(x, int) for x in v) else None,
 }
 
 
@@ -139,7 +137,7 @@ class ExperimentConfig:
     rnn: SimpleNamespace
     sweep: SimpleNamespace
     tuning: SimpleNamespace
-    gamma_star: list  # admissible gain supremum per class, inf when c = 0
+    gamma_star: list  # admissible gain supremum per class
     _class_configs: list
     hash: str = ""
 
@@ -173,8 +171,6 @@ class ExperimentConfig:
         return horizon, dt, record_every
 
     def theta_grid(self) -> np.ndarray:
-        if self.sweep.grid is not None:
-            return np.asarray(self.sweep.grid, dtype=float)
         lo, hi = self.classes[self.true_class].theta_range
         return np.linspace(lo, hi, self.sweep.count)
 
@@ -183,7 +179,7 @@ def _build_input(section: SimpleNamespace) -> "signals.InputSignal":
     if section.kind == "sin":
         return signals.sin_input()
     if section.kind == "degenerate":
-        return signals.degenerate_xi(section.t0)
+        return signals.degenerate_xi()
     raise ValueError(f"unknown input kind {section.kind!r}")
 
 
@@ -209,8 +205,7 @@ def _build_plant(section: SimpleNamespace) -> PlantSpec:
 def _class_configs(p: SimpleNamespace, classes, plant: PlantSpec) -> tuple[list, list]:
     """Per-class prototype configurations and gain suprema gamma_star.
 
-    Without prototype.gamma a class works at safety * gamma_star, or at 1
-    when its family has c = 0 and the gain is unconstrained.  A requested
+    Without prototype.gamma a class works at safety * gamma_star.  A requested
     gain at or above a class's gamma_star is clamped to safety * gamma_star
     for that class (with a warning); this keeps one shared config file
     usable across families of different sensitivity.
@@ -219,25 +214,21 @@ def _class_configs(p: SimpleNamespace, classes, plant: PlantSpec) -> tuple[list,
     configs, gamma_stars = [], []
     for clazz in classes:
         c = compute_c(clazz.lipschitz_theta, plant.phi_min, p.a, p.b)
-        if c == 0:
-            gamma_star = math.inf
-            gamma = 1.0 if p.gamma is None else p.gamma
-        else:
-            gamma_star, gamma_default = tune_gamma(p.kappa, p.d, c, plant.phi_min, p.safety)
-            gamma = gamma_default if p.gamma is None else p.gamma
-            if gamma >= gamma_star:
-                if p.clamp_gamma:
-                    warnings.warn(
-                        f"requested gamma {gamma} inadmissible for class "
-                        f"{clazz.name!r} (gamma_star={gamma_star:.6g}); clamping"
-                    )
-                    gamma = p.safety * gamma_star
-                else:
-                    warnings.warn(
-                        f"requested gamma {gamma} exceeds gamma_star="
-                        f"{gamma_star:.6g} for class {clazz.name!r}; "
-                        "keeping it (clamp_gamma false)"
-                    )
+        gamma_star, gamma_default = tune_gamma(p.kappa, p.d, c, plant.phi_min, p.safety)
+        gamma = gamma_default if p.gamma is None else p.gamma
+        if gamma >= gamma_star:
+            if p.clamp_gamma:
+                warnings.warn(
+                    f"requested gamma {gamma} inadmissible for class "
+                    f"{clazz.name!r} (gamma_star={gamma_star:.6g}); clamping"
+                )
+                gamma = p.safety * gamma_star
+            else:
+                warnings.warn(
+                    f"requested gamma {gamma} exceeds gamma_star="
+                    f"{gamma_star:.6g} for class {clazz.name!r}; "
+                    "keeping it (clamp_gamma false)"
+                )
         gamma_stars.append(gamma_star)
         configs.append(PrototypeConfig(gamma=gamma, a=p.a, b=p.b, epsilon=epsilon,
                                        delta=p.delta, nu_x=p.nu_x, k_prime=p.k_prime,
@@ -302,23 +293,16 @@ def load_config(path_or_dict) -> ExperimentConfig:
            f"at least tuning.window_T = {tuning.window_T}")
     dec = sec["decision"]
     _check(dec.eps >= 0, "decision.eps", dec.eps, "non-negative")
-    _check(dec.settle is None or dec.settle >= 0, "decision.settle", dec.settle, "non-negative")
     _check(dec.theta_bound is None or dec.theta_bound > 0, "decision.theta_bound",
            dec.theta_bound, "positive")
     _check(rnn_sec.N >= 1, "rnn.N", rnn_sec.N, "at least 1")
-    if rnn_sec.N_list is None:
-        rnn_sec.N_list = [rnn_sec.N]
-    _check(min(rnn_sec.N_list) >= 1, "rnn.N_list", rnn_sec.N_list, "at least 1 in every entry")
     _check(rnn_sec.n_train >= 1, "rnn.n_train", rnn_sec.n_train, "at least 1")
     _check(rnn_sec.ridge >= 0, "rnn.ridge", rnn_sec.ridge, "non-negative")
     _check(rnn_sec.check_horizon >= 0, "rnn.check_horizon", rnn_sec.check_horizon,
            "non-negative")
     if rnn_sec.sigmoid not in SIGMOIDS:
         raise ValueError(f"unknown rnn sigmoid {rnn_sec.sigmoid!r}")
-    sweep = sec["sweep"]
-    _check(sweep.count >= 1, "sweep.count", sweep.count, "at least 1")
-    _check(sweep.grid is None or all(lo <= g <= hi for g in sweep.grid), "sweep.grid",
-           sweep.grid, f"inside the true class's theta_range [{lo}, {hi}]")
+    _check(sec["sweep"].count >= 1, "sweep.count", sec["sweep"].count, "at least 1")
 
     noise_bound = sec["plant"].noise_bound
     _check(noise_bound >= 0, "plant.noise_bound", noise_bound, "non-negative")

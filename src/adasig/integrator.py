@@ -225,7 +225,7 @@ def integrate_system(
 
     a = np.array([obj.a for obj in subsystems])
     b = np.array([obj.b for obj in subsystems])
-    info = {"dt": dt, "seed": seed, "record_every": record_every, "t0": t0}
+    info = {"dt": dt, "record_every": record_every}
     if net is not None:
         # Domain escape: every recorded row after the first, with xi at the
         # step end t0 + k dt + dt, in one check that flags each network.

@@ -12,7 +12,6 @@ constant delta in the gain keeps the sweep alive under perturbations
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -117,18 +116,14 @@ def tune_gamma(
 ) -> tuple[float, float]:
     """Supremum of admissible rotation gains, and a working gain inside it.
 
-    Returns (gamma_star, gamma = safety * gamma_star). A degenerate family
-    (c = 0) puts no constraint on gamma; the supremum is reported as inf.
+    Returns (gamma_star, gamma = safety * gamma_star); c must be positive.
     """
     if not kappa > 1 or not 0 < d < 1:
         raise ValueError("need kappa > 1 and d in (0, 1)")
     if not 0 < safety < 1:
         raise ValueError("safety must be in (0, 1)")
-    if c < 0:
-        raise ValueError("c must be non-negative")
-    if c == 0:
-        warnings.warn("c = 0: rotation gain is unconstrained, returning inf")
-        return math.inf, math.inf
+    if not c > 0:
+        raise ValueError("c must be positive")
     gamma_star = (phi_min / c) / (
         math.log(kappa / d) * kappa / (kappa - 1.0) * (2.0 + kappa / (1.0 - d))
     )
@@ -142,24 +137,24 @@ def tune_hstar(
     a: float,
     b: float,
     phi_min: float,
-    gamma_star: float,
+    gamma: float,
     kappa: float,
     d: float,
     c: float,
 ) -> float:
-    """Minimal initial phase budget guaranteeing trapped convergence.
+    """Minimal initial phase budget guaranteeing trapped convergence at gain gamma.
 
-    Requires gamma_star strictly inside the admissible range; at the boundary
-    the denominator vanishes and no finite budget works.
+    Requires gamma strictly below the supremum gamma_star; at gamma_star the
+    denominator vanishes and no finite budget works.
     """
     numerator = (s_max - s_min) + d_theta * (b - a) / phi_min
     denominator = (
-        phi_min / gamma_star / math.log(kappa / d) * (kappa - 1.0) / kappa
+        phi_min / gamma / math.log(kappa / d) * (kappa - 1.0) / kappa
         - c * (2.0 + kappa / (1.0 - d))
     )
     if denominator <= 0:
         raise ValueError(
-            "phase-budget denominator is non-positive; pick a smaller gamma_star"
+            "phase-budget denominator is non-positive; pick a smaller gamma"
         )
     return numerator / denominator
 

@@ -160,19 +160,17 @@ class RhoEnvelope:
         return float(np.interp(value, self.devs, self.seps))
 
 
-def degenerate_xi(t0: float = 0.0) -> InputSignal:
+def degenerate_xi() -> InputSignal:
     """Input whose quiet intervals grow without bound.
 
-    xi(t) = sin^2(ln(t - t0 + 1)) while sin(ln(t - t0 + 1)) >= 0, else 0.
+    xi(t) = sin^2(ln(t + 1)) while sin(ln(t + 1)) >= 0, else 0.
     On long runs the zero stretches eventually exceed any fixed observation
     window, which defeats parameter recovery.
     """
-    if t0 < 0:
-        raise ValueError("t0 must be non-negative")
 
     def xi(t):
         t = np.asarray(t, dtype=float)
-        w = np.sin(np.log(np.maximum(t - t0 + 1.0, 1.0)))
+        w = np.sin(np.log(np.maximum(t + 1.0, 1.0)))
         return np.where(w >= 0.0, w * w, 0.0)
 
     return InputSignal(xi=xi, xi_sup=1.0, dxi_sup=2.0)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adasig import analysis, cli, config, plant, prototype, rnn, signals
+from adasig import analysis, cli, config, plant, prototype, signals
 from adasig.integrator import integrate_system, rk4_step
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -113,7 +113,7 @@ def test_04_tuning_formulas():
     gamma_star, _ = prototype.tune_gamma(kappa=2.0, d=0.5, c=1.0, phi_min=1.0)
     h_star = prototype.tune_hstar(
         s_min=0.0, s_max=1.0, d_theta=1.0, a=0.0, b=1.0,
-        phi_min=1.0, gamma_star=0.06, kappa=2.0, d=0.5, c=0.5,
+        phi_min=1.0, gamma=0.06, kappa=2.0, d=0.5, c=0.5,
     )
     ok_g = abs(gamma_star - 0.06011229337037348) < 1e-9
     ok_h = abs(h_star - 0.6641805641969919) < 1e-9
@@ -130,7 +130,7 @@ def test_05_winding_budget(one_class):
     assert pconf.delta == 0.0
     spent = analysis.convergence_report(traj, cfg.classes[0], cfg.true_theta,
                                         cli.theta_bound_for(cfg, tuning), pconf).winding_spent
-    budget = math.pi - pconf.nu_x + 2.0 * math.pi * pconf.k_prime
+    budget = math.pi - pconf.nu_x + 2.0 * math.pi * tuning.k_prime
     ok = spent <= budget
     _line(5, "winding budget", ok, f"spent {spent:.4f} <= budget {budget:.4f}")
     assert ok
@@ -235,17 +235,8 @@ def test_09_degenerate_input(tmp_path):
 def test_10_rnn_realization(rnn_demo):
     """Fitted networks stay close to the prototype and reproduce its decision."""
     cfg, tuning, nets, _ = rnn_demo
-    configs = cfg.class_configs()
-    check_h = 2.0
-    traj_p2 = cli.run_simulate(cfg, horizon=check_h)
-    traj_r2 = cli.run_simulate(cfg, horizon=check_h, bank=nets)
     div_ok, details = True, []
-    for i, net in enumerate(nets):
-        L_i = rnn.estimate_rhs_lipschitz(
-            cfg.classes[i], configs[i], cfg.plant.phi, net.domain,
-            seed=config.sub_seed(cfg.seed, f"lip_{i}"),
-        )
-        rep = rnn.divergence_check(traj_p2, traj_r2, net.eps_N, L_i, class_index=i)
+    for net, (rep, L_i) in zip(nets, cli.check_divergence(cfg, nets)):
         div_ok = div_ok and rep.passed
         details.append(f"eps_N={net.eps_N:.3g} L={L_i:.2f} gap={rep.max_gap:.3g}")
     traj_p = cli.run_simulate(cfg)

@@ -128,14 +128,6 @@ class TestDecide:
         assert rep.status == "decided"
         assert rep.t_prime == pytest.approx(5.0)
 
-    def test_settle_time_limits_search(self):
-        traj = synthetic_traj(
-            [lambda t: np.where(t < 5.0, 1.0, 0.0)],
-            [lambda t: 1.5 + 0.0 * t],
-        )
-        rep = classify.decide(traj, T_star=1.0, eps=0.1, settle=2.0)
-        assert rep.status == "undecided"
-
     def test_monotone_in_band(self):
         traj = synthetic_traj(
             [lambda t: 0.05 + 0.0 * t, lambda t: 0.5 + 0.0 * t],

@@ -20,13 +20,30 @@ def small_config(**overrides):
     raw["simulation"]["horizon"] = 150.0
     raw["decision"]["T_star"] = 5.0
     raw["decision"]["theta_bound"] = 0.1
-    raw["sweep"] = {"grid": [1.6]}
+    raw["sweep"] = {"count": 1}
     for key, val in overrides.items():
         if isinstance(val, dict):
             raw.setdefault(key, {}).update(val)
         else:
             raw[key] = val
     return raw
+
+
+def bench_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded as a module of its own."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, wl)  # its dataclasses look it up
+    spec.loader.exec_module(wl)
+    return wl
+
+
+# Keys that no shipped or benchmark config sets, each kept for its reason.
+CONTRACT_KEYS = {
+    "plant.slope": "the slope of the linear phi kind",
+    "prototype.clamp_gamma": "false keeps an inadmissible gain: the only route to exit code 2",
+}
 
 
 def write_config(tmp_path, raw, name="exp.json"):
@@ -89,10 +106,6 @@ class TestConfigParsing:
                                               decision={"T_star": 0.3}))
         assert cfg.simulation_grid() == (0.3, 0.1, 3)
 
-    def test_empty_sweep_grid_rejected(self):
-        with pytest.raises(ValueError):
-            config.load_config(small_config(sweep={"grid": []}))
-
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_configs_load(self, path):
         with warnings.catch_warnings():
@@ -101,15 +114,26 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("workload", ["report-sweep", "rnn-fit", "dense-record"])
     def test_benchmark_configs_load(self, monkeypatch, workload):
-        spec = importlib.util.spec_from_file_location(
-            "bench_workloads", ROOT / "perfbench" / "workloads.py")
-        wl = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, wl)  # its dataclasses look it up
-        spec.loader.exec_module(wl)
+        wl = bench_workloads(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for index in range(wl.N_INPUTS):
                 config.load_config(wl.make_config(workload, index))
+
+    def test_every_key_is_set_by_some_config(self, monkeypatch):
+        """A key that no shipped config and no benchmark input set sets is an
+        option nothing uses, unless it is a contract key."""
+        wl = bench_workloads(monkeypatch)
+        raws = [json.loads(p.read_text()) for p in CONFIG_DIR.glob("*.json")]
+        raws += [wl.make_config(w, i) for w in wl.WORKLOADS for i in range(wl.N_INPUTS)]
+        keys = {f"{s}.{k}" for s, section in config.KEYS.items() for k in section}
+        used = set()
+        for raw in raws:
+            for s in config.KEYS:
+                entries = raw.get(s, []) if s == "classes" else [raw.get(s, {})]
+                used |= {f"{s}.{k}" for entry in entries for k in entry}
+        assert CONTRACT_KEYS.keys() <= keys
+        assert sorted(keys - used - CONTRACT_KEYS.keys()) == []
 
     def test_sub_seed_distinct(self):
         assert config.sub_seed(0, "noise") != config.sub_seed(0, "fit_0")
@@ -239,7 +263,6 @@ BAD_KEYS = [
     (("simulation", "seed"), True, "tune"),
     (("plant", "s0_range"), [0.0], "tune"),
     (("classes", 0, "theta_range"), "wide", "tune"),
-    (("sweep", "grid"), [], "report"),
     (("sweep", "count"), 0, "report"),
     (("decision", "T_star"), 0.0, "simulate"),
     (("decision", "T_star"), 500.0, "simulate"),  # beyond the 150 s horizon
@@ -253,16 +276,13 @@ BAD_VALUES = [
     (("plant", "slope"), 2.0),  # phi "identity" has slope 1
     (("plant", "s0_range"), [1.0, 0.0]),
     (("simulation", "s0"), 1.5),  # outside s0_range [0, 1]
-    (("sweep", "grid"), [1.6, 2.5]),  # outside theta_range [1.3, 2.0]
     (("tuning", "window_T"), 0.0),
     (("tuning", "window_T"), -1.0),
     (("tuning", "pe_horizon"), 3.0),  # shorter than window_T = 2 pi
     (("decision", "eps"), -0.01),
-    (("decision", "settle"), -1.0),
     (("decision", "theta_bound"), 0.0),
     (("decision", "theta_bound"), -0.1),
     (("rnn", "N"), 0),
-    (("rnn", "N_list"), [50, 0]),
     (("rnn", "n_train"), 0),
     (("rnn", "ridge"), -1e-10),
     (("rnn", "check_horizon"), -2.0),
@@ -460,6 +480,14 @@ class TestFitRnnCommand:
         assert all(r["domain_escape_t"] is None and r["eps_N_basis"] == "sampled"
                    for r in div["per_class"])
 
+    def test_no_check_horizon_reports_the_check_skipped(self, tmp_path, capsys):
+        raw = small_config(rnn={"N": 40, "n_train": 2000, "sigmoid": "tanh"})
+        path = write_config(tmp_path, raw)
+        assert cli.main(["fit-rnn", "--config", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("divergence=skipped")
+        assert (tmp_path / "fit_report.json").exists()
+        assert not (tmp_path / "divergence.json").exists()
+
     def test_domain_escape_fails_the_check(self, tmp_path, capsys, monkeypatch):
         """Networks fitted on a box too small for the run leave it: the
         divergence verdict fails with the escape time, and fit-rnn exits 4."""
@@ -477,7 +505,8 @@ class TestFitRnnCommand:
 
 @pytest.fixture(scope="module")
 def single_point_report(tmp_path_factory):
-    """report on the small config, whose sweep is the single theta 1.6."""
+    """report on the small config, whose sweep is the single theta 1.3, the
+    lower end of theta_range."""
     out = tmp_path_factory.mktemp("report")
     path = write_config(out, small_config())
     code = cli.main(["report", "--config", path, "--out", str(out)])
@@ -518,7 +547,7 @@ class TestReportCommand:
         assert not payload["sweep_entered"]
 
     def test_clamp_warning_once_per_clamped_class(self, tmp_path, capsys):
-        raw = small_config(prototype={"gamma": 10.0}, sweep={"grid": [1.5, 1.6, 1.7]})
+        raw = small_config(prototype={"gamma": 10.0}, sweep={"count": 3})
         raw["simulation"]["horizon"] = 30.0
         path = write_config(tmp_path, raw)
         with warnings.catch_warnings(record=True) as caught:

@@ -673,7 +673,7 @@ class TestDomainEscape:
             e.domain = np.array([[-1.1, 1.1], [-2.0, 2.0], [-2.0, 2.0],
                                  [-1.0, 1.0], [-1.0, 1.0]])
             e.domain[rng.integers(0, 5)] *= shrink
-        inp = signals.degenerate_xi(0.0) if degenerate else SIN
+        inp = signals.degenerate_xi() if degenerate else SIN
         traj = integrator.integrate_system(
             make_spec(), LINEAR, 1.5, bank, inp, t0=t0, horizon=2.0, dt=1e-2, seed=seed,
             record_every=record_every, s0=0.5,

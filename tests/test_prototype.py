@@ -211,9 +211,8 @@ class TestTuning:
         assert gs3 == pytest.approx(0.5 * gs1)
 
     def test_tune_gamma_degenerate_family(self):
-        with pytest.warns(UserWarning):
-            gs, g = prototype.tune_gamma(2.0, 0.5, 0.0, 1.0)
-        assert gs == math.inf and g == math.inf
+        with pytest.raises(ValueError, match="c must be positive"):
+            prototype.tune_gamma(2.0, 0.5, 0.0, 1.0)
 
     def test_tune_hstar_frozen_value(self):
         h = prototype.tune_hstar(0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.06, 2.0, 0.5, 0.5)
