@@ -201,9 +201,22 @@ def _stamp(payload: dict, cfg: ExperimentConfig) -> dict:
     return payload
 
 
+def _finite(value):
+    """value with every inf and nan float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    """Standard JSON: a non-finite float is written as null; the payload's
+    own flags (sweep_entered, condition_ok) say why it has no value."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -355,7 +368,8 @@ def cmd_report(args) -> int:
         {
             "tuning": asdict(tuning),
             "decision": asdict(decision),
-            # Largest entry time over the grid; a theta that never enters makes it inf.
+            # Largest entry time over the grid; a theta that never enters makes
+            # it inf, written as null.
             "T_prime_max_empirical": max([0.0, *entry_times]) if entered else math.inf,
             "theta_bound": bound,
             "sweep_entered": entered,

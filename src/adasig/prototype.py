@@ -11,6 +11,7 @@ constant delta in the gain keeps the sweep alive under perturbations
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -84,18 +85,48 @@ def prototype_rhs(q, s, xi_val, bank: Sequence[tuple], phi: Callable[[float], fl
     numpy scalar), arrays for a block of sample rows when s is an array (phi
     and f must then accept arrays). The read-back is theta_hat written out,
     in the same association order, and the dead zone is
-    max(|shat - s| - epsilon, 0).
+    max(|shat - s| - epsilon, 0). The call runs bank_kernel(m, rows), the
+    straight-line code for a bank of m subsystems.
     """
-    rows = isinstance(s, np.ndarray)
-    clip = np.maximum if rows else max
-    out = []
-    for i, f, a, half_span, gamma, epsilon, delta in bank:
-        shat, x, y = q[i], q[i + 1], q[i + 2]
-        ds = -phi(shat) + f(xi_val, a + half_span * (x + 1.0))
-        g = gamma * (clip(abs(shat - s) - epsilon, 0.0) + delta)
-        r2 = x * x + y * y
-        out += (ds if rows else float(ds), g * (x - y - x * r2), g * (x + y - y * r2))
-    return out
+    return bank_kernel(len(bank), isinstance(s, np.ndarray))(q, s, xi_val, bank, phi)
+
+
+@functools.cache
+def bank_kernel(m: int, rows: bool) -> Callable:
+    """prototype_rhs for banks of m subsystems, compiled from straight-line source.
+
+    The bank is unpacked in one statement into subsystem i's offset, f, a,
+    (b - a)/2, gamma, epsilon and delta (locals o{i}, f{i}, a{i}, h{i}, c{i},
+    e{i}, d{i}), its (shat, x, y) go into shat{i}, x{i}, y{i}, and the 3m
+    derivatives come back in one list display. The float
+    form (rows False) writes the dead zone as (0.0 if v < 0.0 else v), the
+    bits of max(v, 0.0), nan included, and passes the filter derivative
+    through float(); the row form takes np.maximum and casts nothing. The
+    source depends on (m, rows) alone and is the function's __doc__.
+    """
+    def row(expr):
+        return ", ".join(expr.format(i=i) for i in range(m))
+
+    clip = "maximum(v{i}, 0.0)" if rows else "(0.0 if v{i} < 0.0 else v{i})"
+    ds = "-phi(shat{i}) + f{i}(xi_val, a{i} + h{i} * (x{i} + 1.0))"
+    derivatives = [ds if rows else f"float({ds})",
+                   "g{i} * (x{i} - y{i} - x{i} * r{i})", "g{i} * (x{i} + y{i} - y{i} * r{i})"]
+    src = "\n    ".join([
+        "def rhs(q, s, xi_val, bank, phi):",
+        f"[{row('(o{i}, f{i}, a{i}, h{i}, c{i}, e{i}, d{i})')}] = bank",
+        *(line.format(i=i) for i in range(m) for line in [
+            "shat{i}, x{i}, y{i} = q[o{i}], q[o{i} + 1], q[o{i} + 2]",
+            "v{i} = abs(shat{i} - s) - e{i}",
+            "g{i} = c{i} * (" + clip + " + d{i})",
+            "r{i} = x{i} * x{i} + y{i} * y{i}",
+        ]),
+        f"return [{row(', '.join(derivatives))}]",
+    ]) + "\n"
+    namespace = {"maximum": np.maximum}
+    exec(compile(src, f"<bank_kernel({m}, {rows})>", "exec"), namespace)
+    kernel = namespace["rhs"]
+    kernel.__doc__ = src
+    return kernel
 
 
 def compute_c(d_theta: float, phi_min: float, a: float, b: float) -> float:

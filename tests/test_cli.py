@@ -233,6 +233,34 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+def strict_json(path):
+    """The JSON at path, refusing the non-standard Infinity, -Infinity and NaN."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+class TestStandardJson:
+    """Every artifact is standard JSON: a non-finite float is written as null."""
+
+    def test_degenerate_input_artifacts_parse(self, tmp_path, capsys):
+        path = str(CONFIG_DIR / "degenerate_input.json")
+        assert cli.main(["report", "--config", path, "--out", str(tmp_path)]) == 3
+        assert cli.main(["verify", "--config", path, "--which", "pe",
+                         "--out", str(tmp_path)]) == 4
+        capsys.readouterr()
+        report = strict_json(tmp_path / "report.json")
+        assert report["T_prime_max_empirical"] is None and report["sweep_entered"] is False
+        pe = strict_json(tmp_path / "verify_pe.json")
+        assert pe["p"] is None and pe["condition_ok"] is False
+
+    def test_nested_non_finite_floats_become_null(self, tmp_path):
+        cli._write_json(tmp_path / "x.json", {"a": [1.5, (math.inf, -math.inf)],
+                                              "b": {"c": math.nan, "d": 2}})
+        assert strict_json(tmp_path / "x.json") == {"a": [1.5, [None, None]],
+                                                    "b": {"c": None, "d": 2}}
+
+
 def _set(raw, path, value):
     *parents, key = path
     for p in parents:
@@ -542,8 +570,8 @@ class TestReportCommand:
         capsys.readouterr()
         row = (tmp_path / "sweep.csv").read_text().splitlines()[1]
         assert row.split(",")[1] == "nan"
-        payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["T_prime_max_empirical"] == math.inf
+        payload = strict_json(tmp_path / "report.json")
+        assert payload["T_prime_max_empirical"] is None
         assert not payload["sweep_entered"]
 
     def test_clamp_warning_once_per_clamped_class(self, tmp_path, capsys):

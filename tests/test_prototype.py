@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from adasig import prototype, signals
 
+ROOT = Path(__file__).resolve().parent.parent
 LINEAR = signals.builtin_class("linear", (1.0, 2.0))
 FAMILIES = ["linear", "sine", "quadratic-affine"]
 
@@ -149,6 +154,129 @@ class TestBankMatchesPerSubsystemReference:
         assert np.array_equal(np.array(out), np.array(ref))
         if rows is None:
             assert all(type(v) is float for v in out)
+
+
+def random_bank(rng, m):
+    """m subsystems of drawn families and constants at offsets 1, 4, ...
+    behind s, as in the integrator, with a phi of drawn slope."""
+    bank = []
+    for i in range(m):
+        clazz = signals.builtin_class(FAMILIES[rng.integers(3)], (1.0, 2.0))
+        gamma, a, span = rng.uniform([0.01, 0.5, 0.1], [2.0, 1.5, 2.0]).tolist()
+        cfg = make_config(gamma=gamma, a=a, b=a + span, epsilon=float(rng.choice([0.0, 0.3])),
+                          delta=float(rng.choice([0.0, 0.01])))
+        bank.append(prototype.subsystem_constants(clazz, cfg, 1 + 3 * i))
+    slope = float(rng.uniform(0.5, 3.0))
+    return bank, lambda s: slope * s
+
+
+def random_args(rng, m, rows):
+    """(q, s, xi_val) for a bank of m: Python floats, or blocks of 17 rows."""
+    size = (17,) if rows else ()
+    xi_val, s = rng.uniform(-2.0, 2.0, (2, *size))
+    q = rng.uniform(-2.0, 2.0, (1 + 3 * m, *size))
+    return (q, s, xi_val) if rows else (q.tolist(), float(s), float(xi_val))
+
+
+class TestBankKernel:
+    """prototype_rhs runs one function per bank size and form, built from the
+    source on its __doc__."""
+
+    @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_built_once_per_bank_size(self, m, rows):
+        rng = np.random.default_rng(m)
+        bank, phi = random_bank(rng, m)
+        prototype.prototype_rhs(*random_args(rng, m, rows), bank, phi)
+        misses = prototype.bank_kernel.cache_info().misses
+        for _ in range(3):
+            prototype.prototype_rhs(*random_args(rng, m, rows), bank, phi)
+        assert prototype.bank_kernel.cache_info().misses == misses
+        assert prototype.bank_kernel(m, rows) is prototype.bank_kernel(m, rows)
+
+    @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("m", range(6))
+    def test_doc_source_gives_the_same_bits(self, m, rows):
+        source = prototype.bank_kernel(m, rows).__doc__
+        namespace = {"maximum": np.maximum}
+        exec(compile(source, "<doc>", "exec"), namespace)
+        rng = np.random.default_rng(10 * m + rows)
+        bank, phi = random_bank(rng, m)
+        args = (*random_args(rng, m, rows), bank, phi)
+        got = prototype.prototype_rhs(*args)
+        assert len(got) == 3 * m
+        assert np.array_equal(np.array(got), np.array(namespace["rhs"](*args)))
+        for i in range(m):
+            assert f"shat{i}, x{i}, y{i} = q[o{i}], q[o{i} + 1], q[o{i} + 2]" in source
+
+    @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_bank_equals_its_subsystems_joined(self, m, rows):
+        rng = np.random.default_rng(100 + m)
+        bank, phi = random_bank(rng, m)
+        q, s, xi_val = random_args(rng, m, rows)
+        joined = []
+        for entry in bank:
+            joined += prototype.prototype_rhs(q, s, xi_val, [entry], phi)
+        assert np.array_equal(np.array(prototype.prototype_rhs(q, s, xi_val, bank, phi)),
+                              np.array(joined))
+
+    def test_set_up_compiles_no_kernel(self):
+        """Importing the package, loading each shipped config and tuning it,
+        in a fresh process, build no kernel and no stepper: they are built on
+        the first call, so the set-up path pays nothing for them."""
+        paths = sorted(str(p) for p in (ROOT / "configs").glob("*.json"))
+        assert len(paths) == 4
+        code = "\n".join([
+            "import warnings",
+            "warnings.simplefilter('ignore')",
+            "import adasig",
+            "from adasig import cli, integrator, prototype",
+            f"for path in {paths!r}:",
+            "    cli.run_tune(adasig.load_config(path))",
+            "print(prototype.bank_kernel.cache_info().currsize,",
+            "      integrator.rk4_stepper.cache_info().currsize)",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        a=st.floats(-2.0, 2.0),
+        span=st.floats(0.01, 3.0),
+        epsilon=st.floats(0.0, 1.0),
+        delta=st.floats(0.0, 0.1),
+        nan_at=st.sampled_from(["s", "shat", "x", "y"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_form_is_the_float_form_row_by_row(self, family, a, span, epsilon, delta,
+                                                   nan_at, seed):
+        """The row form equals the float form on each row, bit for bit, with
+        rows on the dead zone's corner and a nan row, which both forms keep
+        nan at the same places."""
+        clazz = signals.builtin_class(family, (1.0, 2.0))
+        bank = one(clazz, make_config(a=a, b=a + span, epsilon=epsilon, delta=delta))
+        phi = lambda s: 1.5 * s
+        block = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, 16))
+        # |shat - s| - epsilon is exactly 0 on rows 0 and 1, and rows 2 and 3
+        # have shat == s.
+        block[1:3, :2] = [[0.0, 0.0], [epsilon, -epsilon]]
+        block[2, 2:4] = block[1, 2:4]
+        block[["s", "shat", "x", "y"].index(nan_at) + 1, 4] = np.nan
+        xi_val, s, shat, x, y = block
+        assert abs(shat[0] - s[0]) - epsilon == 0.0 == abs(shat[1] - s[1]) - epsilon
+        rows = np.stack(prototype.prototype_rhs((shat, x, y), s, xi_val, bank, phi), axis=1)
+        floats = np.array([prototype.prototype_rhs(q, s[k], xi_val[k], bank, phi)
+                           for k, q in enumerate(zip(shat.tolist(), x.tolist(), y.tolist()))])
+        nan = np.isnan(floats)
+        assert nan[4].any() and np.array_equal(np.isnan(rows), nan)
+        assert np.array_equal(rows.view(np.uint64)[~nan], floats.view(np.uint64)[~nan])
 
 
 def polar_rates(x, y, g):
