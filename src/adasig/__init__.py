@@ -18,6 +18,7 @@ from .analysis import (
     verify_filtered_pe,
 )
 from .classify import DecisionReport, band_from_noise, decide
+from .config import VERSION as __version__
 from .config import ExperimentConfig, config_hash, load_config
 from .integrator import Trajectory, integrate_system, rk4_step
 from .plant import PlantSpec, make_noise
@@ -53,5 +54,3 @@ from .signals import (
     set_distance,
     sin_input,
 )
-
-__version__ = "0.1.0"

@@ -144,7 +144,7 @@ def fit_bank(cfg: ExperimentConfig):
             phi_min=cfg.plant.phi_min,
         )
         ds = rnn.sample_rhs(
-            clazz, pconf, box, r.n_train, cfg.plant.phi,
+            clazz, pconf, box, r.n_train, cfg.plant.phi_min,
             seed=sub_seed(cfg.seed, f"sample_{i}"),
         )
         net, train_error = rnn.fit_network(
@@ -167,7 +167,7 @@ def check_divergence(cfg: ExperimentConfig, nets) -> list:
     traj_r = run_simulate(cfg, horizon=horizon, bank=nets)
     checks = []
     for i, (clazz, pconf, net) in enumerate(zip(cfg.classes, cfg.class_configs(), nets)):
-        L_i = rnn.estimate_rhs_lipschitz(clazz, pconf, cfg.plant.phi, net.domain,
+        L_i = rnn.estimate_rhs_lipschitz(clazz, pconf, cfg.plant.phi_min, net.domain,
                                          seed=sub_seed(cfg.seed, f"lip_{i}"))
         checks.append((rnn.divergence_check(traj_p, traj_r, net.eps_N, L_i, class_index=i), L_i))
     return checks
@@ -257,19 +257,14 @@ def cmd_verify(args) -> int:
     out = _outdir(args)
     which = args.which
     if which == "persistency":
-        window_T, horizon = cfg.tuning.window_T, cfg.tuning.pe_horizon
-        clazz = cfg.classes[cfg.true_class]
-        lo, hi = clazz.theta_range
-        rho_samples = signals.persistency_envelope(
-            clazz, cfg.inp, lo, np.linspace((hi - lo) / 4, hi - lo, 4),
-            window_T, horizon, dt=1e-2,
-        )
+        # The samples of the envelope that tune builds, as sampled.
+        rho_samples = rho_envelope_for(cfg, cfg.true_class).samples
         passed = all(gap > 0 for _, gap in rho_samples)
         payload = _stamp(
             {
                 "check": "persistency",
-                "window_T": window_T,
-                "horizon": horizon,
+                "window_T": cfg.tuning.window_T,
+                "horizon": cfg.tuning.pe_horizon,
                 "rho_samples": rho_samples,
                 "satisfied": passed,
             },
@@ -309,13 +304,13 @@ def verify_pe_example(cfg: ExperimentConfig) -> analysis.PEReport:
     u = np.asarray(clazz.f(xi, theta) - clazz.f(xi, lo), dtype=float)
     # RK4 with the drive held at u[k] over each step; integrate_system would
     # evaluate it at the stage times instead.
-    phi = cfg.plant.phi
+    phi_min = cfg.plant.phi_min
     z = [0.0]
     for tk, uk in zip(t[:-1].tolist(), u.tolist()):
-        z += rk4_step(lambda q, tt: [-phi(q[0]) + uk], z[-1:], tk, dt)
+        z += rk4_step(lambda q, tt: [-phi_min * q[0] + uk], z[-1:], tk, dt)
     z = np.array(z)
     delta = float(np.min(analysis._window_integrals(u, dt, L)))
-    Delta = cfg.plant.noise_bound / cfg.plant.phi_min
+    Delta = cfg.plant.noise_bound / phi_min
     return analysis.verify_filtered_pe(z, u, dt, L, delta, Delta=Delta)
 
 

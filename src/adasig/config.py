@@ -113,12 +113,6 @@ def sub_seed(seed: int, name: str) -> int:
     return int.from_bytes(h[:4], "big")
 
 
-_PHI_KINDS = {
-    "identity": lambda slope: (lambda s: s),
-    "linear": lambda slope: (lambda s: slope * s),
-}
-
-
 @dataclass
 class ExperimentConfig:
     """A loaded experiment: resolved sections (see `KEYS`) and the objects
@@ -187,7 +181,7 @@ def _build_plant(section: SimpleNamespace) -> PlantSpec:
     """The plant of the config; phi_min is the slope of the phi kind, and a
     phi_min or phi_max key may only repeat it."""
     kind = section.phi
-    if kind not in _PHI_KINDS:
+    if kind not in ("identity", "linear"):
         raise ValueError(f"unknown phi kind {kind!r}")
     _check(kind == "linear" or section.slope == 1.0, "plant.slope", section.slope,
            f"1 for phi kind {kind!r}")
@@ -198,8 +192,8 @@ def _build_plant(section: SimpleNamespace) -> PlantSpec:
         if value is not None and value != phi_min:
             raise ValueError(f"plant {key} {value} differs from the slope "
                              f"{phi_min} of phi kind {kind!r}")
-    return PlantSpec(phi=_PHI_KINDS[kind](section.slope), phi_min=phi_min,
-                     s0_range=section.s0_range, noise_bound=section.noise_bound)
+    return PlantSpec(phi_min=phi_min, s0_range=section.s0_range,
+                     noise_bound=section.noise_bound)
 
 
 def _class_configs(p: SimpleNamespace, classes, plant: PlantSpec) -> tuple[list, list]:

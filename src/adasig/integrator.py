@@ -190,20 +190,20 @@ def integrate_system(
     eta = make_noise(spec, max(n, 1), seed)
     eta_now = 0.0
 
-    xi, f, phi = inp.xi, clazz.f, spec.phi
+    xi, f, phi_min = inp.xi, clazz.f, spec.phi_min
 
     def rhs(q: list, t: float) -> list:
         # Everything stays a Python float: an np.float64 that slipped into
         # the state would make every later operation a slow numpy scalar op.
-        # The plant is -phi(s) + f(xi, theta) + eta written out. The bank is
-        # one prototype_rhs call on the whole stage state, or one rhs call of
-        # the stacked network on its 3m states. prototype_rhs and rk4_step
+        # The plant -phi_min * s + f(xi, theta) + eta is written out. The bank
+        # is one prototype_rhs call on the whole stage state, or one rhs call
+        # of the stacked network on its 3m states. prototype_rhs and rk4_step
         # are read from the module on every call, where a tracer may wrap them.
         xi_val = float(xi(t))
         s = q[0]
-        dq = [-phi(s) + float(f(xi_val, theta)) + eta_now]
+        dq = [-phi_min * s + float(f(xi_val, theta)) + eta_now]
         if prototypes:
-            dq += prototype_rhs(q, s, xi_val, prototypes, phi)
+            dq += prototype_rhs(q, s, xi_val, prototypes, phi_min)
         elif net is not None:
             dq += net.rhs(xi_val, s, q[1:]).ravel().tolist()
         return dq

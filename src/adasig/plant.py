@@ -1,15 +1,15 @@
 """Measurement plant: a convergent first-order filter driven by the signal.
 
-The measured quantity s(t) solves  s' = -phi(s) + f(xi(t), theta) + eta(t),
-where phi has slope at least phi_min > 0, so the filter forgets its initial
-condition exponentially, and eta is bounded noise. The phi kinds a config
-can name are linear, and phi_min is their slope. The right-hand side is
-written out in integrator.integrate_system's stage function.
+The measured quantity s(t) solves  s' = -phi_min * s + f(xi(t), theta) + eta(t)
+with phi_min > 0, so the filter forgets its initial condition exponentially,
+and eta is bounded noise. The paper allows any phi with slope at least
+phi_min; the plant here is the linear phi(s) = phi_min * s, the only one a
+config can name. The right-hand side is written out in
+integrator.integrate_system's stage function.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = ["PlantSpec", "make_noise"]
 
 @dataclass
 class PlantSpec:
-    phi: Callable[[float], float]
     phi_min: float = 1.0
     s0_range: tuple[float, float] = (0.0, 1.0)
     noise_bound: float = 0.0

@@ -75,20 +75,21 @@ def subsystem_constants(clazz: SignalClass, config: PrototypeConfig, offset: int
             config.gamma, config.epsilon, config.delta)
 
 
-def prototype_rhs(q, s, xi_val, bank: Sequence[tuple], phi: Callable[[float], float]) -> list:
+def prototype_rhs(q, s, xi_val, bank: Sequence[tuple], phi_min: float) -> list:
     """Right-hand side of a bank of perturbed subsystems (delta = 0 is unperturbed).
 
     bank holds one subsystem_constants tuple per subsystem; subsystem i reads
     (shat, x, y) at q[offset_i : offset_i + 3], and the 3m derivatives come
-    back as one list in bank order. Elementwise: floats when s is a float
-    (the filter derivative goes through float(), since an f may return a
-    numpy scalar), arrays for a block of sample rows when s is an array (phi
-    and f must then accept arrays). The read-back is theta_hat written out,
+    back as one list in bank order. Each filter copy sees the plant's
+    phi(shat) = phi_min * shat. Elementwise: floats when s is a float (the
+    filter derivative goes through float(), since an f may return a numpy
+    scalar), arrays for a block of sample rows when s is an array (f must
+    then accept arrays). The read-back is theta_hat written out,
     in the same association order, and the dead zone is
     max(|shat - s| - epsilon, 0). The call runs bank_kernel(m, rows), the
     straight-line code for a bank of m subsystems.
     """
-    return bank_kernel(len(bank), isinstance(s, np.ndarray))(q, s, xi_val, bank, phi)
+    return bank_kernel(len(bank), isinstance(s, np.ndarray))(q, s, xi_val, bank, phi_min)
 
 
 @functools.cache
@@ -108,11 +109,11 @@ def bank_kernel(m: int, rows: bool) -> Callable:
         return ", ".join(expr.format(i=i) for i in range(m))
 
     clip = "maximum(v{i}, 0.0)" if rows else "(0.0 if v{i} < 0.0 else v{i})"
-    ds = "-phi(shat{i}) + f{i}(xi_val, a{i} + h{i} * (x{i} + 1.0))"
+    ds = "-phi_min * shat{i} + f{i}(xi_val, a{i} + h{i} * (x{i} + 1.0))"
     derivatives = [ds if rows else f"float({ds})",
                    "g{i} * (x{i} - y{i} - x{i} * r{i})", "g{i} * (x{i} + y{i} - y{i} * r{i})"]
     src = "\n    ".join([
-        "def rhs(q, s, xi_val, bank, phi):",
+        "def rhs(q, s, xi_val, bank, phi_min):",
         f"[{row('(o{i}, f{i}, a{i}, h{i}, c{i}, e{i}, d{i})')}] = bank",
         *(line.format(i=i) for i in range(m) for line in [
             "shat{i}, x{i}, y{i} = q[o{i}], q[o{i} + 1], q[o{i} + 2]",

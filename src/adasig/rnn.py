@@ -4,7 +4,8 @@ The subsystem right-hand side is a continuous map on a compact box, so it
 can be approximated to any sup-accuracy by a finite sigmoid sum.  We build
 that sum constructively: seeded random features (a structured mix of dense,
 difference-direction, and near-linear units) with ridge least squares for
-the output weights, then certify the achieved sup-error on a held-out grid.
+the output weights, then measure the sup-error on a seeded random held-out
+sample (eps_N, recorded as "sampled": it is not a certified bound).
 Each class keeps its own 3-state network; the full bank has 3*N_f states.
 """
 from __future__ import annotations
@@ -156,12 +157,11 @@ class SigmoidNetwork:
             "nu_x": self.nu_x,
         }
 
-    def to_json(self, path=None) -> str:
+    def to_json(self, path) -> None:
+        """Write the network as JSON; from_json reads it back."""
         text = json.dumps(self.to_dict(), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        with open(path, "w") as fh:
+            fh.write(text)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SigmoidNetwork":
@@ -240,12 +240,12 @@ def domain_box(
     )
 
 
-def _target_fn(clazz: SignalClass, config: PrototypeConfig, phi) -> Callable:
+def _target_fn(clazz: SignalClass, config: PrototypeConfig, phi_min: float) -> Callable:
     bank = [subsystem_constants(clazz, config)]
 
     def fn(Z: np.ndarray) -> np.ndarray:
         xi_val, s, shat, x, y = np.atleast_2d(Z).T
-        return np.stack(prototype_rhs((shat, x, y), s, xi_val, bank, phi), axis=1)
+        return np.stack(prototype_rhs((shat, x, y), s, xi_val, bank, phi_min), axis=1)
 
     return fn
 
@@ -255,7 +255,7 @@ def sample_rhs(
     config: PrototypeConfig,
     box: np.ndarray,
     n_samples: int,
-    phi: Callable[[float], float],
+    phi_min: float,
     seed: int = 0,
 ) -> RHSDataset:
     """Sample the subsystem right-hand side at n_samples seeded uniform
@@ -265,7 +265,7 @@ def sample_rhs(
         raise ValueError("domain box must be (5, 2) with positive widths")
     rng = np.random.default_rng(seed)
     Z = box[:, 0] + rng.uniform(size=(n_samples, 5)) * (box[:, 1] - box[:, 0])
-    fn = _target_fn(clazz, config, phi)
+    fn = _target_fn(clazz, config, phi_min)
     return RHSDataset(
         inputs=Z,
         targets=fn(Z),
@@ -417,7 +417,7 @@ def divergence_check(
 def estimate_rhs_lipschitz(
     clazz: SignalClass,
     config: PrototypeConfig,
-    phi: Callable[[float], float],
+    phi_min: float,
     box: np.ndarray,
     n_samples: int = 2000,
     seed: int = 0,
@@ -437,7 +437,7 @@ def estimate_rhs_lipschitz(
     for j in range(3):
         dq = np.zeros((3, 1))
         dq[j] = h
-        fp = np.stack(prototype_rhs(q + dq, s, xi_val, bank, phi), axis=1)
-        fm = np.stack(prototype_rhs(q - dq, s, xi_val, bank, phi), axis=1)
+        fp = np.stack(prototype_rhs(q + dq, s, xi_val, bank, phi_min), axis=1)
+        fm = np.stack(prototype_rhs(q - dq, s, xi_val, bank, phi_min), axis=1)
         J[:, :, j] = (fp - fm) / (2.0 * h)
     return float(np.linalg.norm(J, 2, axis=(1, 2)).max(initial=0.0))

@@ -123,6 +123,9 @@ class RhoEnvelope:
     non-decreasing so that an inverse exists. Evaluating the inverse outside
     the certified range extrapolates linearly and emits a warning.
 
+    samples keeps the input pairs sorted by separation, as sampled, before
+    any regularization.
+
     reach is the largest separation that was asked for. A sample taken at
     theta_ref + sep records its distance after theta_ref + sep is rounded,
     which can fall an ulp short of sep; evaluating rho up to reach therefore
@@ -135,6 +138,7 @@ class RhoEnvelope:
             raise ValueError("need samples at non-negative separations")
         seps = np.array([0.0] + [p[0] for p in pts])
         devs = np.array([0.0] + [p[1] for p in pts])
+        self.samples = pts
         self.seps = seps
         self.devs = np.maximum.accumulate(devs)
         self.reach = reach

@@ -68,10 +68,7 @@ def test_01_state_count(three_class):
 
 def test_02_filter_contraction():
     """Two plant runs differing only in s0 contract like exp(-phi_min t)."""
-    spec = plant.PlantSpec(
-        phi=lambda s: s, phi_min=1.0,
-        s0_range=(0.0, 1.0), noise_bound=1e-4,
-    )
+    spec = plant.PlantSpec(phi_min=1.0, s0_range=(0.0, 1.0), noise_bound=1e-4)
     inp = signals.sin_input()
     kw = dict(t0=0.0, horizon=10.0, dt=1e-3, seed=7, record_every=1)
     ta = integrate_system(spec, LINEAR, 1.5, [], inp, s0=0.2, **kw)
@@ -97,7 +94,7 @@ def test_03_polar_equivalence():
             continue
         g = float(rng.uniform(0.0, 1.0))
         # realize g = gamma * |shat - s| through the subsystem right-hand side
-        d = prototype.prototype_rhs(np.array([g, x, y]), 0.0, 0.3, bank, phi=lambda s: s)
+        d = prototype.prototype_rhs(np.array([g, x, y]), 0.0, 0.3, bank, phi_min=1.0)
         dx, dy = d[1], d[2]
         dr_c = (x * dx + y * dy) / r
         dnu_c = (x * dy - y * dx) / (r * r)
@@ -175,7 +172,7 @@ def test_07_perturbed_return_time():
         lipschitz_theta=0.0, lipschitz_xi=0.0,
     )
     pconf = prototype.PrototypeConfig(gamma=gamma, a=1.0, b=2.0, epsilon=0.0, delta=delta)
-    spec = plant.PlantSpec(phi=lambda s: s, s0_range=(0.0, 0.0), noise_bound=0.0)
+    spec = plant.PlantSpec(s0_range=(0.0, 0.0), noise_bound=0.0)
     traj = integrate_system(
         spec, silent, 1.5, [(silent, pconf)], signals.sin_input(),
         horizon=2.2 * period, dt=0.05, record_every=10, s0=0.0,

@@ -28,7 +28,7 @@ def first_readouts(cfg, s0=0.0):
     """(theta_hat_1, hf_1) recorded at t0 for one subsystem started at
     (s0, cos nu_x, sin nu_x)."""
     clazz = signals.builtin_class("linear", (1.0, 2.0))
-    spec = plant.PlantSpec(phi=lambda s: s, s0_range=(0.0, 1.0))
+    spec = plant.PlantSpec(s0_range=(0.0, 1.0))
     traj = integrator.integrate_system(
         spec, clazz, 1.5, [(clazz, cfg)], signals.sin_input(), horizon=0.0, s0=s0,
     )
@@ -65,7 +65,7 @@ class TestReadout:
     def test_memoryless_recomputation_matches_stored(self):
         cfg = make_config(delta=0.01)
         clazz = signals.builtin_class("linear", (1.0, 2.0))
-        spec = plant.PlantSpec(phi=lambda s: s, s0_range=(0.0, 1.0))
+        spec = plant.PlantSpec(s0_range=(0.0, 1.0))
         traj = integrator.integrate_system(
             spec, clazz, 1.5, [(clazz, cfg)], signals.sin_input(), horizon=1.0, dt=1e-2
         )

@@ -477,6 +477,19 @@ class TestVerifyCommand:
                          "--out", str(tmp_path)]) == 0
         capsys.readouterr()
 
+    def test_persistency_judges_the_tuned_envelope(self, tmp_path, capsys):
+        """verify --which persistency reports the samples of the envelope
+        that tune builds, as sampled, not a sampler of its own."""
+        raw = small_config()
+        path = write_config(tmp_path, raw)
+        assert cli.main(["verify", "--config", path, "--which", "persistency",
+                         "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        cfg = config.load_config(raw)
+        samples = cli.rho_envelope_for(cfg, cfg.true_class).samples
+        report = json.loads((tmp_path / "verify_persistency.json").read_text())
+        assert report["rho_samples"] == [list(p) for p in samples]
+
     def test_bounds_pass(self, tmp_path, capsys):
         path = write_config(tmp_path, small_config())
         assert cli.main(["verify", "--config", path, "--which", "bounds",

@@ -15,8 +15,7 @@ SIN = signals.sin_input()
 
 
 def make_spec(noise_bound=0.0):
-    return plant.PlantSpec(phi=lambda s: s, phi_min=1.0,
-                           s0_range=(0.0, 1.0), noise_bound=noise_bound)
+    return plant.PlantSpec(phi_min=1.0, s0_range=(0.0, 1.0), noise_bound=noise_bound)
 
 
 def make_config(**kw):
@@ -225,7 +224,7 @@ class TestIntegrateSystem:
         ref = [0.5]
         for k in range(2000):
             rhs = lambda q, t: np.array(
-                [-spec.phi(q[0]) + float(LINEAR.f(float(SIN.xi(t)), 1.5)) + eta[k]]
+                [-(spec.phi_min * q[0]) + float(LINEAR.f(float(SIN.xi(t)), 1.5)) + eta[k]]
             )
             s = reference_rk4_step(rhs, s, k * 1e-3, 1e-3)
             ref.append(s[0])
@@ -381,13 +380,14 @@ class TestCsvExport:
         assert (tmp_path / "open.csv").read_bytes() == expected.encode()
 
 
-def reference_prototype_rhs(state, s, xi_val, clazz, config, phi):
-    """The per-class subsystem rhs as an array-building scalar function."""
+def reference_prototype_rhs(state, s, xi_val, clazz, config, phi_min):
+    """The per-class subsystem rhs as an array-building scalar function, with
+    the plant written -(phi_min * shat): the bits of (-phi_min) * shat."""
     shat, x, y = state[0], state[1], state[2]
     th = prototype.theta_hat(x, config.a, config.b)
     g = config.gamma * (max(abs(shat - s) - config.epsilon, 0.0) + config.delta)
     r2 = x * x + y * y
-    return np.array([-phi(shat) + float(clazz.f(xi_val, th)),
+    return np.array([-(phi_min * shat) + float(clazz.f(xi_val, th)),
                      g * (x - y - x * r2), g * (x + y - y * r2)])
 
 
@@ -415,12 +415,12 @@ def reference_integration(spec, clazz, theta, bank, inp, horizon, dt, seed, s0):
         def rhs(q, t):
             xi_val = float(inp.xi(np.asarray(t, dtype=float)))
             dq = np.empty_like(q)
-            dq[0] = -spec.phi(q[0]) + float(clazz.f(xi_val, theta)) + eta[k]
+            dq[0] = -(spec.phi_min * q[0]) + float(clazz.f(xi_val, theta)) + eta[k]
             for i, e in enumerate(bank):
                 sub = q[1 + 3 * i : 4 + 3 * i]
                 if isinstance(e, tuple):
                     dq[1 + 3 * i : 4 + 3 * i] = reference_prototype_rhs(
-                        sub, q[0], xi_val, e[0], e[1], spec.phi)
+                        sub, q[0], xi_val, e[0], e[1], spec.phi_min)
                 else:
                     dq[1 + 3 * i : 4 + 3 * i] = reference_network_rhs(e, xi_val, q[0], sub)
             return dq
@@ -460,8 +460,7 @@ class TestBankMatchesPerClassReference:
              readbacks=[(0.2, 2.5), (0.4, 0.3), (1.5, 1.0), (0.9, 1.7), (0.3, 2.2)], seed=2)
     def test_states_bit_identical(self, true_family, families, delta, noise_bound, slope,
                                   theta, s0, nu_x, readbacks, seed):
-        spec = plant.PlantSpec(phi=lambda s: slope * s, phi_min=slope,
-                               s0_range=(0.0, 1.0), noise_bound=noise_bound)
+        spec = plant.PlantSpec(phi_min=slope, s0_range=(0.0, 1.0), noise_bound=noise_bound)
         clazz = signals.builtin_class(true_family, (1.0, 2.0))
         classes = [signals.builtin_class(f, (1.0, 2.0)) for f in families]
         bank = [(c, make_config(gamma=0.3, epsilon=noise_bound / slope, delta=delta, nu_x=nu_x,

@@ -6,7 +6,6 @@ from adasig import integrator, plant, signals
 
 def make_spec(noise_bound=0.0):
     return plant.PlantSpec(
-        phi=lambda s: s,
         phi_min=1.0,
         s0_range=(0.0, 1.0),
         noise_bound=noise_bound,
@@ -20,7 +19,7 @@ SIN = signals.sin_input()
 class TestPlantSpec:
     def test_bad_slopes_rejected(self):
         with pytest.raises(ValueError):
-            plant.PlantSpec(phi=lambda s: s, phi_min=0.0)
+            plant.PlantSpec(phi_min=0.0)
 
     def test_negative_noise_bound_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -44,14 +45,16 @@ class TestConfigValidation:
             make_config(nu_x=7.0)
 
 
-def reference_prototype_rhs(state, s, xi_val, clazz, config, phi):
+def reference_prototype_rhs(state, s, xi_val, clazz, config, phi_min):
     """The per-subsystem rhs the bank form replaced: one subsystem per call,
-    through theta_hat and an elementwise dead zone."""
+    through theta_hat and an elementwise dead zone. The plant is written
+    -(phi_min * shat), negated after the product; IEEE negation is exact, so
+    it has the bits of the kernel's (-phi_min) * shat."""
     shat, x, y = state
     th = prototype.theta_hat(x, config.a, config.b)
     g = config.gamma * (np.maximum(abs(shat - s) - config.epsilon, 0.0) + config.delta)
     r2 = x * x + y * y
-    return -phi(shat) + clazz.f(xi_val, th), g * (x - y - x * r2), g * (x + y - y * r2)
+    return -(phi_min * shat) + clazz.f(xi_val, th), g * (x - y - x * r2), g * (x + y - y * r2)
 
 
 def one(clazz, config):
@@ -64,27 +67,27 @@ class TestPrototypeRhs:
         # matched filter, delta=0: g=0, rotator frozen
         cfg = make_config()
         state = np.array([0.7, 1.0, 0.0])
-        d = prototype.prototype_rhs(state, 0.7, 0.3, one(LINEAR, cfg), phi=lambda s: s)
+        d = prototype.prototype_rhs(state, 0.7, 0.3, one(LINEAR, cfg), phi_min=1.0)
         assert d[1] == 0.0 and d[2] == 0.0
 
     def test_pure_rotation_rate(self):
         # on the circle at (1, 0) with g = gamma*delta: dx=0, dy=g
         cfg = make_config(delta=0.01)
         state = np.array([0.7, 1.0, 0.0])
-        d = prototype.prototype_rhs(state, 0.7, 0.3, one(LINEAR, cfg), phi=lambda s: s)
+        d = prototype.prototype_rhs(state, 0.7, 0.3, one(LINEAR, cfg), phi_min=1.0)
         assert d[1] == pytest.approx(0.0)
         assert d[2] == pytest.approx(cfg.gamma * cfg.delta)
 
     def test_filter_component(self):
         cfg = make_config()
         state = np.array([0.5, 0.0, 1.0])  # theta_hat = 1.5
-        d = prototype.prototype_rhs(state, 0.5, 0.4, one(LINEAR, cfg), phi=lambda s: s)
+        d = prototype.prototype_rhs(state, 0.5, 0.4, one(LINEAR, cfg), phi_min=1.0)
         assert d[0] == pytest.approx(-0.5 + 1.5 * 0.4)
 
     def test_deadzone_suppresses_rotation(self):
         cfg = make_config(epsilon=0.2)
         state = np.array([0.6, 1.0, 0.0])  # |shat - s| = 0.1 < epsilon
-        d = prototype.prototype_rhs(state, 0.5, 0.0, one(LINEAR, cfg), phi=lambda s: s)
+        d = prototype.prototype_rhs(state, 0.5, 0.0, one(LINEAR, cfg), phi_min=1.0)
         assert d[1] == 0.0 and d[2] == 0.0
 
     @settings(max_examples=30, deadline=None)
@@ -98,10 +101,9 @@ class TestPrototypeRhs:
     def test_row_block_matches_single_rows(self, family, epsilon, delta, slope, seed):
         clazz = signals.builtin_class(family, (1.0, 2.0))
         bank = one(clazz, make_config(epsilon=epsilon, delta=delta))
-        phi = lambda s: slope * s
         xi_val, s, shat, x, y = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, 64))
-        block = prototype.prototype_rhs((shat, x, y), s, xi_val, bank, phi)
-        rows = [prototype.prototype_rhs(q, s[k], xi_val[k], bank, phi)
+        block = prototype.prototype_rhs((shat, x, y), s, xi_val, bank, slope)
+        rows = [prototype.prototype_rhs(q, s[k], xi_val[k], bank, slope)
                 for k, q in enumerate(zip(shat.tolist(), x.tolist(), y.tolist()))]
         assert np.array_equal(np.stack(block, axis=1), np.array(rows))
 
@@ -115,7 +117,7 @@ class TestPrototypeRhs:
         bank = [prototype.subsystem_constants(c, make_config(epsilon=0.05), 1 + 3 * i)
                 for i, c in enumerate(classes)]
         q = [0.3, 0.4, 0.6, -0.8, 0.1, 1.0, 0.0, 0.5, 0.0, -1.0, 0.2, 0.6, 0.8]
-        d = prototype.prototype_rhs(q, 0.3, 0.7, bank, lambda s: 2.0 * s)
+        d = prototype.prototype_rhs(q, 0.3, 0.7, bank, 2.0)
         assert len(d) == 12 and all(type(v) is float for v in d)
 
 
@@ -135,7 +137,6 @@ class TestBankMatchesPerSubsystemReference:
     )
     def test_equals_reference(self, subsystems, rows, slope, seed):
         rng = np.random.default_rng(seed)
-        phi = lambda s: slope * s
         m = len(subsystems)
         size = () if rows is None else (rows,)
         # Entries sit at offsets 1, 4, ... behind s, as in the integrator.
@@ -148,8 +149,8 @@ class TestBankMatchesPerSubsystemReference:
             clazz = signals.builtin_class(family, (1.0, 2.0))
             cfg = make_config(gamma=gamma, epsilon=epsilon, delta=delta, a=a, b=a + span)
             bank.append(prototype.subsystem_constants(clazz, cfg, 1 + 3 * i))
-            ref += reference_prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, clazz, cfg, phi)
-        out = prototype.prototype_rhs(q, s, xi_val, bank, phi)
+            ref += reference_prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, clazz, cfg, slope)
+        out = prototype.prototype_rhs(q, s, xi_val, bank, slope)
         assert len(out) == 3 * m
         assert np.array_equal(np.array(out), np.array(ref))
         if rows is None:
@@ -158,7 +159,7 @@ class TestBankMatchesPerSubsystemReference:
 
 def random_bank(rng, m):
     """m subsystems of drawn families and constants at offsets 1, 4, ...
-    behind s, as in the integrator, with a phi of drawn slope."""
+    behind s, as in the integrator, and a drawn plant slope."""
     bank = []
     for i in range(m):
         clazz = signals.builtin_class(FAMILIES[rng.integers(3)], (1.0, 2.0))
@@ -166,8 +167,7 @@ def random_bank(rng, m):
         cfg = make_config(gamma=gamma, a=a, b=a + span, epsilon=float(rng.choice([0.0, 0.3])),
                           delta=float(rng.choice([0.0, 0.01])))
         bank.append(prototype.subsystem_constants(clazz, cfg, 1 + 3 * i))
-    slope = float(rng.uniform(0.5, 3.0))
-    return bank, lambda s: slope * s
+    return bank, float(rng.uniform(0.5, 3.0))
 
 
 def random_args(rng, m, rows):
@@ -186,11 +186,11 @@ class TestBankKernel:
     @pytest.mark.parametrize("m", [1, 3])
     def test_built_once_per_bank_size(self, m, rows):
         rng = np.random.default_rng(m)
-        bank, phi = random_bank(rng, m)
-        prototype.prototype_rhs(*random_args(rng, m, rows), bank, phi)
+        bank, slope = random_bank(rng, m)
+        prototype.prototype_rhs(*random_args(rng, m, rows), bank, slope)
         misses = prototype.bank_kernel.cache_info().misses
         for _ in range(3):
-            prototype.prototype_rhs(*random_args(rng, m, rows), bank, phi)
+            prototype.prototype_rhs(*random_args(rng, m, rows), bank, slope)
         assert prototype.bank_kernel.cache_info().misses == misses
         assert prototype.bank_kernel(m, rows) is prototype.bank_kernel(m, rows)
 
@@ -201,8 +201,8 @@ class TestBankKernel:
         namespace = {"maximum": np.maximum}
         exec(compile(source, "<doc>", "exec"), namespace)
         rng = np.random.default_rng(10 * m + rows)
-        bank, phi = random_bank(rng, m)
-        args = (*random_args(rng, m, rows), bank, phi)
+        bank, slope = random_bank(rng, m)
+        args = (*random_args(rng, m, rows), bank, slope)
         got = prototype.prototype_rhs(*args)
         assert len(got) == 3 * m
         assert np.array_equal(np.array(got), np.array(namespace["rhs"](*args)))
@@ -210,15 +210,29 @@ class TestBankKernel:
             assert f"shat{i}, x{i}, y{i} = q[o{i}], q[o{i} + 1], q[o{i} + 2]" in source
 
     @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_kernel_calls_only_the_families(self, m, rows):
+        """The generated source calls abs, float or maximum and the families
+        f0..f{m-1}, nothing else: the plant slope enters as arithmetic."""
+        source = prototype.bank_kernel(m, rows).__doc__
+        calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+        assert all(isinstance(func, ast.Name) for func in calls)
+        families = {f"f{i}" for i in range(m)}
+        called = {func.id for func in calls}
+        assert families <= called <= families | {"abs", "float", "maximum"}
+        for i in range(m):
+            assert f"-phi_min * shat{i} + f{i}(" in source
+
+    @pytest.mark.parametrize("rows", [False, True])
     @pytest.mark.parametrize("m", [2, 5])
     def test_bank_equals_its_subsystems_joined(self, m, rows):
         rng = np.random.default_rng(100 + m)
-        bank, phi = random_bank(rng, m)
+        bank, slope = random_bank(rng, m)
         q, s, xi_val = random_args(rng, m, rows)
         joined = []
         for entry in bank:
-            joined += prototype.prototype_rhs(q, s, xi_val, [entry], phi)
-        assert np.array_equal(np.array(prototype.prototype_rhs(q, s, xi_val, bank, phi)),
+            joined += prototype.prototype_rhs(q, s, xi_val, [entry], slope)
+        assert np.array_equal(np.array(prototype.prototype_rhs(q, s, xi_val, bank, slope)),
                               np.array(joined))
 
     def test_set_up_compiles_no_kernel(self):
@@ -262,7 +276,6 @@ class TestBankKernel:
         nan at the same places."""
         clazz = signals.builtin_class(family, (1.0, 2.0))
         bank = one(clazz, make_config(a=a, b=a + span, epsilon=epsilon, delta=delta))
-        phi = lambda s: 1.5 * s
         block = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, 16))
         # |shat - s| - epsilon is exactly 0 on rows 0 and 1, and rows 2 and 3
         # have shat == s.
@@ -271,8 +284,8 @@ class TestBankKernel:
         block[["s", "shat", "x", "y"].index(nan_at) + 1, 4] = np.nan
         xi_val, s, shat, x, y = block
         assert abs(shat[0] - s[0]) - epsilon == 0.0 == abs(shat[1] - s[1]) - epsilon
-        rows = np.stack(prototype.prototype_rhs((shat, x, y), s, xi_val, bank, phi), axis=1)
-        floats = np.array([prototype.prototype_rhs(q, s[k], xi_val[k], bank, phi)
+        rows = np.stack(prototype.prototype_rhs((shat, x, y), s, xi_val, bank, 1.5), axis=1)
+        floats = np.array([prototype.prototype_rhs(q, s[k], xi_val[k], bank, 1.5)
                            for k, q in enumerate(zip(shat.tolist(), x.tolist(), y.tolist()))])
         nan = np.isnan(floats)
         assert nan[4].any() and np.array_equal(np.isnan(rows), nan)
@@ -292,7 +305,7 @@ def rotator_polar(x, y, g):
     from dr = (x dx + y dy)/r and dnu = (x dy - y dx)/r^2. The gain is
     realized as gamma |shat - s| with gamma = 1, shat = g and s = 0."""
     bank = one(LINEAR, make_config(gamma=1.0))
-    _, dx, dy = prototype.prototype_rhs([g, x, y], 0.0, 0.3, bank, phi=lambda s: s)
+    _, dx, dy = prototype.prototype_rhs([g, x, y], 0.0, 0.3, bank, phi_min=1.0)
     r = math.hypot(x, y)
     return (x * dx + y * dy) / r, (x * dy - y * dx) / (r * r)
 

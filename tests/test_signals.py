@@ -19,7 +19,7 @@ def deadzone(e, epsilon):
         q, s = (e, zeros + 1.0, zeros), zeros
     else:
         q, s = [e, 1.0, 0.0], 0.0
-    return prototype.prototype_rhs(q, s, s, bank, phi=lambda v: v)[2]
+    return prototype.prototype_rhs(q, s, s, bank, phi_min=1.0)[2]
 
 
 class TestDeadzoneNorm:
@@ -225,6 +225,11 @@ class TestPersistency:
             assert rho(0.2) == 0.11
         with pytest.warns(UserWarning, match="beyond the certified separation range"):
             rho(0.2 * 1.01)
+
+    def test_samples_kept_sorted_before_regularization(self):
+        rho = signals.RhoEnvelope([(0.2, 0.05), (0.1, 0.07)], reach=0.2)
+        assert rho.samples == [(0.1, 0.07), (0.2, 0.05)]
+        assert rho.devs.tolist() == [0.0, 0.07, 0.07]
 
     def test_rho_inverse_roundtrip(self):
         rho = signals.RhoEnvelope([(0.1, 0.05), (0.2, 0.11), (0.4, 0.3)], reach=0.4)
