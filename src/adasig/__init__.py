@@ -51,6 +51,5 @@ from .signals import (
     builtin_class,
     degenerate_xi,
     persistency_envelope,
-    set_distance,
     sin_input,
 )

@@ -212,19 +212,22 @@ def _finite(value):
     return value
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _json_text(value, **kwargs) -> str:
     """Standard JSON: a non-finite float is written as null; the payload's
     own flags (sweep_entered, condition_ok) say why it has no value."""
+    return json.dumps(_finite(value), allow_nan=False, **kwargs)
+
+
+def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(_json_text(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_tune(args) -> int:
     cfg = _load(args)
     payload = _stamp(asdict(run_tune(cfg)), cfg)
     _write_json(_outdir(args) / "tuning.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -373,7 +376,7 @@ def cmd_report(args) -> int:
         cfg,
     )
     _write_json(out / "report.json", summary)
-    print(json.dumps(summary["decision"], indent=2))
+    print(_json_text(summary["decision"], indent=2))
     return EXIT_OK if entered else EXIT_NOT_ENTERED
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -58,21 +59,21 @@ KEYS = {
 THETA_BOUND_FALLBACK = 0.05  # decision.theta_bound when unset and the error bound is 0
 
 
-def _real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _reals(v) -> bool:
-    return isinstance(v, list) and len(v) > 0 and all(map(_real, v))
+def _finite(v) -> bool:
+    """v is a number that a float holds finitely; json.load also reads NaN,
+    Infinity and integers beyond the float range."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 # type -> the value as that type holds it, or None when it cannot
 _TYPES = {
-    "float": lambda v: float(v) if _real(v) else None,
-    "int": lambda v: v if _real(v) and isinstance(v, int) else None,
+    "float": lambda v: float(v) if _finite(v) else None,
+    "int": lambda v: v if isinstance(v, int) and not isinstance(v, bool) else None,
     "bool": lambda v: v if isinstance(v, bool) else None,
     "str": lambda v: v if isinstance(v, str) else None,
-    "float pair": lambda v: tuple(map(float, v)) if _reals(v) and len(v) == 2 else None,
+    "float pair": lambda v: (tuple(map(float, v)) if isinstance(v, list) and len(v) == 2
+                             and all(map(_finite, v)) else None),
 }
 
 

@@ -431,13 +431,10 @@ def estimate_rhs_lipschitz(
     rng = np.random.default_rng(seed)
     box = np.asarray(box, dtype=float)
     Z = box[:, 0] + rng.uniform(size=(n_samples, 5)) * (box[:, 1] - box[:, 0])
-    xi_val, s, q = Z[:, 0], Z[:, 1], Z[:, 2:].T
-    bank = [subsystem_constants(clazz, config)]
+    fn = _target_fn(clazz, config, phi_min)
     J = np.empty((len(Z), 3, 3))
     for j in range(3):
-        dq = np.zeros((3, 1))
-        dq[j] = h
-        fp = np.stack(prototype_rhs(q + dq, s, xi_val, bank, phi_min), axis=1)
-        fm = np.stack(prototype_rhs(q - dq, s, xi_val, bank, phi_min), axis=1)
-        J[:, :, j] = (fp - fm) / (2.0 * h)
+        dz = np.zeros(5)
+        dz[2 + j] = h
+        J[:, :, j] = (fn(Z + dz) - fn(Z - dz)) / (2.0 * h)
     return float(np.linalg.norm(J, 2, axis=(1, 2)).max(initial=0.0))

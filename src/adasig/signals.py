@@ -1,11 +1,11 @@
-"""Signal families, input signals, the set distance and the excitation envelope.
+"""Signal families, input signals and the excitation envelope.
 
 A signal family is a scalar map f(xi, theta) together with the interval of
-admissible parameters, a declared equivalence structure (parameter values
-that produce identical signals), and Lipschitz constants in theta and xi.
-Classification of a measured signal is only meaningful up to the declared
-equivalence sets, so those are part of the family definition rather than
-something the library tries to discover.
+admissible parameters and Lipschitz constants in theta and xi.  Every
+shipped family is injective in theta on its range, so the set E(theta) of
+parameters that produce the same signal is {theta} and the distance to the
+target is |theta_hat - theta|.  A non-injective family, which would be
+classified only up to a larger E(theta), is not implemented.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ __all__ = [
     "SignalClass",
     "InputSignal",
     "RhoEnvelope",
-    "set_distance",
     "persistency_envelope",
     "degenerate_xi",
     "builtin_class",
@@ -29,32 +28,17 @@ __all__ = [
 ]
 
 
-def set_distance(x, intervals: Sequence[tuple[float, float]]):
-    """Distance from x to a finite union of closed intervals (points as [p, p]).
-
-    Elementwise in x: a float gives a float, an array an array.
-    """
-    if len(intervals) == 0:
-        raise ValueError("set_distance of an empty set is undefined")
-    x = np.asarray(x, dtype=float)
-    dist = np.min([np.maximum(np.maximum(lo - x, x - hi), 0.0) for lo, hi in intervals], axis=0)
-    return dist if dist.ndim else float(dist)
-
-
 @dataclass
 class SignalClass:
-    """One signal family f(xi, theta) with its equivalence structure.
+    """One signal family f(xi, theta), injective in theta on theta_range.
 
-    equivalence maps theta to a finite list of (lo, hi) intervals; singleton
-    parameter values are represented as degenerate intervals. The declared
-    lipschitz_theta / lipschitz_xi constants are upper bounds on the slopes
-    of f over theta_range.
+    The declared lipschitz_theta / lipschitz_xi constants are upper bounds
+    on the slopes of f over theta_range.
     """
 
     name: str
     f: Callable[[np.ndarray, float], np.ndarray]
     theta_range: tuple[float, float]
-    equivalence: Callable[[float], list[tuple[float, float]]]
     lipschitz_theta: float
     lipschitz_xi: float
 
@@ -62,12 +46,6 @@ class SignalClass:
         lo, hi = self.theta_range
         if not lo < hi:
             raise ValueError(f"theta_range must be a proper interval, got {self.theta_range}")
-
-    def equivalence_set(self, theta: float) -> list[tuple[float, float]]:
-        sets = self.equivalence(theta)
-        if set_distance(theta, sets) > 0:
-            raise ValueError(f"declared equivalence set for theta={theta} does not contain theta")
-        return sets
 
 
 @dataclass
@@ -94,8 +72,9 @@ def persistency_envelope(
     tiled with windows of length window_T, the maximum of
     |f(xi, theta) - f(xi, theta_ref)| is taken inside each window, and the
     minimum over windows is the worst-window gap. Returns one
-    (dist(theta, E(theta_ref)), worst-window gap) pair per separation, in
-    the order given.
+    (|theta - theta_ref|, worst-window gap) pair per separation, in the
+    order given; the family is injective, so |theta - theta_ref| is the
+    distance from theta to E(theta_ref) = {theta_ref}.
     """
     if window_T <= 0 or dt <= 0:
         raise ValueError("window_T and dt must be positive")
@@ -106,13 +85,12 @@ def persistency_envelope(
     per_win = int(round(window_T / dt))
     n_win = len(t) // per_win
     f_ref = clazz.f(xi, theta_ref)
-    target = clazz.equivalence_set(theta_ref)
     samples = []
     for sep in separations:
         theta = theta_ref + sep
         gap = np.abs(clazz.f(xi, theta) - f_ref)
         window_max = gap[: n_win * per_win].reshape(n_win, per_win).max(axis=1)
-        samples.append((set_distance(theta, target), float(window_max.min())))
+        samples.append((float(abs(theta - theta_ref)), float(window_max.min())))
     return samples
 
 
@@ -185,16 +163,12 @@ def degenerate_xi() -> InputSignal:
 # xi(t) = sin t; parameterizations are injective on the declared ranges, so
 # every equivalence set is the singleton {theta}.
 
-def _singleton(theta: float) -> list[tuple[float, float]]:
-    return [(theta, theta)]
-
 
 def _make_linear(theta_range, xi_sup):
     d_theta = xi_sup
     d_xi = max(abs(theta_range[0]), abs(theta_range[1]))
     return dict(
         f=lambda xi, th: th * xi,
-        equivalence=_singleton,
         lipschitz_theta=d_theta,
         lipschitz_xi=d_xi,
     )
@@ -215,7 +189,6 @@ def _sin(x):
 def _make_sine(theta_range, xi_sup):
     return dict(
         f=lambda xi, th: _sin(th * xi),
-        equivalence=_singleton,
         lipschitz_theta=xi_sup,
         lipschitz_xi=max(abs(theta_range[0]), abs(theta_range[1])),
     )
@@ -227,7 +200,6 @@ def _make_quadratic_affine(theta_range, xi_sup):
         raise ValueError("quadratic-affine family is declared injective only on [0.5, 2]")
     return dict(
         f=lambda xi, th: th * th * xi + th,
-        equivalence=_singleton,
         lipschitz_theta=2.0 * hi * xi_sup + 1.0,
         lipschitz_xi=hi * hi,
     )

@@ -137,17 +137,14 @@ def test_06_convergence_and_accuracy(three_class):
     """11-point parameter sweep: correct class, accurate estimate, finite T'."""
     cfg, tuning = three_class
     true = cfg.true_class
-    clazz = cfg.classes[true]
     grid = cfg.theta_grid()
     assert len(grid) == 11
     t_primes, failures = [], []
     for th in grid:
         traj = cli.run_simulate(cfg, theta=float(th))
         dec = cli.run_decide(cfg, traj, tuning)
-        est_err = signals.set_distance(
-            dec.theta_estimate if dec.theta_estimate is not None else math.inf,
-            clazz.equivalence_set(float(th)),
-        )
+        est_err = abs(
+            (dec.theta_estimate if dec.theta_estimate is not None else math.inf) - float(th))
         if dec.decided != true or est_err > tuning.error_bound:
             failures.append((float(th), dec.decided, est_err))
         else:
@@ -168,7 +165,6 @@ def test_07_perturbed_return_time():
         name="silent",
         f=lambda xi, th: 0.0 * xi,
         theta_range=(1.0, 2.0),
-        equivalence=lambda th: [(th, th)],
         lipschitz_theta=0.0, lipschitz_xi=0.0,
     )
     pconf = prototype.PrototypeConfig(gamma=gamma, a=1.0, b=2.0, epsilon=0.0, delta=delta)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from adasig import analysis, integrator, plant, prototype, signals
 
@@ -119,6 +120,44 @@ class TestConvergenceReport:
         traj = sim(cfg, theta=1.01, horizon=2.0)
         rep = analysis.convergence_report(traj, LINEAR, 1.01, 1e-6, cfg)
         assert not rep.entered and rep.entry_time is None
+
+    @staticmethod
+    def reference_entry_residence(times, theta_hat, theta, bound):
+        """Entry time and longest residence, one sample at a time, with the
+        distance to the singleton [theta, theta] taken as the interval
+        distance max(max(lo - x, x - hi), 0)."""
+        dist = np.maximum(np.maximum(theta - theta_hat, theta_hat - theta), 0.0)
+        entry, residence, start = None, 0.0, None
+        for k, inside in enumerate(dist <= bound):
+            if not inside:
+                start = None
+                continue
+            start = k if start is None else start
+            entry = float(times[k]) if entry is None else entry
+            residence = max(residence, float(times[k] - times[start]))
+        return entry, residence
+
+    @staticmethod
+    @st.composite
+    def estimates(draw):
+        """(theta, bound, theta_hat samples), some at 0, -0 and theta +- bound."""
+        theta = draw(st.sampled_from([0.0, -0.0, 1.5]) | st.floats(-10, 10))
+        bound = draw(st.floats(1e-6, 2.0))
+        near = st.sampled_from([theta, theta + bound, theta - bound, 0.0, -0.0])
+        xs = draw(st.lists(near | st.floats(-20, 20), min_size=1, max_size=30))
+        return theta, bound, xs
+
+    @given(estimates())
+    def test_entry_and_residence_match_the_interval_distance(self, case):
+        theta, bound, xs = case
+        n = len(xs)
+        traj = integrator.Trajectory(times=0.5 * np.arange(n), states=np.zeros((n, 4)),
+                                     theta_hat=np.array(xs)[:, None], hf=np.zeros((n, 1)))
+        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5)
+        rep = analysis.convergence_report(traj, LINEAR, theta, bound, cfg)
+        entry, residence = self.reference_entry_residence(
+            traj.times, traj.theta_hat[:, 0], theta, bound)
+        assert rep.entry_time == entry and rep.residence == residence
 
     def test_bad_bound_rejected(self):
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5)

@@ -254,6 +254,18 @@ class TestStandardJson:
         pe = strict_json(tmp_path / "verify_pe.json")
         assert pe["p"] is None and pe["condition_ok"] is False
 
+    def test_tune_stdout_parses(self, tmp_path, capsys):
+        # noise makes the degenerate input's error bound infinite
+        raw = json.loads((CONFIG_DIR / "degenerate_input.json").read_text())
+        raw["plant"]["noise_bound"] = 1e-4
+        with pytest.warns(UserWarning, match="rho inverse evaluated beyond"):
+            assert cli.main(["tune", "--config", write_config(tmp_path, raw),
+                             "--out", str(tmp_path)]) == 0
+        path = tmp_path / "stdout.json"
+        path.write_text(capsys.readouterr().out)
+        assert strict_json(path)["error_bound"] is None
+        assert strict_json(tmp_path / "tuning.json") == strict_json(path)
+
     def test_nested_non_finite_floats_become_null(self, tmp_path):
         cli._write_json(tmp_path / "x.json", {"a": [1.5, (math.inf, -math.inf)],
                                               "b": {"c": math.nan, "d": 2}})
@@ -323,11 +335,26 @@ BAD_VALUES = [
     (("prototype", "safety"), 1.0),
     (("plant", "noise_bound"), -1e-4),
 ]
+# json.load reads NaN and Infinity: every float and float pair key rejects them
+BAD_VALUES += [
+    ((section, 0, key) if section == "classes" else (section, key),
+     [0.0, bad] if kind == "float pair" else bad)
+    for section, keys in config.KEYS.items()
+    for key, (kind, _) in keys.items() if kind in ("float", "float pair")
+    for bad in (math.inf, -math.inf, math.nan)
+]
+
+
+def _key_name(path):
+    """The key as load_config's messages name it: classes[0].theta_range."""
+    if path[0] == "classes":
+        return f"classes[{path[1]}].{path[2]}"
+    return ".".join(path)
 
 
 class TestLoadTimeRejection:
     @pytest.mark.parametrize("path,value", BAD_VALUES,
-                             ids=[".".join(p) + f"={v!r}" for p, v in BAD_VALUES])
+                             ids=[_key_name(p) + f"={v!r}" for p, v in BAD_VALUES])
     def test_out_of_range_value_exits_1_naming_the_key(self, tmp_path, capsys, path, value):
         raw = small_config()
         _set(raw, path, value)
@@ -335,7 +362,21 @@ class TestLoadTimeRejection:
         assert cli.main(["tune", "--config", write_config(tmp_path, raw),
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {'.'.join(path)} must be ") and err.count("\n") == 1
+        assert err.startswith(f"error: {_key_name(path)} must be ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_integer_beyond_the_float_range_rejected(self):
+        # json.load reads 2**1024 as an int, which float() cannot convert
+        with pytest.raises(ValueError, match="^plant.noise_bound must be float"):
+            config.load_config(small_config(plant={"noise_bound": 2**1024}))
+
+    def test_infinite_noise_bound_simulate_exits_1(self, tmp_path, capsys):
+        raw = small_config(plant={"noise_bound": math.inf})
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, raw),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: plant.noise_bound must be float, got inf\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("path,value,command", BAD_KEYS,
@@ -402,6 +443,16 @@ class TestTuneCommand:
             assert key in payload
         assert payload["gamma_star"] == pytest.approx(0.1092950788552245)
         assert payload["k_prime"] == 1
+
+
+def test_distribution_version_is_the_artifact_version():
+    """pyproject.toml reads its version from adasig.config.VERSION, the
+    version stamped into every artifact."""
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools marks [tool.setuptools] as beta
+        meta = pyprojecttoml.read_configuration(ROOT / "pyproject.toml", expand=True)
+    assert meta["project"]["version"] == config.VERSION
 
 
 class TestRhoReach:

@@ -111,8 +111,7 @@ class TestPrototypeRhs:
         # a family whose f returns a numpy scalar must not leak it either
         numpy_f = signals.SignalClass(
             name="numpy-scalar", f=lambda xi, th: np.float64(th * xi),
-            theta_range=(1.0, 2.0), equivalence=lambda th: [(th, th)],
-            lipschitz_theta=1.0, lipschitz_xi=2.0)
+            theta_range=(1.0, 2.0), lipschitz_theta=1.0, lipschitz_xi=2.0)
         classes = [signals.builtin_class(f, (1.0, 2.0)) for f in FAMILIES] + [numpy_f]
         bank = [prototype.subsystem_constants(c, make_config(epsilon=0.05), 1 + 3 * i)
                 for i, c in enumerate(classes)]

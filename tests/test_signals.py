@@ -60,54 +60,6 @@ class TestDeadzoneNorm:
         assert isinstance(deadzone(np.ones(3), 0.1), np.ndarray)
 
 
-class TestSetDistance:
-    def test_point_inside(self):
-        assert signals.set_distance(0.5, [(0.0, 1.0)]) == 0.0
-
-    def test_point_outside(self):
-        assert signals.set_distance(2.0, [(0.0, 1.0)]) == pytest.approx(1.0)
-
-    def test_union_takes_nearest(self):
-        assert signals.set_distance(1.4, [(0.0, 1.0), (2.0, 3.0)]) == pytest.approx(0.4)
-
-    def test_singleton(self):
-        assert signals.set_distance(1.0, [(3.0, 3.0)]) == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            signals.set_distance(0.0, [])
-
-    @given(st.floats(-100, 100), st.floats(-100, 100))
-    def test_triangle_bound(self, x, y):
-        intervals = [(-1.0, 1.0), (5.0, 6.0)]
-        dx = signals.set_distance(x, intervals)
-        dy = signals.set_distance(y, intervals)
-        assert abs(dx - dy) <= abs(x - y) + 1e-9
-
-    @staticmethod
-    def scalar_distance(x, intervals):
-        """The distance of one point, interval by interval."""
-        best = math.inf
-        for lo, hi in intervals:
-            if lo <= x <= hi:
-                return 0.0
-            best = min(best, abs(x - lo), abs(x - hi))
-        return best
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=20),
-           st.lists(st.tuples(st.floats(-50, 50), st.floats(0, 10)), min_size=1, max_size=4))
-    def test_elementwise_matches_scalar(self, xs, spans):
-        intervals = [(lo, lo + w) for lo, w in spans]
-        expect = [self.scalar_distance(x, intervals) for x in xs]
-        assert np.array_equal(signals.set_distance(np.array(xs), intervals), expect)
-        assert [signals.set_distance(x, intervals) for x in xs] == expect
-
-    def test_scalar_result_is_float(self):
-        assert type(signals.set_distance(2.0, [(0.0, 1.0)])) is float
-        with pytest.raises(ValueError):
-            signals.set_distance(np.zeros(3), [])
-
-
 class TestBuiltinFamilies:
     def test_linear_values(self):
         c = signals.builtin_class("linear", (1.0, 2.0))
@@ -129,11 +81,6 @@ class TestBuiltinFamilies:
     def test_unknown_family(self):
         with pytest.raises(KeyError):
             signals.builtin_class("cubic")
-
-    def test_equivalence_contains_theta(self):
-        for name in signals.BUILTIN_FAMILIES:
-            c = signals.builtin_class(name, (1.0, 2.0))
-            assert signals.set_distance(1.5, c.equivalence_set(1.5)) == 0.0
 
 
 class TestFloatSine:
