@@ -25,6 +25,7 @@ from .plant import PlantSpec, make_noise
 from .prototype import (
     PrototypeConfig,
     TuningReport,
+    bank_kernel,
     choose_winding,
     compute_L,
     compute_c,

@@ -14,7 +14,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .plant import PlantSpec, make_noise
-from .prototype import PrototypeConfig, init_state, prototype_rhs, subsystem_constants, theta_hat
+from .prototype import (PrototypeConfig, bank_kernel, init_state, prototype_rhs,
+                        subsystem_constants, theta_hat)
 from .rnn import SigmoidNetwork
 from .signals import InputSignal, SignalClass
 
@@ -164,14 +165,15 @@ def integrate_system(
     if dt <= 0 or horizon < 0 or record_every < 1:
         raise ValueError("need dt > 0, horizon >= 0 and record_every >= 1")
     m = len(bank)
-    net, prototypes = None, []
+    net = kernel = None
     if m and all(isinstance(e, SigmoidNetwork) for e in bank):
         net, subsystems = SigmoidNetwork.stack(bank), bank
     elif all(isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], SignalClass)
              and isinstance(e[1], PrototypeConfig) for e in bank):
         subsystems = [config for _, config in bank]
-        prototypes = [subsystem_constants(c, config, 1 + 3 * i)
-                      for i, (c, config) in enumerate(bank)]
+        if m:
+            kernel = bank_kernel([subsystem_constants(c, config, 1 + 3 * i)
+                                  for i, (c, config) in enumerate(bank)], spec.phi_min)
     else:
         raise TypeError("a bank is all (SignalClass, PrototypeConfig) pairs "
                         "or all SigmoidNetworks")
@@ -196,17 +198,18 @@ def integrate_system(
         # Everything stays a Python float: an np.float64 that slipped into
         # the state would make every later operation a slow numpy scalar op.
         # The plant -phi_min * s + f(xi, theta) + eta is written out. The bank
-        # is one prototype_rhs call on the whole stage state, or one rhs call
-        # of the stacked network on its 3m states. prototype_rhs and rk4_step
-        # are read from the module on every call, where a tracer may wrap them.
+        # is one prototype_rhs call on the whole stage state, with the kernel
+        # compiled for this bank, or one rhs call of the stacked network on
+        # its 3m states. prototype_rhs and rk4_step are read from the module
+        # on every call, where a tracer may wrap them.
         xi_val = float(xi(t))
         s = q[0]
-        dq = [-phi_min * s + float(f(xi_val, theta)) + eta_now]
-        if prototypes:
-            dq += prototype_rhs(q, s, xi_val, prototypes, phi_min)
-        elif net is not None:
-            dq += net.rhs(xi_val, s, q[1:]).ravel().tolist()
-        return dq
+        ds = -phi_min * s + float(f(xi_val, theta)) + eta_now
+        if kernel is not None:
+            return [ds, *prototype_rhs(q, s, xi_val, kernel)]
+        if net is not None:
+            return [ds, *net.rhs(xi_val, s, q[1:]).ravel().tolist()]
+        return [ds]
 
     times = [t0]
     states = np.empty((n // record_every + 1, 1 + 3 * m))

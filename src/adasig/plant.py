@@ -9,6 +9,7 @@ integrator.integrate_system's stage function.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ class PlantSpec:
     noise_bound: float = 0.0
 
     def __post_init__(self):
+        for name, value in [("phi_min", self.phi_min), ("noise_bound", self.noise_bound),
+                            *(("s0_range", v) for v in self.s0_range)]:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.phi_min <= 0:
             raise ValueError("need phi_min > 0")
         if self.noise_bound < 0:

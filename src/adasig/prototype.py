@@ -11,7 +11,6 @@ constant delta in the gain keeps the sweep alive under perturbations
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -26,6 +25,7 @@ __all__ = [
     "theta_hat",
     "subsystem_constants",
     "prototype_rhs",
+    "bank_kernel",
     "compute_c",
     "tune_gamma",
     "tune_hstar",
@@ -49,6 +49,10 @@ class PrototypeConfig:
     d: float = 0.5
 
     def __post_init__(self):
+        for name in ("gamma", "a", "b", "epsilon", "delta", "nu_x", "kappa", "d"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if not self.a < self.b:
@@ -75,56 +79,60 @@ def subsystem_constants(clazz: SignalClass, config: PrototypeConfig, offset: int
             config.gamma, config.epsilon, config.delta)
 
 
-def prototype_rhs(q, s, xi_val, bank: Sequence[tuple], phi_min: float) -> list:
+def prototype_rhs(q, s, xi_val, kernel: Callable) -> list:
     """Right-hand side of a bank of perturbed subsystems (delta = 0 is unperturbed).
 
-    bank holds one subsystem_constants tuple per subsystem; subsystem i reads
-    (shat, x, y) at q[offset_i : offset_i + 3], and the 3m derivatives come
-    back as one list in bank order. Each filter copy sees the plant's
-    phi(shat) = phi_min * shat. Elementwise: floats when s is a float (the
-    filter derivative goes through float(), since an f may return a numpy
-    scalar), arrays for a block of sample rows when s is an array (f must
-    then accept arrays). The read-back is theta_hat written out,
-    in the same association order, and the dead zone is
-    max(|shat - s| - epsilon, 0). The call runs bank_kernel(m, rows), the
-    straight-line code for a bank of m subsystems.
+    kernel is bank_kernel(bank, phi_min, rows) for the bank; subsystem i
+    reads (shat, x, y) at q[offset_i : offset_i + 3], and the 3m derivatives
+    come back as one list in bank order. Each filter copy sees the plant's
+    phi(shat) = phi_min * shat. Elementwise: floats from the float form
+    (the filter derivative goes through float(), since an f may return a
+    numpy scalar), arrays for a block of sample rows from the row form (f
+    must then accept arrays). The read-back is theta_hat written out, in
+    the same association order, and the dead zone is
+    max(|shat - s| - epsilon, 0).
     """
-    return bank_kernel(len(bank), isinstance(s, np.ndarray))(q, s, xi_val, bank, phi_min)
+    return kernel(q, s, xi_val)
 
 
-@functools.cache
-def bank_kernel(m: int, rows: bool) -> Callable:
-    """prototype_rhs for banks of m subsystems, compiled from straight-line source.
+def bank_kernel(bank: Sequence[tuple], phi_min: float, rows: bool = False) -> Callable:
+    """prototype_rhs's kernel for this bank, compiled from straight-line source.
 
-    The bank is unpacked in one statement into subsystem i's offset, f, a,
-    (b - a)/2, gamma, epsilon and delta (locals o{i}, f{i}, a{i}, h{i}, c{i},
-    e{i}, d{i}), its (shat, x, y) go into shat{i}, x{i}, y{i}, and the 3m
-    derivatives come back in one list display. The float
-    form (rows False) writes the dead zone as (0.0 if v < 0.0 else v), the
-    bits of max(v, 0.0), nan included, and passes the filter derivative
-    through float(); the row form takes np.maximum and casts nothing. The
-    source depends on (m, rows) alone and is the function's __doc__.
+    bank holds one subsystem_constants tuple per subsystem. The offsets and
+    every constant (a, (b - a)/2, gamma, epsilon, delta and phi_min) are
+    written into the source as parenthesised repr literals, which give the
+    floats back bit for bit (a non-finite one raises ValueError, as it has
+    no literal); the families are bound as globals f0..f{m-1}.
+    Subsystem i's (shat, x, y) go into shat{i}, x{i}, y{i}, and the 3m
+    derivatives come back in one list display. The float form (rows False)
+    writes the dead zone as (0.0 if v < 0.0 else v), the bits of
+    max(v, 0.0), nan included, and passes the filter derivative through
+    float(); the row form takes np.maximum and casts nothing. The source is
+    the function's __doc__.
     """
-    def row(expr):
-        return ", ".join(expr.format(i=i) for i in range(m))
+    def lit(value):
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"bank constant {value!r} is not finite")
+        return f"({value!r})"
 
-    clip = "maximum(v{i}, 0.0)" if rows else "(0.0 if v{i} < 0.0 else v{i})"
-    ds = "-phi_min * shat{i} + f{i}(xi_val, a{i} + h{i} * (x{i} + 1.0))"
-    derivatives = [ds if rows else f"float({ds})",
-                   "g{i} * (x{i} - y{i} - x{i} * r{i})", "g{i} * (x{i} + y{i} - y{i} * r{i})"]
-    src = "\n    ".join([
-        "def rhs(q, s, xi_val, bank, phi_min):",
-        f"[{row('(o{i}, f{i}, a{i}, h{i}, c{i}, e{i}, d{i})')}] = bank",
-        *(line.format(i=i) for i in range(m) for line in [
-            "shat{i}, x{i}, y{i} = q[o{i}], q[o{i} + 1], q[o{i} + 2]",
-            "v{i} = abs(shat{i} - s) - e{i}",
-            "g{i} = c{i} * (" + clip + " + d{i})",
-            "r{i} = x{i} * x{i} + y{i} * y{i}",
-        ]),
-        f"return [{row(', '.join(derivatives))}]",
-    ]) + "\n"
     namespace = {"maximum": np.maximum}
-    exec(compile(src, f"<bank_kernel({m}, {rows})>", "exec"), namespace)
+    lines, derivatives = [], []
+    for i, (offset, f, a, half, gamma, epsilon, delta) in enumerate(bank):
+        namespace[f"f{i}"] = f
+        clip = f"maximum(v{i}, 0.0)" if rows else f"(0.0 if v{i} < 0.0 else v{i})"
+        ds = (f"-{lit(phi_min)} * shat{i} + "
+              f"f{i}(xi_val, {lit(a)} + {lit(half)} * (x{i} + 1.0))")
+        lines += [f"shat{i}, x{i}, y{i} = q[{offset:d}], q[{offset + 1:d}], q[{offset + 2:d}]",
+                  f"v{i} = abs(shat{i} - s) - {lit(epsilon)}",
+                  f"g{i} = {lit(gamma)} * ({clip} + {lit(delta)})",
+                  f"r{i} = x{i} * x{i} + y{i} * y{i}"]
+        derivatives += [ds if rows else f"float({ds})",
+                        f"g{i} * (x{i} - y{i} - x{i} * r{i})",
+                        f"g{i} * (x{i} + y{i} - y{i} * r{i})"]
+    src = "\n    ".join(["def rhs(q, s, xi_val):", *lines,
+                         f"return [{', '.join(derivatives)}]"]) + "\n"
+    exec(compile(src, f"<bank_kernel m={len(bank)} rows={rows}>", "exec"), namespace)
     kernel = namespace["rhs"]
     kernel.__doc__ = src
     return kernel

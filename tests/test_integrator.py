@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import io
 import math
@@ -514,6 +515,42 @@ def test_network_bank_makes_no_prototype_call(monkeypatch):
     integrator.integrate_system(make_spec(), LINEAR, 1.5, [random_network(3, "tanh", 0)], SIN,
                                 horizon=0.1, dt=1e-2)
     assert calls == []
+
+
+def compiled_kernels(monkeypatch) -> list:
+    """The file names of the bank kernels compiled from now on, seen at the
+    builtin compile."""
+    names, real = [], builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        if filename.startswith("<bank_kernel"):
+            names.append(filename)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return names
+
+
+class TestKernelCompiledPerRun:
+    """integrate_system compiles the float-form kernel of a prototype bank
+    once per run, and none for a network bank or the plant alone."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_prototype_bank_compiles_one(self, monkeypatch, m):
+        bank = [(signals.builtin_class(f, (1.0, 2.0)), make_config(gamma=0.3, delta=0.05))
+                for f in FAMILIES[:m]]
+        names = compiled_kernels(monkeypatch)
+        for horizon in (0.1, 0.5):
+            integrator.integrate_system(make_spec(), LINEAR, 1.5, bank, SIN,
+                                        horizon=horizon, dt=1e-2)
+        assert names == [f"<bank_kernel m={m} rows=False>"] * 2
+
+    def test_network_bank_compiles_none(self, monkeypatch):
+        names = compiled_kernels(monkeypatch)
+        integrator.integrate_system(make_spec(), LINEAR, 1.5, [random_network(3, "tanh", 0)],
+                                    SIN, horizon=0.1, dt=1e-2)
+        integrator.integrate_system(make_spec(), LINEAR, 1.5, [], SIN, horizon=0.1, dt=1e-2)
+        assert names == []
 
 
 def counting(monkeypatch, owner, name, counts):

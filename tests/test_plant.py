@@ -25,6 +25,15 @@ class TestPlantSpec:
         with pytest.raises(ValueError):
             make_spec(noise_bound=-0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["phi_min", "noise_bound", "s0_range"])
+    def test_non_finite_rejected_by_name(self, field, value):
+        """A spec built directly rejects what load_config rejects: a
+        non-finite slope, noise bound or initial interval end."""
+        kwargs = {field: (0.0, value) if field == "s0_range" else value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            plant.PlantSpec(**kwargs)
+
 
 def plant_derivative(spec, theta, s, t, seed=0):
     """The plant's derivative at (s, t) as integrate_system's stage function

@@ -44,6 +44,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(nu_x=7.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gamma", "a", "b", "epsilon", "delta", "nu_x",
+                                       "kappa", "d"])
+    def test_rejects_non_finite_by_name(self, field, value):
+        """Every float the kernel writes as a literal, and every other float
+        field, is finite in a config built directly."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make_config(**{field: value})
+
 
 def reference_prototype_rhs(state, s, xi_val, clazz, config, phi_min):
     """The per-subsystem rhs the bank form replaced: one subsystem per call,
@@ -67,27 +76,27 @@ class TestPrototypeRhs:
         # matched filter, delta=0: g=0, rotator frozen
         cfg = make_config()
         state = np.array([0.7, 1.0, 0.0])
-        d = prototype.prototype_rhs(state, 0.7, 0.3, one(LINEAR, cfg), phi_min=1.0)
+        d = prototype.prototype_rhs(state, 0.7, 0.3, prototype.bank_kernel(one(LINEAR, cfg), 1.0))
         assert d[1] == 0.0 and d[2] == 0.0
 
     def test_pure_rotation_rate(self):
         # on the circle at (1, 0) with g = gamma*delta: dx=0, dy=g
         cfg = make_config(delta=0.01)
         state = np.array([0.7, 1.0, 0.0])
-        d = prototype.prototype_rhs(state, 0.7, 0.3, one(LINEAR, cfg), phi_min=1.0)
+        d = prototype.prototype_rhs(state, 0.7, 0.3, prototype.bank_kernel(one(LINEAR, cfg), 1.0))
         assert d[1] == pytest.approx(0.0)
         assert d[2] == pytest.approx(cfg.gamma * cfg.delta)
 
     def test_filter_component(self):
         cfg = make_config()
         state = np.array([0.5, 0.0, 1.0])  # theta_hat = 1.5
-        d = prototype.prototype_rhs(state, 0.5, 0.4, one(LINEAR, cfg), phi_min=1.0)
+        d = prototype.prototype_rhs(state, 0.5, 0.4, prototype.bank_kernel(one(LINEAR, cfg), 1.0))
         assert d[0] == pytest.approx(-0.5 + 1.5 * 0.4)
 
     def test_deadzone_suppresses_rotation(self):
         cfg = make_config(epsilon=0.2)
         state = np.array([0.6, 1.0, 0.0])  # |shat - s| = 0.1 < epsilon
-        d = prototype.prototype_rhs(state, 0.5, 0.0, one(LINEAR, cfg), phi_min=1.0)
+        d = prototype.prototype_rhs(state, 0.5, 0.0, prototype.bank_kernel(one(LINEAR, cfg), 1.0))
         assert d[1] == 0.0 and d[2] == 0.0
 
     @settings(max_examples=30, deadline=None)
@@ -102,8 +111,10 @@ class TestPrototypeRhs:
         clazz = signals.builtin_class(family, (1.0, 2.0))
         bank = one(clazz, make_config(epsilon=epsilon, delta=delta))
         xi_val, s, shat, x, y = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, 64))
-        block = prototype.prototype_rhs((shat, x, y), s, xi_val, bank, slope)
-        rows = [prototype.prototype_rhs(q, s[k], xi_val[k], bank, slope)
+        rows_form = prototype.bank_kernel(bank, slope, rows=True)
+        float_form = prototype.bank_kernel(bank, slope)
+        block = prototype.prototype_rhs((shat, x, y), s, xi_val, rows_form)
+        rows = [prototype.prototype_rhs(q, s[k], xi_val[k], float_form)
                 for k, q in enumerate(zip(shat.tolist(), x.tolist(), y.tolist()))]
         assert np.array_equal(np.stack(block, axis=1), np.array(rows))
 
@@ -116,7 +127,7 @@ class TestPrototypeRhs:
         bank = [prototype.subsystem_constants(c, make_config(epsilon=0.05), 1 + 3 * i)
                 for i, c in enumerate(classes)]
         q = [0.3, 0.4, 0.6, -0.8, 0.1, 1.0, 0.0, 0.5, 0.0, -1.0, 0.2, 0.6, 0.8]
-        d = prototype.prototype_rhs(q, 0.3, 0.7, bank, 2.0)
+        d = prototype.prototype_rhs(q, 0.3, 0.7, prototype.bank_kernel(bank, 2.0))
         assert len(d) == 12 and all(type(v) is float for v in d)
 
 
@@ -149,7 +160,8 @@ class TestBankMatchesPerSubsystemReference:
             cfg = make_config(gamma=gamma, epsilon=epsilon, delta=delta, a=a, b=a + span)
             bank.append(prototype.subsystem_constants(clazz, cfg, 1 + 3 * i))
             ref += reference_prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, clazz, cfg, slope)
-        out = prototype.prototype_rhs(q, s, xi_val, bank, slope)
+        kernel = prototype.bank_kernel(bank, slope, rows is not None)
+        out = prototype.prototype_rhs(q, s, xi_val, kernel)
         assert len(out) == 3 * m
         assert np.array_equal(np.array(out), np.array(ref))
         if rows is None:
@@ -178,49 +190,104 @@ def random_args(rng, m, rows):
 
 
 class TestBankKernel:
-    """prototype_rhs runs one function per bank size and form, built from the
-    source on its __doc__."""
-
-    @pytest.mark.parametrize("rows", [False, True])
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_built_once_per_bank_size(self, m, rows):
-        rng = np.random.default_rng(m)
-        bank, slope = random_bank(rng, m)
-        prototype.prototype_rhs(*random_args(rng, m, rows), bank, slope)
-        misses = prototype.bank_kernel.cache_info().misses
-        for _ in range(3):
-            prototype.prototype_rhs(*random_args(rng, m, rows), bank, slope)
-        assert prototype.bank_kernel.cache_info().misses == misses
-        assert prototype.bank_kernel(m, rows) is prototype.bank_kernel(m, rows)
+    """prototype_rhs runs a function compiled for its bank, built from the
+    source on its __doc__ with the bank's constants written in."""
 
     @pytest.mark.parametrize("rows", [False, True])
     @pytest.mark.parametrize("m", range(6))
     def test_doc_source_gives_the_same_bits(self, m, rows):
-        source = prototype.bank_kernel(m, rows).__doc__
-        namespace = {"maximum": np.maximum}
-        exec(compile(source, "<doc>", "exec"), namespace)
         rng = np.random.default_rng(10 * m + rows)
         bank, slope = random_bank(rng, m)
-        args = (*random_args(rng, m, rows), bank, slope)
-        got = prototype.prototype_rhs(*args)
+        source = prototype.bank_kernel(bank, slope, rows).__doc__
+        namespace = {"maximum": np.maximum, **{f"f{i}": e[1] for i, e in enumerate(bank)}}
+        exec(compile(source, "<doc>", "exec"), namespace)
+        args = random_args(rng, m, rows)
+        got = prototype.prototype_rhs(*args, prototype.bank_kernel(bank, slope, rows))
         assert len(got) == 3 * m
         assert np.array_equal(np.array(got), np.array(namespace["rhs"](*args)))
         for i in range(m):
-            assert f"shat{i}, x{i}, y{i} = q[o{i}], q[o{i} + 1], q[o{i} + 2]" in source
+            o = 1 + 3 * i
+            assert f"shat{i}, x{i}, y{i} = q[{o}], q[{o + 1}], q[{o + 2}]" in source
 
     @pytest.mark.parametrize("rows", [False, True])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_kernel_calls_only_the_families(self, m, rows):
         """The generated source calls abs, float or maximum and the families
         f0..f{m-1}, nothing else: the plant slope enters as arithmetic."""
-        source = prototype.bank_kernel(m, rows).__doc__
+        bank, slope = random_bank(np.random.default_rng(20 + m), m)
+        source = prototype.bank_kernel(bank, slope, rows).__doc__
         calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
         assert all(isinstance(func, ast.Name) for func in calls)
         families = {f"f{i}" for i in range(m)}
         called = {func.id for func in calls}
         assert families <= called <= families | {"abs", "float", "maximum"}
         for i in range(m):
-            assert f"-phi_min * shat{i} + f{i}(" in source
+            assert f"-({slope!r}) * shat{i} + f{i}(" in source
+
+    @pytest.mark.parametrize("rows", [False, True])
+    @pytest.mark.parametrize("m", range(5))
+    def test_source_loads_no_bank_name(self, m, rows):
+        """Every constant is a literal: the only names the source loads
+        besides its arguments and its own locals are the families f0..f{m-1},
+        abs, float and maximum; in particular not bank or phi_min."""
+        bank, slope = random_bank(np.random.default_rng(30 + m), m)
+        tree = ast.parse(prototype.bank_kernel(bank, slope, rows).__doc__)
+        (fn,) = tree.body
+        bound = {arg.arg for arg in fn.args.args} | {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        free = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} - bound
+        assert free <= {f"f{i}" for i in range(m)} | {"abs", "float", "maximum"}
+        assert not free & {"bank", "phi_min"}
+        assert {f"f{i}" for i in range(m)} <= free
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        subsystems=st.lists(
+            st.tuples(st.sampled_from(FAMILIES),
+                      st.sampled_from([-1.5, -0.1 - 0.2, 0.1 + 0.2, 1.0 / 3.0]),
+                      st.sampled_from([0.1 + 0.2, 2.0 / 3.0, 1e-7 + 0.7, 3.0]),
+                      st.sampled_from([0.1 + 0.2, 1.0 / 7.0, 0.05]),
+                      st.sampled_from([0.0, -0.0])),
+            min_size=1, max_size=4),
+        rows=st.sampled_from([None, 1, 9]),
+        slope=st.sampled_from([0.1 + 0.2, 1.0, 7.0 / 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_literals_keep_the_bits(self, subsystems, rows, slope, seed):
+        """Both forms equal the per-subsystem reference bit for bit with
+        negative read-back bounds, a signed-zero epsilon, delta = 0 and
+        constants whose repr is long."""
+        rng = np.random.default_rng(seed)
+        m = len(subsystems)
+        size = () if rows is None else (rows,)
+        xi_val, s = rng.uniform(-2.0, 2.0, (2, *size))
+        q = rng.uniform(-2.0, 2.0, (1 + 3 * m, *size))
+        # Subsystem 0's shat equals s, so its dead zone sees exactly epsilon.
+        q[1] = s
+        if rows is None:
+            xi_val, s, q = float(xi_val), float(s), q.tolist()
+        bank, ref = [], []
+        for i, (family, a, span, gamma, epsilon) in enumerate(subsystems):
+            clazz = signals.builtin_class(family, (1.0, 2.0))
+            cfg = make_config(gamma=gamma, a=a, b=a + span, epsilon=epsilon, delta=0.0)
+            bank.append(prototype.subsystem_constants(clazz, cfg, 1 + 3 * i))
+            ref += reference_prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, clazz, cfg, slope)
+        kernel = prototype.bank_kernel(bank, slope, rows is not None)
+        out = prototype.prototype_rhs(q, s, xi_val, kernel)
+        assert len(out) == 3 * m
+        got, want = np.array(out, dtype=float), np.array(ref, dtype=float)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", ["phi_min", "half"])
+    def test_non_finite_constant_rejected(self, bad):
+        """A constant with no finite literal, such as (b - a)/2 overflowing
+        for a finite a and b, stops the compile instead of writing inf."""
+        cfg = make_config(a=-1.5e308, b=1.5e308) if bad == "half" else make_config()
+        phi_min = math.nan if bad == "phi_min" else 1.0
+        with pytest.raises(ValueError, match="not finite"):
+            prototype.bank_kernel(one(LINEAR, cfg), phi_min)
 
     @pytest.mark.parametrize("rows", [False, True])
     @pytest.mark.parametrize("m", [2, 5])
@@ -230,24 +297,33 @@ class TestBankKernel:
         q, s, xi_val = random_args(rng, m, rows)
         joined = []
         for entry in bank:
-            joined += prototype.prototype_rhs(q, s, xi_val, [entry], slope)
-        assert np.array_equal(np.array(prototype.prototype_rhs(q, s, xi_val, bank, slope)),
+            joined += prototype.prototype_rhs(q, s, xi_val,
+                                              prototype.bank_kernel([entry], slope, rows))
+        kernel = prototype.bank_kernel(bank, slope, rows)
+        assert np.array_equal(np.array(prototype.prototype_rhs(q, s, xi_val, kernel)),
                               np.array(joined))
 
     def test_set_up_compiles_no_kernel(self):
         """Importing the package, loading each shipped config and tuning it,
-        in a fresh process, build no kernel and no stepper: they are built on
-        the first call, so the set-up path pays nothing for them."""
+        in a fresh process, compile no kernel and no stepper: a kernel is
+        compiled per run and a stepper on the first step, so the set-up path
+        pays nothing for them."""
         paths = sorted(str(p) for p in (ROOT / "configs").glob("*.json"))
         assert len(paths) == 4
         code = "\n".join([
-            "import warnings",
+            "import builtins, warnings",
             "warnings.simplefilter('ignore')",
+            "sources = []",
+            "real = builtins.compile",
+            "def compile(source, filename, *args, **kwargs):",
+            "    sources.append(filename)",
+            "    return real(source, filename, *args, **kwargs)",
+            "builtins.compile = compile",
             "import adasig",
-            "from adasig import cli, integrator, prototype",
+            "from adasig import cli, integrator",
             f"for path in {paths!r}:",
             "    cli.run_tune(adasig.load_config(path))",
-            "print(prototype.bank_kernel.cache_info().currsize,",
+            "print(sum(name.startswith('<bank_kernel') for name in sources),",
             "      integrator.rk4_stepper.cache_info().currsize)",
         ])
         env = dict(os.environ)
@@ -283,8 +359,10 @@ class TestBankKernel:
         block[["s", "shat", "x", "y"].index(nan_at) + 1, 4] = np.nan
         xi_val, s, shat, x, y = block
         assert abs(shat[0] - s[0]) - epsilon == 0.0 == abs(shat[1] - s[1]) - epsilon
-        rows = np.stack(prototype.prototype_rhs((shat, x, y), s, xi_val, bank, 1.5), axis=1)
-        floats = np.array([prototype.prototype_rhs(q, s[k], xi_val[k], bank, 1.5)
+        rows_form = prototype.bank_kernel(bank, 1.5, rows=True)
+        float_form = prototype.bank_kernel(bank, 1.5)
+        rows = np.stack(prototype.prototype_rhs((shat, x, y), s, xi_val, rows_form), axis=1)
+        floats = np.array([prototype.prototype_rhs(q, s[k], xi_val[k], float_form)
                            for k, q in enumerate(zip(shat.tolist(), x.tolist(), y.tolist()))])
         nan = np.isnan(floats)
         assert nan[4].any() and np.array_equal(np.isnan(rows), nan)
@@ -304,7 +382,7 @@ def rotator_polar(x, y, g):
     from dr = (x dx + y dy)/r and dnu = (x dy - y dx)/r^2. The gain is
     realized as gamma |shat - s| with gamma = 1, shat = g and s = 0."""
     bank = one(LINEAR, make_config(gamma=1.0))
-    _, dx, dy = prototype.prototype_rhs([g, x, y], 0.0, 0.3, bank, phi_min=1.0)
+    _, dx, dy = prototype.prototype_rhs([g, x, y], 0.0, 0.3, prototype.bank_kernel(bank, 1.0))
     r = math.hypot(x, y)
     return (x * dx + y * dy) / r, (x * dy - y * dx) / (r * r)
 

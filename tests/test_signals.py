@@ -19,7 +19,8 @@ def deadzone(e, epsilon):
         q, s = (e, zeros + 1.0, zeros), zeros
     else:
         q, s = [e, 1.0, 0.0], 0.0
-    return prototype.prototype_rhs(q, s, s, bank, phi_min=1.0)[2]
+    kernel = prototype.bank_kernel(bank, 1.0, isinstance(e, np.ndarray))
+    return prototype.prototype_rhs(q, s, s, kernel)[2]
 
 
 class TestDeadzoneNorm:
