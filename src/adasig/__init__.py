@@ -30,9 +30,7 @@ from .prototype import (
     compute_L,
     compute_c,
     error_bound,
-    init_state,
     prototype_rhs,
-    subsystem_constants,
     theta_hat,
     tune_gamma,
     tune_hstar,

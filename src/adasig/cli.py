@@ -65,7 +65,7 @@ def run_tune(cfg: ExperimentConfig) -> TuningReport:
         # The supremum gain makes the budget denominator vanish; the budget
         # is evaluated at the working gain, which sits strictly inside.
         h_star = tune_hstar(s_min, s_max, d_theta, a, b, phi_min,
-                            gamma, pconf.kappa, pconf.d, c)
+                            gamma, cfg.prototype.kappa, cfg.prototype.d, c)
     except ValueError as exc:
         raise InfeasibleTuning(str(exc)) from exc
     k_prime = choose_winding(h_star, pconf.nu_x)

@@ -171,19 +171,16 @@ class ExperimentConfig:
 
 
 def _build_input(section: SimpleNamespace) -> "signals.InputSignal":
-    if section.kind == "sin":
-        return signals.sin_input()
-    if section.kind == "degenerate":
-        return signals.degenerate_xi()
-    raise ValueError(f"unknown input kind {section.kind!r}")
+    kinds = {"sin": signals.sin_input, "degenerate": signals.degenerate_xi}
+    _check(section.kind in kinds, "input.kind", section.kind, f"one of {sorted(kinds)}")
+    return kinds[section.kind]()
 
 
 def _build_plant(section: SimpleNamespace) -> PlantSpec:
     """The plant of the config; phi_min is the slope of the phi kind, and a
     phi_min or phi_max key may only repeat it."""
     kind = section.phi
-    if kind not in ("identity", "linear"):
-        raise ValueError(f"unknown phi kind {kind!r}")
+    _check(kind in ("identity", "linear"), "plant.phi", kind, "'identity' or 'linear'")
     _check(kind == "linear" or section.slope == 1.0, "plant.slope", section.slope,
            f"1 for phi kind {kind!r}")
     _check(section.slope > 0, "plant.slope", section.slope, "positive")
@@ -226,8 +223,7 @@ def _class_configs(p: SimpleNamespace, classes, plant: PlantSpec) -> tuple[list,
                 )
         gamma_stars.append(gamma_star)
         configs.append(PrototypeConfig(gamma=gamma, a=p.a, b=p.b, epsilon=epsilon,
-                                       delta=p.delta, nu_x=p.nu_x, k_prime=p.k_prime,
-                                       kappa=p.kappa, d=p.d))
+                                       delta=p.delta, nu_x=p.nu_x))
     return configs, gamma_stars
 
 
@@ -254,25 +250,26 @@ def load_config(path_or_dict) -> ExperimentConfig:
     sec = {s: _resolve(s, raw.get(s, {}), s) for s in KEYS if s != "classes"}
 
     inp = _build_input(sec["input"])
-    entries = [_resolve("classes", c, f"classes[{i}]") for i, c in enumerate(raw["classes"])]
-    classes = [
-        signals.builtin_class(c.family, theta_range=c.theta_range, xi_sup=inp.xi_sup)
-        for c in entries
-    ]
+    classes, families = [], signals.BUILTIN_FAMILIES
+    for i, entry in enumerate(raw["classes"]):
+        where = f"classes[{i}]"
+        c = _resolve("classes", entry, where)
+        _check(c.family in families, f"{where}.family", c.family, f"one of {sorted(families)}")
+        try:
+            classes.append(signals.builtin_class(c.family, c.theta_range, inp.xi_sup))
+        except ValueError as exc:  # a theta_range rule: "theta_range must be ..."
+            raise ValueError(f"{where}.{exc}") from None
     true_class, true_theta = getattr(sec["true"], "class"), sec["true"].theta
-    if not 0 <= true_class < len(classes):
-        raise ValueError(f"true class index {true_class} out of range")
+    _check(0 <= true_class < len(classes), "true.class", true_class,
+           f"an index into the {len(classes)} classes")
     lo, hi = classes[true_class].theta_range
-    if not lo <= true_theta <= hi:
-        raise ValueError(f"true theta {true_theta} outside declared range [{lo}, {hi}]")
+    _check(lo <= true_theta <= hi, "true.theta", true_theta,
+           f"inside classes[{true_class}].theta_range [{lo}, {hi}]")
 
     p = sec["prototype"]
-    for clazz in classes:
-        if not (p.a < clazz.theta_range[0] and p.b > clazz.theta_range[1]):
-            raise ValueError(
-                f"(a, b) = ({p.a}, {p.b}) must strictly contain the parameter "
-                f"range of class {clazz.name!r}"
-            )
+    for i, (lo, hi) in enumerate(clazz.theta_range for clazz in classes):
+        _check(p.a < lo, "prototype.a", p.a, f"below classes[{i}].theta_range lo {lo}")
+        _check(p.b > hi, "prototype.b", p.b, f"above classes[{i}].theta_range hi {hi}")
     _check(p.gamma is None or p.gamma > 0, "prototype.gamma", p.gamma, "positive")
     _check(p.delta >= 0, "prototype.delta", p.delta, "non-negative")
     _check(p.kappa > 1, "prototype.kappa", p.kappa, "greater than 1")
@@ -295,8 +292,8 @@ def load_config(path_or_dict) -> ExperimentConfig:
     _check(rnn_sec.ridge >= 0, "rnn.ridge", rnn_sec.ridge, "non-negative")
     _check(rnn_sec.check_horizon >= 0, "rnn.check_horizon", rnn_sec.check_horizon,
            "non-negative")
-    if rnn_sec.sigmoid not in SIGMOIDS:
-        raise ValueError(f"unknown rnn sigmoid {rnn_sec.sigmoid!r}")
+    _check(rnn_sec.sigmoid in SIGMOIDS, "rnn.sigmoid", rnn_sec.sigmoid,
+           f"one of {sorted(SIGMOIDS)}")
     _check(sec["sweep"].count >= 1, "sweep.count", sec["sweep"].count, "at least 1")
 
     noise_bound = sec["plant"].noise_bound

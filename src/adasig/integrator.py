@@ -14,8 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .plant import PlantSpec, make_noise
-from .prototype import (PrototypeConfig, bank_kernel, init_state, prototype_rhs,
-                        subsystem_constants, theta_hat)
+from .prototype import PrototypeConfig, bank_kernel, prototype_rhs, theta_hat
 from .rnn import SigmoidNetwork
 from .signals import InputSignal, SignalClass
 
@@ -172,8 +171,7 @@ def integrate_system(
              and isinstance(e[1], PrototypeConfig) for e in bank):
         subsystems = [config for _, config in bank]
         if m:
-            kernel = bank_kernel([subsystem_constants(c, config, 1 + 3 * i)
-                                  for i, (c, config) in enumerate(bank)], spec.phi_min)
+            kernel = bank_kernel(bank, spec.phi_min)
     else:
         raise TypeError("a bank is all (SignalClass, PrototypeConfig) pairs "
                         "or all SigmoidNetworks")
@@ -183,10 +181,13 @@ def integrate_system(
     if not lo <= s0 <= hi:
         raise ValueError(f"s0={s0} outside the declared initial interval {spec.s0_range}")
 
-    state = np.empty(1 + 3 * m)
-    state[0] = s0
-    for i, obj in enumerate(subsystems):
-        state[1 + 3 * i : 4 + 3 * i] = init_state(obj, s0)
+    # Each subsystem starts with its filter copy at s0 and its rotator on the
+    # unit circle at phase nu_x. The winding budget k' is an accounting device
+    # for the phase integral, not a property of the start point: all windings
+    # share the same (x, y).
+    state = [float(s0)]
+    for obj in subsystems:
+        state += [state[0], math.cos(obj.nu_x), math.sin(obj.nu_x)]
 
     n = int(round(horizon / dt))
     eta = make_noise(spec, max(n, 1), seed)
@@ -214,7 +215,6 @@ def integrate_system(
     times = [t0]
     states = np.empty((n // record_every + 1, 1 + 3 * m))
     states[0] = state
-    state = state.tolist()
     # A diverging run overflows on its way to inf; rk4_step reports that as
     # FloatingPointError, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -32,6 +32,8 @@ class PlantSpec:
             raise ValueError("need phi_min > 0")
         if self.noise_bound < 0:
             raise ValueError("noise bound must be non-negative")
+        if not self.s0_range[0] <= self.s0_range[1]:
+            raise ValueError(f"s0_range must be an interval with lo <= hi, got {self.s0_range}")
 
 
 def make_noise(spec: PlantSpec, n_steps: int, seed: int) -> np.ndarray:

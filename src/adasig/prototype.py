@@ -17,13 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .signals import SignalClass
-
 __all__ = [
     "PrototypeConfig",
     "TuningReport",
     "theta_hat",
-    "subsystem_constants",
     "prototype_rhs",
     "bank_kernel",
     "compute_c",
@@ -32,7 +29,6 @@ __all__ = [
     "choose_winding",
     "compute_L",
     "error_bound",
-    "init_state",
 ]
 
 
@@ -44,12 +40,9 @@ class PrototypeConfig:
     epsilon: float = 0.0
     delta: float = 0.0
     nu_x: float = 0.0
-    k_prime: int = 0
-    kappa: float = 2.0
-    d: float = 0.5
 
     def __post_init__(self):
-        for name in ("gamma", "a", "b", "epsilon", "delta", "nu_x", "kappa", "d"):
+        for name in ("gamma", "a", "b", "epsilon", "delta", "nu_x"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -61,10 +54,6 @@ class PrototypeConfig:
             raise ValueError("epsilon and delta must be non-negative")
         if not 0.0 <= self.nu_x <= 2 * math.pi:
             raise ValueError("nu_x must lie in [0, 2*pi]")
-        if self.k_prime < 0:
-            raise ValueError("k_prime must be non-negative")
-        if not self.kappa > 1 or not 0 < self.d < 1:
-            raise ValueError("need kappa > 1 and d in (0, 1)")
 
 
 def theta_hat(x: float, a: float, b: float) -> float:
@@ -72,25 +61,18 @@ def theta_hat(x: float, a: float, b: float) -> float:
     return a + (b - a) / 2.0 * (x + 1.0)
 
 
-def subsystem_constants(clazz: SignalClass, config: PrototypeConfig, offset: int = 0) -> tuple:
-    """One bank entry for prototype_rhs: the index of the subsystem's shat in
-    the state, the family's f, then a, (b - a)/2, gamma, epsilon and delta."""
-    return (offset, clazz.f, config.a, (config.b - config.a) / 2.0,
-            config.gamma, config.epsilon, config.delta)
-
-
 def prototype_rhs(q, s, xi_val, kernel: Callable) -> list:
     """Right-hand side of a bank of perturbed subsystems (delta = 0 is unperturbed).
 
     kernel is bank_kernel(bank, phi_min, rows) for the bank; subsystem i
-    reads (shat, x, y) at q[offset_i : offset_i + 3], and the 3m derivatives
-    come back as one list in bank order. Each filter copy sees the plant's
-    phi(shat) = phi_min * shat. Elementwise: floats from the float form
-    (the filter derivative goes through float(), since an f may return a
-    numpy scalar), arrays for a block of sample rows from the row form (f
-    must then accept arrays). The read-back is theta_hat written out, in
-    the same association order, and the dead zone is
-    max(|shat - s| - epsilon, 0).
+    reads (shat, x, y) at q[1 + 3i : 4 + 3i], behind the measurement's slot
+    q[0], and the 3m derivatives come back as one list in bank order. Each
+    filter copy sees the plant's phi(shat) = phi_min * shat. Elementwise:
+    floats from the float form (the filter derivative goes through float(),
+    since an f may return a numpy scalar), arrays for a block of sample rows
+    from the row form (f must then accept arrays). The read-back is
+    theta_hat written out, in the same association order, and the dead zone
+    is max(|shat - s| - epsilon, 0).
     """
     return kernel(q, s, xi_val)
 
@@ -98,11 +80,12 @@ def prototype_rhs(q, s, xi_val, kernel: Callable) -> list:
 def bank_kernel(bank: Sequence[tuple], phi_min: float, rows: bool = False) -> Callable:
     """prototype_rhs's kernel for this bank, compiled from straight-line source.
 
-    bank holds one subsystem_constants tuple per subsystem. The offsets and
-    every constant (a, (b - a)/2, gamma, epsilon, delta and phi_min) are
-    written into the source as parenthesised repr literals, which give the
-    floats back bit for bit (a non-finite one raises ValueError, as it has
-    no literal); the families are bound as globals f0..f{m-1}.
+    bank holds one (SignalClass, PrototypeConfig) pair per subsystem, and
+    subsystem i sits at q[1 + 3i] in both forms. The offsets and every
+    constant (a, (b - a)/2, gamma, epsilon, delta and phi_min) are written
+    into the source as parenthesised repr literals, which give the floats
+    back bit for bit (a non-finite one raises ValueError, as it has no
+    literal); the families' f are bound as globals f0..f{m-1}.
     Subsystem i's (shat, x, y) go into shat{i}, x{i}, y{i}, and the 3m
     derivatives come back in one list display. The float form (rows False)
     writes the dead zone as (0.0 if v < 0.0 else v), the bits of
@@ -118,14 +101,14 @@ def bank_kernel(bank: Sequence[tuple], phi_min: float, rows: bool = False) -> Ca
 
     namespace = {"maximum": np.maximum}
     lines, derivatives = [], []
-    for i, (offset, f, a, half, gamma, epsilon, delta) in enumerate(bank):
-        namespace[f"f{i}"] = f
+    for i, (clazz, c) in enumerate(bank):
+        namespace[f"f{i}"] = clazz.f
         clip = f"maximum(v{i}, 0.0)" if rows else f"(0.0 if v{i} < 0.0 else v{i})"
         ds = (f"-{lit(phi_min)} * shat{i} + "
-              f"f{i}(xi_val, {lit(a)} + {lit(half)} * (x{i} + 1.0))")
-        lines += [f"shat{i}, x{i}, y{i} = q[{offset:d}], q[{offset + 1:d}], q[{offset + 2:d}]",
-                  f"v{i} = abs(shat{i} - s) - {lit(epsilon)}",
-                  f"g{i} = {lit(gamma)} * ({clip} + {lit(delta)})",
+              f"f{i}(xi_val, {lit(c.a)} + {lit((c.b - c.a) / 2.0)} * (x{i} + 1.0))")
+        lines += [f"shat{i}, x{i}, y{i} = q[{3 * i + 1}], q[{3 * i + 2}], q[{3 * i + 3}]",
+                  f"v{i} = abs(shat{i} - s) - {lit(c.epsilon)}",
+                  f"g{i} = {lit(c.gamma)} * ({clip} + {lit(c.delta)})",
                   f"r{i} = x{i} * x{i} + y{i} * y{i}"]
         derivatives += [ds if rows else f"float({ds})",
                         f"g{i} * (x{i} - y{i} - x{i} * r{i})",
@@ -230,17 +213,6 @@ def error_bound(
         raise ValueError("noise bound must be non-negative")
     inner = (8.0 * delta_eta * d_theta * (b - a) * d_f**2 * L**2) ** 0.25
     return float(rho_inverse(inner))
-
-
-def init_state(config, shat0: float) -> tuple[float, float, float]:
-    """Initial subsystem state (shat0, cos nu_x, sin nu_x): the filter copy at
-    shat0 and the rotator on the unit circle at phase nu_x. config is a
-    PrototypeConfig or a SigmoidNetwork; both carry nu_x.
-
-    The winding budget k' is an accounting device for the phase integral, not
-    a property of the initial point: all windings share the same (x, y).
-    """
-    return shat0, math.cos(config.nu_x), math.sin(config.nu_x)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .prototype import PrototypeConfig, bank_kernel, prototype_rhs, subsystem_constants
+from .prototype import PrototypeConfig, bank_kernel, prototype_rhs
 from .signals import SignalClass
 
 __all__ = [
@@ -241,11 +241,11 @@ def domain_box(
 
 
 def _target_fn(clazz: SignalClass, config: PrototypeConfig, phi_min: float) -> Callable:
-    kernel = bank_kernel([subsystem_constants(clazz, config)], phi_min, rows=True)
+    kernel = bank_kernel([(clazz, config)], phi_min, rows=True)
 
     def fn(Z: np.ndarray) -> np.ndarray:
         xi_val, s, shat, x, y = np.atleast_2d(Z).T
-        return np.stack(prototype_rhs((shat, x, y), s, xi_val, kernel), axis=1)
+        return np.stack(prototype_rhs((s, shat, x, y), s, xi_val, kernel), axis=1)
 
     return fn
 

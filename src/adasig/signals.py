@@ -197,7 +197,8 @@ def _make_sine(theta_range, xi_sup):
 def _make_quadratic_affine(theta_range, xi_sup):
     lo, hi = theta_range
     if lo < 0.5 or hi > 2.0:
-        raise ValueError("quadratic-affine family is declared injective only on [0.5, 2]")
+        raise ValueError(f"theta_range must be inside [0.5, 2], where quadratic-affine "
+                         f"is injective, got {theta_range}")
     return dict(
         f=lambda xi, th: th * th * xi + th,
         lipschitz_theta=2.0 * hi * xi_sup + 1.0,

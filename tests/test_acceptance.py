@@ -85,7 +85,7 @@ def test_03_polar_equivalence():
     """Cartesian rotator rates match the exact polar form to 1e-12."""
     rng = np.random.default_rng(3)
     cfg = prototype.PrototypeConfig(gamma=1.0, a=1.0, b=2.0, epsilon=0.0, delta=0.0)
-    kernel = prototype.bank_kernel([prototype.subsystem_constants(LINEAR, cfg)], 1.0)
+    kernel = prototype.bank_kernel([(LINEAR, cfg)], 1.0)
     worst = 0.0
     for _ in range(10_000):
         x, y = rng.uniform(-2.0, 2.0, 2)
@@ -94,7 +94,7 @@ def test_03_polar_equivalence():
             continue
         g = float(rng.uniform(0.0, 1.0))
         # realize g = gamma * |shat - s| through the subsystem right-hand side
-        d = prototype.prototype_rhs(np.array([g, x, y]), 0.0, 0.3, kernel)
+        d = prototype.prototype_rhs(np.array([0.0, g, x, y]), 0.0, 0.3, kernel)
         dx, dy = d[1], d[2]
         dr_c = (x * dx + y * dy) / r
         dnu_c = (x * dy - y * dx) / (r * r)

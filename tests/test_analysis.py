@@ -78,30 +78,31 @@ class TestWindingBudget:
     """An unperturbed admissible run spends at most pi - nu_x + 2 pi k'."""
 
     def test_budget_value(self):
-        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, nu_x=0.0, k_prime=1)
-        budget = math.pi - cfg.nu_x + 2.0 * math.pi * cfg.k_prime
+        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, nu_x=0.0)
+        k_prime = 1
+        budget = math.pi - cfg.nu_x + 2.0 * math.pi * k_prime
         assert 0.0 < spent(sim(cfg, horizon=20.0), cfg) <= budget
 
     def test_zero_error_run_spends_nothing(self):
-        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=1.5, nu_x=0.0, k_prime=1)
+        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=1.5, nu_x=0.0)
         traj = sim(cfg, theta=1.5, horizon=5.0)  # matched from t=0
         assert spent(traj, cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_spent_nondecreasing_in_horizon(self):
-        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, k_prime=1)
+        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5)
         spents = [spent(sim(cfg, horizon=h), cfg) for h in (5.0, 10.0)]
         assert spents[0] <= spents[1] + 1e-12
 
 
 class TestConvergenceReport:
     def test_winding_spent_matches_budget_unperturbed(self):
-        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, epsilon=0.01, k_prime=1)
+        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, epsilon=0.01)
         traj = sim(cfg, horizon=10.0)
         rep = analysis.convergence_report(traj, LINEAR, 1.5, 0.01, cfg)
         assert rep.winding_spent == reference_spent(traj, cfg) > 0
 
     def test_perturbed_run_reports_spent_without_warning(self):
-        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, delta=0.01, k_prime=1)
+        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5, delta=0.01)
         traj = sim(cfg, horizon=10.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -334,6 +334,15 @@ BAD_VALUES = [
     (("prototype", "k_prime"), -1),
     (("prototype", "safety"), 1.0),
     (("plant", "noise_bound"), -1e-4),
+    (("plant", "phi"), "cubic"),
+    (("classes", 0, "family"), "nope"),
+    (("classes", 0, "theta_range"), [2.0, 1.3]),  # inverted
+    (("true", "class"), 1),  # one class
+    (("true", "theta"), 2.5),  # outside theta_range [1.3, 2.0]
+    (("input", "kind"), "cos"),
+    (("rnn", "sigmoid"), "relu"),
+    (("prototype", "a"), 1.4),  # above theta_range lo 1.3
+    (("prototype", "b"), 1.9),  # below theta_range hi 2.0
 ]
 # json.load reads NaN and Infinity: every float and float pair key rejects them
 BAD_VALUES += [
@@ -364,6 +373,18 @@ class TestLoadTimeRejection:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {_key_name(path)} must be ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_family_range_names_the_key(self, tmp_path, capsys):
+        """A theta_range outside the range a family declares, here
+        quadratic-affine's [0.5, 2], is named like any other range error."""
+        raw = small_config()
+        raw["classes"][0] = {"family": "quadratic-affine", "theta_range": [0.4, 2.0]}
+        raw["prototype"]["a"] = 0.3
+        assert cli.main(["tune", "--config", write_config(tmp_path, raw),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: classes[0].theta_range must be inside [0.5, 2]")
+        assert err.count("\n") == 1
 
     def test_integer_beyond_the_float_range_rejected(self):
         # json.load reads 2**1024 as an int, which float() cannot convert

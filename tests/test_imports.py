@@ -223,3 +223,17 @@ def test_readme_lists_the_config_key_table():
 
     assert rows == [[name, key, kind, default(value)]
                     for name, keys in KEYS.items() for key, (kind, value) in keys.items()]
+
+
+def test_readme_shows_the_kernel_source():
+    """The README's `def rhs(q, s, xi_val):` block is bank_kernel's float-form
+    source for the one-class bank the README states."""
+    from adasig import prototype, signals
+
+    text = (ROOT / "README.md").read_text()
+    assert ("for a one-class bank with `a = 1.1`, `b = 2.2`, `gamma = 0.05`, "
+            "`epsilon = 0`, `delta = 0.001` and `phi_min = 1`") in " ".join(text.split())
+    (block,) = re.findall(r"\n```\n(def rhs\(q, s, xi_val\):\n.*?\n)```\n", text, re.S)
+    config = prototype.PrototypeConfig(gamma=0.05, a=1.1, b=2.2, epsilon=0.0, delta=0.001)
+    bank = [(signals.builtin_class("linear", (1.3, 2.0)), config)]
+    assert block == prototype.bank_kernel(bank, 1.0).__doc__

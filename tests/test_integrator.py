@@ -407,7 +407,7 @@ def reference_integration(spec, clazz, theta, bank, inp, horizon, dt, seed, s0):
     init = [s0]
     for e in bank:
         if isinstance(e, tuple):
-            init += list(prototype.init_state(e[1], s0))
+            init += [s0, math.cos(e[1].nu_x), math.sin(e[1].nu_x)]
         else:
             init += [s0, np.cos(e.nu_x), np.sin(e.nu_x)]
     state = np.array(init)

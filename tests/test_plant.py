@@ -25,6 +25,13 @@ class TestPlantSpec:
         with pytest.raises(ValueError):
             make_spec(noise_bound=-0.1)
 
+    def test_inverted_s0_range_rejected_by_name(self):
+        """A spec built directly rejects lo > hi, as load_config does, instead
+        of integrate_system blaming the default s0 later."""
+        with pytest.raises(ValueError, match=r"^s0_range must be an interval with lo <= hi"):
+            plant.PlantSpec(s0_range=(1.0, 0.0))
+        assert plant.PlantSpec(s0_range=(0.5, 0.5)).s0_range == (0.5, 0.5)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["phi_min", "noise_bound", "s0_range"])
     def test_non_finite_rejected_by_name(self, field, value):

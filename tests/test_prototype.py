@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adasig import prototype, signals
+from adasig import integrator, plant, prototype, rnn, signals
 
 ROOT = Path(__file__).resolve().parent.parent
 LINEAR = signals.builtin_class("linear", (1.0, 2.0))
@@ -45,11 +45,10 @@ class TestConfigValidation:
             make_config(nu_x=7.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["gamma", "a", "b", "epsilon", "delta", "nu_x",
-                                       "kappa", "d"])
+    @pytest.mark.parametrize("field", ["gamma", "a", "b", "epsilon", "delta", "nu_x"])
     def test_rejects_non_finite_by_name(self, field, value):
-        """Every float the kernel writes as a literal, and every other float
-        field, is finite in a config built directly."""
+        """Every float the kernel writes as a literal, and nu_x, is finite in
+        a config built directly."""
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             make_config(**{field: value})
 
@@ -67,35 +66,37 @@ def reference_prototype_rhs(state, s, xi_val, clazz, config, phi_min):
 
 
 def one(clazz, config):
-    """A one-subsystem bank whose state is (shat, x, y)."""
-    return [prototype.subsystem_constants(clazz, config)]
+    """A one-subsystem bank: its kernel reads (shat, x, y) at q[1:4]. q[0]
+    is the measurement's slot, which the kernel never reads: s is its own
+    argument."""
+    return [(clazz, config)]
 
 
 class TestPrototypeRhs:
     def test_fixed_point_on_circle(self):
         # matched filter, delta=0: g=0, rotator frozen
         cfg = make_config()
-        state = np.array([0.7, 1.0, 0.0])
+        state = np.array([0.7, 0.7, 1.0, 0.0])
         d = prototype.prototype_rhs(state, 0.7, 0.3, prototype.bank_kernel(one(LINEAR, cfg), 1.0))
         assert d[1] == 0.0 and d[2] == 0.0
 
     def test_pure_rotation_rate(self):
         # on the circle at (1, 0) with g = gamma*delta: dx=0, dy=g
         cfg = make_config(delta=0.01)
-        state = np.array([0.7, 1.0, 0.0])
+        state = np.array([0.7, 0.7, 1.0, 0.0])
         d = prototype.prototype_rhs(state, 0.7, 0.3, prototype.bank_kernel(one(LINEAR, cfg), 1.0))
         assert d[1] == pytest.approx(0.0)
         assert d[2] == pytest.approx(cfg.gamma * cfg.delta)
 
     def test_filter_component(self):
         cfg = make_config()
-        state = np.array([0.5, 0.0, 1.0])  # theta_hat = 1.5
+        state = np.array([0.5, 0.5, 0.0, 1.0])  # theta_hat = 1.5
         d = prototype.prototype_rhs(state, 0.5, 0.4, prototype.bank_kernel(one(LINEAR, cfg), 1.0))
         assert d[0] == pytest.approx(-0.5 + 1.5 * 0.4)
 
     def test_deadzone_suppresses_rotation(self):
         cfg = make_config(epsilon=0.2)
-        state = np.array([0.6, 1.0, 0.0])  # |shat - s| = 0.1 < epsilon
+        state = np.array([0.5, 0.6, 1.0, 0.0])  # |shat - s| = 0.1 < epsilon
         d = prototype.prototype_rhs(state, 0.5, 0.0, prototype.bank_kernel(one(LINEAR, cfg), 1.0))
         assert d[1] == 0.0 and d[2] == 0.0
 
@@ -113,9 +114,9 @@ class TestPrototypeRhs:
         xi_val, s, shat, x, y = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, 64))
         rows_form = prototype.bank_kernel(bank, slope, rows=True)
         float_form = prototype.bank_kernel(bank, slope)
-        block = prototype.prototype_rhs((shat, x, y), s, xi_val, rows_form)
+        block = prototype.prototype_rhs((s, shat, x, y), s, xi_val, rows_form)
         rows = [prototype.prototype_rhs(q, s[k], xi_val[k], float_form)
-                for k, q in enumerate(zip(shat.tolist(), x.tolist(), y.tolist()))]
+                for k, q in enumerate(zip(s.tolist(), shat.tolist(), x.tolist(), y.tolist()))]
         assert np.array_equal(np.stack(block, axis=1), np.array(rows))
 
     def test_floats_stay_floats(self):
@@ -124,8 +125,7 @@ class TestPrototypeRhs:
             name="numpy-scalar", f=lambda xi, th: np.float64(th * xi),
             theta_range=(1.0, 2.0), lipschitz_theta=1.0, lipschitz_xi=2.0)
         classes = [signals.builtin_class(f, (1.0, 2.0)) for f in FAMILIES] + [numpy_f]
-        bank = [prototype.subsystem_constants(c, make_config(epsilon=0.05), 1 + 3 * i)
-                for i, c in enumerate(classes)]
+        bank = [(c, make_config(epsilon=0.05)) for c in classes]
         q = [0.3, 0.4, 0.6, -0.8, 0.1, 1.0, 0.0, 0.5, 0.0, -1.0, 0.2, 0.6, 0.8]
         d = prototype.prototype_rhs(q, 0.3, 0.7, prototype.bank_kernel(bank, 2.0))
         assert len(d) == 12 and all(type(v) is float for v in d)
@@ -149,7 +149,7 @@ class TestBankMatchesPerSubsystemReference:
         rng = np.random.default_rng(seed)
         m = len(subsystems)
         size = () if rows is None else (rows,)
-        # Entries sit at offsets 1, 4, ... behind s, as in the integrator.
+        # Subsystem i sits at q[1 + 3i], behind s, as in the integrator.
         xi_val, s = rng.uniform(-2.0, 2.0, (2, *size))
         q = rng.uniform(-2.0, 2.0, (1 + 3 * m, *size))
         if rows is None:
@@ -158,7 +158,7 @@ class TestBankMatchesPerSubsystemReference:
         for i, (family, epsilon, delta, gamma, a, span) in enumerate(subsystems):
             clazz = signals.builtin_class(family, (1.0, 2.0))
             cfg = make_config(gamma=gamma, epsilon=epsilon, delta=delta, a=a, b=a + span)
-            bank.append(prototype.subsystem_constants(clazz, cfg, 1 + 3 * i))
+            bank.append((clazz, cfg))
             ref += reference_prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, clazz, cfg, slope)
         kernel = prototype.bank_kernel(bank, slope, rows is not None)
         out = prototype.prototype_rhs(q, s, xi_val, kernel)
@@ -169,15 +169,14 @@ class TestBankMatchesPerSubsystemReference:
 
 
 def random_bank(rng, m):
-    """m subsystems of drawn families and constants at offsets 1, 4, ...
-    behind s, as in the integrator, and a drawn plant slope."""
+    """m subsystems of drawn families and constants, and a drawn plant slope."""
     bank = []
-    for i in range(m):
+    for _ in range(m):
         clazz = signals.builtin_class(FAMILIES[rng.integers(3)], (1.0, 2.0))
         gamma, a, span = rng.uniform([0.01, 0.5, 0.1], [2.0, 1.5, 2.0]).tolist()
         cfg = make_config(gamma=gamma, a=a, b=a + span, epsilon=float(rng.choice([0.0, 0.3])),
                           delta=float(rng.choice([0.0, 0.01])))
-        bank.append(prototype.subsystem_constants(clazz, cfg, 1 + 3 * i))
+        bank.append((clazz, cfg))
     return bank, float(rng.uniform(0.5, 3.0))
 
 
@@ -199,7 +198,8 @@ class TestBankKernel:
         rng = np.random.default_rng(10 * m + rows)
         bank, slope = random_bank(rng, m)
         source = prototype.bank_kernel(bank, slope, rows).__doc__
-        namespace = {"maximum": np.maximum, **{f"f{i}": e[1] for i, e in enumerate(bank)}}
+        namespace = {"maximum": np.maximum,
+                     **{f"f{i}": clazz.f for i, (clazz, _) in enumerate(bank)}}
         exec(compile(source, "<doc>", "exec"), namespace)
         args = random_args(rng, m, rows)
         got = prototype.prototype_rhs(*args, prototype.bank_kernel(bank, slope, rows))
@@ -272,7 +272,7 @@ class TestBankKernel:
         for i, (family, a, span, gamma, epsilon) in enumerate(subsystems):
             clazz = signals.builtin_class(family, (1.0, 2.0))
             cfg = make_config(gamma=gamma, a=a, b=a + span, epsilon=epsilon, delta=0.0)
-            bank.append(prototype.subsystem_constants(clazz, cfg, 1 + 3 * i))
+            bank.append((clazz, cfg))
             ref += reference_prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, clazz, cfg, slope)
         kernel = prototype.bank_kernel(bank, slope, rows is not None)
         out = prototype.prototype_rhs(q, s, xi_val, kernel)
@@ -296,8 +296,10 @@ class TestBankKernel:
         bank, slope = random_bank(rng, m)
         q, s, xi_val = random_args(rng, m, rows)
         joined = []
-        for entry in bank:
-            joined += prototype.prototype_rhs(q, s, xi_val,
+        for i, entry in enumerate(bank):
+            # A one-subsystem kernel reads q[1:4], so subsystem i's slice
+            # starts one slot before its shat.
+            joined += prototype.prototype_rhs(q[3 * i : 3 * i + 4], s, xi_val,
                                               prototype.bank_kernel([entry], slope, rows))
         kernel = prototype.bank_kernel(bank, slope, rows)
         assert np.array_equal(np.array(prototype.prototype_rhs(q, s, xi_val, kernel)),
@@ -361,9 +363,10 @@ class TestBankKernel:
         assert abs(shat[0] - s[0]) - epsilon == 0.0 == abs(shat[1] - s[1]) - epsilon
         rows_form = prototype.bank_kernel(bank, 1.5, rows=True)
         float_form = prototype.bank_kernel(bank, 1.5)
-        rows = np.stack(prototype.prototype_rhs((shat, x, y), s, xi_val, rows_form), axis=1)
+        rows = np.stack(prototype.prototype_rhs((s, shat, x, y), s, xi_val, rows_form), axis=1)
         floats = np.array([prototype.prototype_rhs(q, s[k], xi_val[k], float_form)
-                           for k, q in enumerate(zip(shat.tolist(), x.tolist(), y.tolist()))])
+                           for k, q in enumerate(zip(s.tolist(), shat.tolist(), x.tolist(),
+                                                     y.tolist()))])
         nan = np.isnan(floats)
         assert nan[4].any() and np.array_equal(np.isnan(rows), nan)
         assert np.array_equal(rows.view(np.uint64)[~nan], floats.view(np.uint64)[~nan])
@@ -382,7 +385,7 @@ def rotator_polar(x, y, g):
     from dr = (x dx + y dy)/r and dnu = (x dy - y dx)/r^2. The gain is
     realized as gamma |shat - s| with gamma = 1, shat = g and s = 0."""
     bank = one(LINEAR, make_config(gamma=1.0))
-    _, dx, dy = prototype.prototype_rhs([g, x, y], 0.0, 0.3, prototype.bank_kernel(bank, 1.0))
+    _, dx, dy = prototype.prototype_rhs([0.0, g, x, y], 0.0, 0.3, prototype.bank_kernel(bank, 1.0))
     r = math.hypot(x, y)
     return (x * dx + y * dy) / r, (x * dy - y * dx) / (r * r)
 
@@ -485,16 +488,32 @@ class TestTuning:
         assert vals[0] < vals[1] < vals[2]
 
 
+def start(nu_x, s0):
+    """integrate_system's first state behind s, (shat, x, y), for a
+    one-subsystem prototype bank and for a one-network bank, both at phase
+    nu_x and started from s0."""
+    net = rnn.SigmoidNetwork(N=1, sigmoid="tanh", omega=np.zeros((1, 5)), beta=np.zeros(1),
+                             alpha=np.zeros((1, 3)), domain=[[-2.0, 2.0]] * 5, eps_N=0.0,
+                             a=0.5, b=2.5, nu_x=nu_x)
+    return [tuple(integrator.integrate_system(plant.PlantSpec(), LINEAR, 1.5, bank,
+                                              signals.sin_input(), horizon=0.0,
+                                              s0=s0).states[0, 1:].tolist())
+            for bank in ([(LINEAR, make_config(nu_x=nu_x))], [net])]
+
+
 class TestInitState:
+    """Each subsystem starts at (s0, cos nu_x, sin nu_x): the filter copy at
+    s0 and the rotator on the unit circle at phase nu_x."""
+
     def test_phase_zero(self):
-        assert prototype.init_state(make_config(nu_x=0.0), 0.5) == (0.5, 1.0, 0.0)
+        assert start(0.0, 0.5) == [(0.5, 1.0, 0.0)] * 2
 
     def test_phase_quarter(self):
-        _, x, y = prototype.init_state(make_config(nu_x=math.pi / 2), 0.5)
-        assert x == pytest.approx(0.0, abs=1e-15)
-        assert y == pytest.approx(1.0)
+        for _, x, y in start(math.pi / 2, 0.5):
+            assert x == pytest.approx(0.0, abs=1e-15)
+            assert y == pytest.approx(1.0)
 
     @given(st.floats(0, 2 * math.pi))
     def test_on_unit_circle(self, nu):
-        _, x, y = prototype.init_state(make_config(nu_x=nu), 0.0)
-        assert x**2 + y**2 == pytest.approx(1.0)
+        for _, x, y in start(nu, 0.0):
+            assert x**2 + y**2 == pytest.approx(1.0)

@@ -27,9 +27,9 @@ class TestSampleRhs:
     def test_targets_match_rhs_pointwise(self):
         cfg = make_config()
         ds = rnn.sample_rhs(LINEAR, cfg, small_box(), 200, phi_min=1.0, seed=1)
-        kernel = prototype.bank_kernel([prototype.subsystem_constants(LINEAR, cfg)], 1.0)
+        kernel = prototype.bank_kernel([(LINEAR, cfg)], 1.0)
         for z, y in zip(ds.inputs[:20], ds.targets[:20]):
-            direct = prototype.prototype_rhs(z[2:], z[1], z[0], kernel)
+            direct = prototype.prototype_rhs(z[1:], z[1], z[0], kernel)
             assert np.max(np.abs(direct - y)) < 1e-15
 
     @pytest.mark.parametrize("family", ["linear", "sine", "quadratic-affine"])
@@ -37,8 +37,8 @@ class TestSampleRhs:
         clazz = signals.builtin_class(family, (1.0, 2.0))
         cfg = make_config(epsilon=0.1)
         ds = rnn.sample_rhs(clazz, cfg, small_box(), 500, phi_min=2.0, seed=4)
-        kernel = prototype.bank_kernel([prototype.subsystem_constants(clazz, cfg)], 2.0)
-        ref = np.array([prototype.prototype_rhs(np.array([sh, x, y]), s, xi_val, kernel)
+        kernel = prototype.bank_kernel([(clazz, cfg)], 2.0)
+        ref = np.array([prototype.prototype_rhs(np.array([s, sh, x, y]), s, xi_val, kernel)
                         for xi_val, s, sh, x, y in ds.inputs])
         assert np.array_equal(ds.targets, ref)
 
@@ -345,14 +345,14 @@ class TestLipschitzEstimate:
         """Largest spectral norm of a central-difference Jacobian, one row at a time."""
         rng = np.random.default_rng(seed)
         Z = box[:, 0] + rng.uniform(size=(n_samples, 5)) * (box[:, 1] - box[:, 0])
-        kernel = prototype.bank_kernel([prototype.subsystem_constants(clazz, config)], phi_min)
+        kernel = prototype.bank_kernel([(clazz, config)], phi_min)
         worst = 0.0
         for xi_val, s, sh, x, y in Z:
-            q = np.array([sh, x, y])
+            q = np.array([s, sh, x, y])
             J = np.empty((3, 3))
             for j in range(3):
-                dq = np.zeros(3)
-                dq[j] = h
+                dq = np.zeros(4)
+                dq[1 + j] = h
                 fp = np.array(prototype.prototype_rhs(q + dq, s, xi_val, kernel))
                 fm = np.array(prototype.prototype_rhs(q - dq, s, xi_val, kernel))
                 J[:, j] = (fp - fm) / (2.0 * h)

@@ -13,12 +13,12 @@ def deadzone(e, epsilon):
     rotator speed dy/dt at (x, y) = (1, 0) with gamma = 1, delta = 0,
     shat = e and s = xi = 0. An array e goes through the row-block path."""
     config = prototype.PrototypeConfig(gamma=1.0, a=0.5, b=2.5, epsilon=epsilon)
-    bank = [prototype.subsystem_constants(signals.builtin_class("linear"), config)]
+    bank = [(signals.builtin_class("linear"), config)]
     if isinstance(e, np.ndarray):
         zeros = np.zeros_like(e)
-        q, s = (e, zeros + 1.0, zeros), zeros
+        q, s = (zeros, e, zeros + 1.0, zeros), zeros
     else:
-        q, s = [e, 1.0, 0.0], 0.0
+        q, s = [0.0, e, 1.0, 0.0], 0.0
     kernel = prototype.bank_kernel(bank, 1.0, isinstance(e, np.ndarray))
     return prototype.prototype_rhs(q, s, s, kernel)[2]
 
