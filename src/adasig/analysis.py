@@ -6,7 +6,7 @@ Everything here is pure post-processing over immutable trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,18 +23,15 @@ __all__ = [
     "check_state_bounds",
 ]
 
-# Window lengths verify_filtered_pe scans, evenly spaced from L to the span.
-N_WINDOW_SCAN = 24
-
 
 @dataclass
 class PEReport:
     """Empirical certificate that filtering preserves persistent excitation.
 
     The drive u satisfies a per-window integral floor (L_window, delta_lower);
-    condition_ok records (delta/L)^2 - Delta*u_inf > 0; the scan then
-    exhibits a concrete (L_star, delta_star) for the filtered output z and
-    the proportionality constant p = delta_star / ((delta/L)^2 - Delta*u_inf).
+    condition_ok records (delta/L)^2 - Delta*u_inf > 0; delta_star is the
+    filtered output z's worst-window floor on the same length L_star = L,
+    and p = delta_star / ((delta/L)^2 - Delta*u_inf).
     """
 
     L_window: float
@@ -43,7 +40,6 @@ class PEReport:
     L_star: float
     delta_star: float
     p: float
-    integral_samples: list[float] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -91,8 +87,8 @@ def verify_filtered_pe(
     uniform grid with step dt).  First verifies the drive's own floor
     (every window of length L has integral of |u| at least delta), then the
     sign condition (delta/L)^2 - Delta*u_inf > 0 with u_inf = max |u|, then
-    scans N_WINDOW_SCAN window lengths for the largest empirical floor
-    (L_star, delta_star) of z.
+    takes z's own floor delta_star on windows of the same length L; a
+    window of length L where z is quiet gives delta_star = 0, and ok is false.
     """
     z = np.asarray(z_traj, dtype=float)
     u = np.asarray(u_traj, dtype=float)
@@ -110,26 +106,17 @@ def verify_filtered_pe(
     margin = (delta / L) ** 2 - Delta * u_inf
     condition_ok = margin > 0
 
-    # Scan candidate windows; keep the one with the best worst-window floor.
-    best = (0.0, 0.0)  # (delta_star, L_star)
-    samples: list[float] = []
-    n = len(z)
-    for wlen in np.linspace(L, (n - 1) * dt, N_WINDOW_SCAN):
-        ints = _window_integrals(z, dt, float(wlen))
-        floor = float(np.min(ints))
-        samples.append(floor)
-        if floor > best[0]:
-            best = (floor, float(wlen))
-    delta_star, L_star = best
-    p = delta_star / margin if condition_ok and margin > 0 else math.nan
+    # z's floor on the drive's own window length. The length is fixed: a
+    # longer window only adds |z| >= 0, so a floor free to pick it cannot fail.
+    delta_star = float(np.min(_window_integrals(z, dt, L)))
+    p = delta_star / margin if condition_ok else math.nan
     return PEReport(
         L_window=L,
         delta_lower=delta_checked,
         condition_ok=condition_ok,
-        L_star=L_star,
+        L_star=L,
         delta_star=delta_star,
         p=p,
-        integral_samples=samples,
     )
 
 

@@ -43,8 +43,11 @@ class Trajectory:
             raise ValueError("times, states, theta_hat and hf lengths differ")
         if not np.all(np.isfinite(self.times)) or not np.all(np.isfinite(self.states)):
             raise ValueError("trajectory contains non-finite entries")
+        # A grid t0 + j*dt is exact to an ulp or two of its largest |t|, which
+        # is max(-t[0], t[-1]) once the times increase.
         steps = np.diff(self.times)
-        if len(steps) and (np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]):
+        if len(steps) and (np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]
+                           + 8 * np.spacing(max(-self.times[0], self.times[-1]))):
             raise ValueError("times must increase with a constant step")
 
     @property
@@ -212,7 +215,6 @@ def integrate_system(
             return [ds, *net.rhs(xi_val, s, q[1:]).ravel().tolist()]
         return [ds]
 
-    times = [t0]
     states = np.empty((n // record_every + 1, 1 + 3 * m))
     states[0] = state
     # A diverging run overflows on its way to inf; rk4_step reports that as
@@ -223,9 +225,10 @@ def integrate_system(
             eta_now = float(eta[k])
             state = rk4_step(rhs, state, t, dt)
             if (k + 1) % record_every == 0:
-                times.append(t0 + (k + 1) * dt)
                 states[(k + 1) // record_every] = state
 
+    # Row j is at t0 + (j * record_every) * dt: the integer times dt, then t0.
+    times = t0 + np.arange(0, n + 1, record_every) * dt
     a = np.array([obj.a for obj in subsystems])
     b = np.array([obj.b for obj in subsystems])
     info = {"dt": dt, "record_every": record_every}
@@ -237,10 +240,10 @@ def integrate_system(
         xi_rec = inp.xi(t0 + k * dt + dt)[:, None]
         inside = net.in_domain(xi_rec, rec[:, :1], rec[:, 1:].reshape(len(rec), m, 3))
         if not inside.all():
-            info["domain_escape_t"] = [None if col.all() else times[1 + int(col.argmin())]
+            info["domain_escape_t"] = [None if col.all() else float(times[1 + int(col.argmin())])
                                        for col in inside.T]
     return Trajectory(
-        times=np.array(times),
+        times=times,
         states=states,
         theta_hat=theta_hat(states[:, 2::3], a, b),
         hf=states[:, :1] - states[:, 1::3],

@@ -40,11 +40,21 @@ class TestVerifyFilteredPE:
     def test_filtered_floor_positive(self):
         # windows of length 2*pi integrate |z| to 4/sqrt(2)
         rep = analysis.verify_filtered_pe(self.z, self.u, self.dt, 2 * np.pi, 3.9)
-        assert rep.delta_star > 0
-        assert rep.L_star >= 2 * np.pi - 1e-9
-        ints = analysis._window_integrals(self.z, self.dt, 2 * np.pi)
-        assert float(np.min(ints)) == pytest.approx(4 / np.sqrt(2), rel=1e-3)
+        assert rep.L_star == 2 * np.pi
+        assert rep.delta_star == pytest.approx(4 / np.sqrt(2), rel=1e-3)
         assert rep.p > 0 and math.isfinite(rep.p)
+        assert rep.ok
+
+    def test_quiet_window_fails(self):
+        # z is silent on one window of the drive's length L: its floor on
+        # that length is 0, however large its integral over the whole run
+        L = 2 * np.pi
+        z = self.z.copy()
+        z[1000 : 1000 + int(round(L / self.dt)) + 1] = 0.0
+        rep = analysis.verify_filtered_pe(z, self.u, self.dt, L, 3.9)
+        assert rep.condition_ok
+        assert rep.L_star == L and rep.delta_star == 0.0
+        assert not rep.ok
 
     def test_large_deadzone_breaks_condition(self):
         delta, L = 3.9, 2 * np.pi

@@ -541,6 +541,18 @@ class TestSimulateCommand:
         conv = json.loads((tmp_path / "convergence.json").read_text())
         assert decision["band_theta"] == conv["bound_used"] == 0.1
 
+    def test_run_far_from_t_zero(self, tmp_path, capsys):
+        """A run that starts at t = 1e5 writes its grid t0 + j*dt: the
+        constant-step check allows the rounding of a grid that far out."""
+        raw = small_config(simulation={"t0": 1e5, "dt": 1e-3, "horizon": 2.0},
+                           decision={"T_star": 1.0})
+        path = write_config(tmp_path, raw)
+        rc = cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+        assert rc == cli.EXIT_NOT_ENTERED and capsys.readouterr().err == ""
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[2:]
+        assert [float(r.split(",")[0]) for r in rows] == [1e5 + (10 * j) * 1e-3
+                                                          for j in range(201)]
+
 
 class TestVerifyCommand:
     def test_persistency_pass(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import builtins
 import dataclasses
 import io
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -276,6 +277,41 @@ class TestIntegrateSystem:
             integrator.integrate_system(
                 make_spec(), LINEAR, 1.5, [LINEAR], SIN, horizon=1.0,
             )
+
+
+class TestTimeAxis:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t0=st.sampled_from([0.0, 0.3, -2.5, 1e5]),
+        record_every=st.sampled_from([1, 3, 7]),
+        n_steps=st.integers(0, 300),
+        dt=st.floats(1e-4, 0.1),
+    )
+    @example(t0=1e5, record_every=1, n_steps=2000, dt=1e-3)
+    @example(t0=-2.5, record_every=7, n_steps=0, dt=1e-2)
+    def test_times_are_the_integer_grid(self, t0, record_every, n_steps, dt):
+        """Row j is at the Python float t0 + (j * record_every) * dt, bit
+        for bit, also far from t = 0 and for a zero horizon."""
+        horizon = n_steps * dt
+        traj = integrator.integrate_system(make_spec(), LINEAR, 1.5, [], SIN, t0=t0,
+                                           horizon=horizon, dt=dt, record_every=record_every)
+        rows = int(round(horizon / dt)) // record_every + 1
+        expected = [t0 + (j * record_every) * dt for j in range(rows)]
+        assert [t.hex() for t in traj.times.tolist()] == [t.hex() for t in expected]
+
+    def test_dense_record_peak_is_the_record(self):
+        """Recording every step of a one-class bank allocates little beyond
+        the record itself: no Python float is kept per row."""
+        spec, bank = make_spec(), [(LINEAR, make_config())]
+        integrator.integrate_system(spec, LINEAR, 1.5, bank, SIN, horizon=0.1, dt=1e-3)
+        tracemalloc.start()
+        try:
+            traj = integrator.integrate_system(spec, LINEAR, 1.5, bank, SIN, horizon=20.0,
+                                               dt=1e-3, record_every=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * traj.states.nbytes
 
 
 def savetxt_csv(header, table):
@@ -717,6 +753,7 @@ class TestDomainEscape:
         expected = reference_escape_t(traj, bank, inp, t0, 1e-2, record_every)
         if any(t is not None for t in expected):
             assert traj.meta["domain_escape_t"] == expected
+            assert all(t is None or type(t) is float for t in traj.meta["domain_escape_t"])
         else:
             assert "domain_escape_t" not in traj.meta
 
@@ -730,6 +767,7 @@ class TestDomainEscape:
                                            dt=1e-2, record_every=1)
         t = traj.times
         assert traj.meta["domain_escape_t"] == [t[np.argmax(np.sin(t) > 0.5)]]
+        assert type(traj.meta["domain_escape_t"][0]) is float
 
     def test_no_networks_no_escape_key(self):
         traj = integrator.integrate_system(
