@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, classify, rnn, signals
 from .config import THETA_BOUND_FALLBACK, VERSION, ExperimentConfig, load_config, sub_seed
-from .integrator import integrate_system, rk4_step, write_csv
+from .integrator import integrate_system, rk4_stepper, write_csv
 from .prototype import TuningReport, choose_winding, compute_L, compute_c, error_bound, tune_hstar
 
 EXIT_OK = 0
@@ -306,11 +306,17 @@ def verify_pe_example(cfg: ExperimentConfig) -> analysis.PEReport:
     xi = cfg.inp.xi(t)
     u = np.asarray(clazz.f(xi, theta) - clazz.f(xi, lo), dtype=float)
     # RK4 with the drive held at u[k] over each step; integrate_system would
-    # evaluate it at the stage times instead.
+    # evaluate it at the stage times instead. The stage function reads uk,
+    # which the loop rebinds.
     phi_min = cfg.plant.phi_min
+    step = rk4_stepper(1)
+
+    def held(q, tt):
+        return [-phi_min * q[0] + uk]
+
     z = [0.0]
     for tk, uk in zip(t[:-1].tolist(), u.tolist()):
-        z += rk4_step(lambda q, tt: [-phi_min * q[0] + uk], z[-1:], tk, dt)
+        z += step(held, z[-1:], tk, dt)
     z = np.array(z)
     delta = float(np.min(analysis._window_integrals(u, dt, L)))
     Delta = cfg.plant.noise_bound / phi_min
@@ -330,7 +336,11 @@ def cmd_fit_rnn(args) -> int:
     verdict = "skipped"  # rnn.check_horizon 0 runs no check
     if cfg.rnn.check_horizon > 0:
         checks = check_divergence(cfg, nets)
-        results = [asdict(rep) | {"L_i": L_i, "eps_N_basis": EPS_N_BASIS} for rep, L_i in checks]
+        band = cfg.decision.eps + classify.band_from_noise(cfg.plant.noise_bound,
+                                                           cfg.plant.phi_min)
+        results = [asdict(rep) | {"L_i": L_i, "eps_N_basis": EPS_N_BASIS}
+                   | rnn.envelope_reach(rep.max_bound, net.eps_N, L_i, net.domain, band)
+                   for (rep, L_i), net in zip(checks, nets)]
         _write_json(out / "divergence.json", _stamp({"per_class": results}, cfg))
         verdict = "pass" if all(rep.passed for rep, _ in checks) else "FAIL"
     print(f"fit-rnn: eps_N={[f'{e:.4g}' for e in eps_N]} divergence={verdict}")

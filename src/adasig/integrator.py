@@ -212,7 +212,7 @@ def integrate_system(
         if kernel is not None:
             return [ds, *prototype_rhs(q, s, xi_val, kernel)]
         if net is not None:
-            return [ds, *net.rhs(xi_val, s, q[1:]).ravel().tolist()]
+            return [ds, *net.rhs(xi_val, s, q[1:]).tolist()]
         return [ds]
 
     states = np.empty((n // record_every + 1, 1 + 3 * m))

@@ -11,6 +11,7 @@ Each class keeps its own 3-state network; the full bank has 3*N_f states.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,6 +27,7 @@ __all__ = [
     "sample_rhs",
     "fit_network",
     "divergence_check",
+    "envelope_reach",
     "estimate_rhs_lipschitz",
 ]
 
@@ -46,11 +48,29 @@ SIGMOIDS: dict[str, Callable[..., np.ndarray]] = {
 
 
 def _features(Z: np.ndarray, omega: np.ndarray, beta: np.ndarray, sigmoid: str) -> np.ndarray:
-    """sigma(Z omega^T + beta) in one buffer; a leading network axis of
-    omega and beta maps every network over the same rows of Z."""
-    U = Z @ omega.swapaxes(-1, -2)
-    U += beta[..., None, :]
+    """sigma(Z omega^T + beta) for the rows of Z, in one buffer."""
+    U = Z @ omega.T
+    U += beta
     return SIGMOIDS[sigmoid](U, out=U)
+
+
+def _block_matrices(omega: np.ndarray, beta: np.ndarray, alpha: np.ndarray):
+    """The m networks of a stack as one block network (W, A).
+
+    W is (m N, 3 + 3m), column-major, over the columns (1, xi, s, shat_1,
+    x_1, y_1, ..., shat_m, x_m, y_m): network i's rows hold its biases
+    against the constant 1, its xi and s weights, and its state weights in
+    its own three columns. A is (3m, m N), block-diagonal in alpha_i^T.
+    Every other entry is zero.
+    """
+    m, N = beta.shape
+    W = np.zeros((m * N, 3 + 3 * m), order="F")
+    A = np.zeros((3 * m, m * N))
+    for i in range(m):
+        rows = slice(i * N, (i + 1) * N)
+        W[rows, [0, 1, 2, 3 + 3 * i, 4 + 3 * i, 5 + 3 * i]] = np.column_stack([beta[i], omega[i]])
+        A[3 * i : 3 * i + 3, rows] = alpha[i].T
+    return W, A
 
 
 @dataclass
@@ -65,7 +85,9 @@ class SigmoidNetwork:
     A bank of m networks that share N and the sigmoid stacks into one network
     of 3m states (see stack): every array gains a leading network axis, and
     eps_N, a, b and nu_x become (m,) arrays.  A single network is the m = 1
-    case without that axis; features, rhs and in_domain serve both.
+    case without that axis; rhs and in_domain serve both.  Construction lays
+    the weights out once as the block network (W, A) of _block_matrices,
+    which rhs evaluates.
     """
 
     N: int
@@ -96,6 +118,9 @@ class SigmoidNetwork:
         for arr in (self.omega, self.beta, self.alpha, self.domain):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("network parameters must be finite")
+        self.W, self.A = _block_matrices(self.omega.reshape(-1, self.N, 5),
+                                         self.beta.reshape(-1, self.N),
+                                         self.alpha.reshape(-1, self.N, 3))
 
     @classmethod
     def stack(cls, nets: Sequence["SigmoidNetwork"]) -> "SigmoidNetwork":
@@ -116,17 +141,11 @@ class SigmoidNetwork:
                for k in ("eps_N", "a", "b", "nu_x")},
         )
 
-    def features(self, Z: np.ndarray) -> np.ndarray:
-        return _features(Z, self.omega, self.beta, self.sigmoid)
-
-    def rhs(self, xi_val: float, s: float, state: np.ndarray) -> np.ndarray:
-        """Derivatives of the 3m states: (3,) for one network, (m, 3) for a
-        stack (state holds the 3m values in network order)."""
-        q = np.asarray(state, dtype=float).reshape(self.beta.shape[:-1] + (1, 3))
-        Z = np.empty(q.shape[:-1] + (5,))
-        Z[..., :2] = xi_val, s
-        Z[..., 2:] = q
-        return (self.features(Z) @ self.alpha)[..., 0, :]
+    def rhs(self, xi_val: float, s: float, state) -> np.ndarray:
+        """Derivatives (3m,) of the 3m states, given in network order: two
+        matrix-vector products and one in-place sigmoid over all m N units."""
+        u = self.W @ np.array([1.0, xi_val, s, *state])
+        return self.A @ SIGMOIDS[self.sigmoid](u, out=u)
 
     def in_domain(self, xi_val, s, state) -> np.ndarray:
         """Whether (xi, s, state) lies in the fitted box, elementwise.
@@ -412,6 +431,23 @@ def divergence_check(
         first_violation_t=first,
         domain_escape_t=escape,
     )
+
+
+def envelope_reach(max_bound: float, eps_N: float, L_i: float, box: np.ndarray,
+                   band: float) -> dict:
+    """Whether a divergence check can fail, and for how long it is finer than
+    the decision band.
+
+    vacuous: max_bound reaches the diagonal of the box's (shat, x, y) rows,
+    the largest gap between two states inside it. informative_horizon: the
+    time the envelope (eps_N / L_i)(e^{L_i t} - 1) reaches band,
+    ln(1 + band L_i / eps_N) / L_i (inf for eps_N = 0).
+    """
+    diagonal = float(np.linalg.norm(np.ptp(np.asarray(box)[2:], axis=1)))
+    return {
+        "vacuous": max_bound >= diagonal,
+        "informative_horizon": math.log1p(band * L_i / eps_N) / L_i if eps_N > 0 else math.inf,
+    }
 
 
 def estimate_rhs_lipschitz(

@@ -5,9 +5,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adasig import cli, config, rnn
+from adasig import analysis, cli, config, integrator, rnn
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -588,6 +589,26 @@ class TestVerifyCommand:
         payload = json.loads((tmp_path / "verify_pe.json").read_text())
         assert payload["condition_ok"] and payload["delta_star"] > 0
 
+    def test_pe_filter_matches_the_rk4_step_loop(self, tmp_path, monkeypatch):
+        """verify_pe_example's filter, one stage function for the whole run,
+        gives the floats of one rk4_step call and one new lambda per step."""
+        seen = []
+        real = analysis.verify_filtered_pe
+
+        def recording(z, u, dt, *args, **kwargs):
+            seen.append((z, u, dt))
+            return real(z, u, dt, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "verify_filtered_pe", recording)
+        cfg = config.load_config(write_config(tmp_path, small_config()))
+        cli.verify_pe_example(cfg)
+        ((z, u, dt),) = seen
+        phi_min = cfg.plant.phi_min
+        ref = [0.0]
+        for k, uk in enumerate(u.tolist()[:-1]):
+            ref += integrator.rk4_step(lambda q, tt: [-phi_min * q[0] + uk], ref[-1:], k * dt, dt)
+        assert len(z) == len(u) == 50_001 and z.tolist() == ref
+
 
 class TestFitRnnCommand:
     def test_small_fit_smoke(self, tmp_path, capsys):
@@ -604,6 +625,14 @@ class TestFitRnnCommand:
         assert all(r["passed"] for r in div["per_class"])
         assert all(r["domain_escape_t"] is None and r["eps_N_basis"] == "sampled"
                    for r in div["per_class"])
+        # the decision band eps + noise_bound / phi_min, the box of network_1.json
+        cfg = config.load_config(path)
+        band = cfg.decision.eps + cfg.plant.noise_bound / cfg.plant.phi_min
+        (entry,) = div["per_class"]
+        diagonal = math.dist(*np.array(net["domain"])[2:].T)
+        assert entry["vacuous"] == (entry["max_bound"] >= diagonal)
+        assert entry["informative_horizon"] == pytest.approx(
+            math.log(1.0 + band * entry["L_i"] / net["eps_N"]) / entry["L_i"], rel=1e-12)
 
     def test_no_check_horizon_reports_the_check_skipped(self, tmp_path, capsys):
         raw = small_config(rnn={"N": 40, "n_train": 2000, "sigmoid": "tanh"})

@@ -589,6 +589,28 @@ class TestKernelCompiledPerRun:
         assert names == []
 
 
+class TestBlockNetworkBuiltPerRun:
+    """integrate_system lays a network bank out as one block network once per
+    run, not once per RK4 stage."""
+
+    def test_network_bank_builds_one(self, monkeypatch):
+        bank = build_bank(3, "tanh", 3, seed=0)
+        builds, calls = [], Counter()
+        real = rnn._block_matrices
+
+        def recording(*args):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(rnn, "_block_matrices", recording)
+        counting(monkeypatch, rnn.SigmoidNetwork, "rhs", calls)
+        for horizon in (0.1, 0.5):
+            integrator.integrate_system(make_spec(), LINEAR, 1.5, bank, SIN,
+                                        horizon=horizon, dt=1e-2)
+        assert calls["rhs"] == 4 * 60
+        assert [omega.shape for omega, _, _ in builds] == [(3, 3, 5)] * 2
+
+
 def counting(monkeypatch, owner, name, counts):
     """Replace owner.name with a wrapper that counts its calls in counts[name]."""
     real = getattr(owner, name)
@@ -663,8 +685,16 @@ NETWORK_KIND = dict(N=st.sampled_from([3, 8]), sigmoid=st.sampled_from(["tanh", 
                     m=st.integers(1, 4))
 
 
+# The stacked network sums each unit's inputs and each state's outputs in
+# another order than the per-network reference, so the states differ by
+# rounding. Over 1.5 s, on 240 draws of the space below, the largest gap
+# measured was 5.6e-16 (states of order 1).
+NETWORK_BANK_TOL = 1e-12
+
+
 class TestNetworkBankMatchesPerNetworkReference:
-    """Stacked network banks reproduce the network-by-network integration bit for bit."""
+    """Stacked network banks reproduce the network-by-network integration
+    to within NETWORK_BANK_TOL."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -676,7 +706,7 @@ class TestNetworkBankMatchesPerNetworkReference:
     @example(N=8, sigmoid="tanh", m=1, noise_bound=0.0, s0=0.5, seed=1)
     @example(N=8, sigmoid="logistic", m=4, noise_bound=0.02, s0=0.2, seed=2)
     @example(N=3, sigmoid="tanh", m=3, noise_bound=0.0, s0=0.7, seed=3)
-    def test_states_bit_identical(self, N, sigmoid, m, noise_bound, s0, seed):
+    def test_states_match_within_rounding(self, N, sigmoid, m, noise_bound, s0, seed):
         spec = make_spec(noise_bound=noise_bound)
         bank = build_bank(N, sigmoid, m, seed)
         traj = integrator.integrate_system(
@@ -684,7 +714,7 @@ class TestNetworkBankMatchesPerNetworkReference:
             record_every=1, s0=s0,
         )
         ref = reference_integration(spec, LINEAR, 1.5, bank, SIN, 1.5, 1e-2, seed, s0)
-        assert np.array_equal(traj.states, ref)
+        assert np.max(np.abs(traj.states - ref)) <= NETWORK_BANK_TOL
 
     def test_stacked_network_rejected_as_entry(self):
         stack = rnn.SigmoidNetwork.stack([random_network(3, "tanh", 0)] * 2)

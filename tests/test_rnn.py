@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adasig import integrator, plant, prototype, rnn, signals
 
@@ -86,7 +88,8 @@ class TestFitNetwork:
         net, train_error = rnn.fit_network(ds, N=100, seed=0, sigmoid="tanh", n_validation=2000)
         assert np.isfinite(net.eps_N)
         # the training error is the sup over the training rows
-        assert train_error == np.max(np.abs(net.features(ds.inputs) @ net.alpha - ds.targets))
+        F = rnn._features(ds.inputs, net.omega, net.beta, net.sigmoid)
+        assert train_error == np.max(np.abs(F @ net.alpha - ds.targets))
 
     def test_invalid_args(self):
         cfg = make_config()
@@ -120,7 +123,7 @@ class TestFitNetwork:
         Zv = box[:, 0] + np.random.default_rng(4).uniform(size=(20000, 5)) * (box[:, 1] - box[:, 0])
         # BLAS may sum the output product of a block in another order than
         # that of all rows at once: allow N roundings of the largest |term| sum.
-        F = net.features(Zv)
+        F = rnn._features(Zv, net.omega, net.beta, net.sigmoid)
         tol = net.N * np.finfo(float).eps * np.max(np.abs(F) @ np.abs(net.alpha))
         assert abs(net.eps_N - np.max(np.abs(F @ net.alpha - ds.target_fn(Zv)))) <= tol
 
@@ -140,22 +143,83 @@ def random_net(N=6, sigmoid="tanh", seed=0):
     )
 
 
+U_ROUND = np.finfo(float).eps / 2
+# numpy's tanh, and the logistic as exp, add and divide, are each within this
+# many unit roundoffs of the exact sigmoid, relative to its value.
+SIGMOID_ROUNDOFFS = 8
+SIGMOID_LIPSCHITZ = {"tanh": 1.0, "logistic": 0.25}
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): a dot product of n terms, summed in
+    any order, is within gamma_n * sum |terms| of the exact one."""
+    return n * U_ROUND / (1.0 - n * U_ROUND)
+
+
+def per_network_rhs(nets, xi_val, s, state):
+    """Each network of a bank evaluated on its own over its own three states,
+    and a bound on how far a stack's rhs may round away from it.
+
+    The input sum of a unit is a dot product of at most K = 3 + 3m terms in
+    the stack and 6 here, so the two differ by at most 2 gamma_K sum |w_k z_k|.
+    The sigmoid carries that through its Lipschitz constant and adds its own
+    rounding on each side. The output sum has at most m N terms in the stack
+    and N here: at most 2 gamma_{mN} sum |alpha| |h| apart, where h is bounded
+    by this side's activation plus its own error bound.
+    """
+    m, N = len(nets), nets[0].N
+    K = 3 + 3 * m
+    ref, bound = [], []
+    for i, net in enumerate(nets):
+        z = np.array([xi_val, s, *state[3 * i : 3 * i + 3]])
+        u = z @ net.omega.T + net.beta
+        h = np.tanh(u) if net.sigmoid == "tanh" else 1.0 / (1.0 + np.exp(-u))
+        S = np.abs(net.beta) + np.abs(net.omega) @ np.abs(z)
+        dh = (SIGMOID_LIPSCHITZ[net.sigmoid] * 2 * gamma(K) * S
+              + 2 * SIGMOID_ROUNDOFFS * U_ROUND * np.abs(h))
+        ref.append(h @ net.alpha)
+        bound.append(np.abs(net.alpha).T @ (dh + 2 * gamma(m * N) * (np.abs(h) + dh)))
+    return np.concatenate(ref), np.concatenate(bound)
+
+
 class TestStack:
     @pytest.mark.parametrize("sigmoid", ["tanh", "logistic"])
-    def test_rows_match_single_networks(self, sigmoid):
+    def test_block_matrices_hold_every_network(self, sigmoid):
         nets = [random_net(sigmoid=sigmoid, seed=k) for k in range(3)]
         stack = rnn.SigmoidNetwork.stack(nets)
         assert stack.omega.shape == (3, 6, 5) and stack.beta.shape == (3, 6)
         assert stack.alpha.shape == (3, 6, 3) and stack.domain.shape == (3, 5, 2)
         assert list(stack.eps_N) == [0.0, 0.1, 0.2] and list(stack.nu_x) == [0.0, 0.2, 0.4]
-        state = np.random.default_rng(9).normal(size=(3, 3))
-        out = stack.rhs(0.3, -0.2, state.ravel())
-        assert out.shape == (3, 3)
-        for k, net in enumerate(nets):
-            assert np.array_equal(out[k], net.rhs(0.3, -0.2, state[k]))
-        Z = small_box()[:, 0] + np.random.default_rng(1).uniform(size=(7, 5))
-        assert np.array_equal(stack.features(Z) @ stack.alpha,
-                              np.stack([net.features(Z) @ net.alpha for net in nets]))
+        W, A = stack.W, stack.A
+        assert W.shape == (18, 12) and W.flags.f_contiguous and A.shape == (9, 18)
+        in_W, in_A = np.zeros(W.shape, bool), np.zeros(A.shape, bool)
+        for i, net in enumerate(nets):
+            rows = slice(6 * i, 6 * i + 6)
+            own = [0, 1, 2, 3 + 3 * i, 4 + 3 * i, 5 + 3 * i]
+            assert np.array_equal(W[rows, own], np.column_stack([net.beta, net.omega]))
+            assert np.array_equal(A[3 * i : 3 * i + 3, rows], net.alpha.T)
+            in_W[rows, own] = in_A[3 * i : 3 * i + 3, rows] = True
+        assert not W[~in_W].any() and not A[~in_A].any()
+        # one network alone is its own block network
+        single = nets[1]
+        assert np.array_equal(single.W, np.column_stack([single.beta, single.omega]))
+        assert np.array_equal(single.A, single.alpha.T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.sampled_from([3, 8, 37]), sigmoid=st.sampled_from(["tanh", "logistic"]),
+           m=st.integers(1, 4), scale=st.sampled_from([0.1, 1.0, 10.0]),
+           seed=st.integers(0, 10_000))
+    def test_stage_matches_per_network_reference(self, N, sigmoid, m, scale, seed):
+        rng = np.random.default_rng(seed)
+        nets = [rnn.SigmoidNetwork(
+            N=N, sigmoid=sigmoid, omega=scale * rng.normal(size=(N, 5)),
+            beta=scale * rng.normal(size=N), alpha=rng.normal(size=(N, 3)),
+            domain=small_box(), eps_N=0.0, a=0.5, b=2.5) for _ in range(m)]
+        xi_val, s, *state = rng.uniform(-2.0, 2.0, size=2 + 3 * m).tolist()
+        out = rnn.SigmoidNetwork.stack(nets).rhs(xi_val, s, state)
+        ref, bound = per_network_rhs(nets, xi_val, s, state)
+        assert out.shape == (3 * m,)
+        assert np.all(np.abs(out - ref) <= bound)
 
     def test_in_domain_per_network(self):
         nets = [random_net(seed=k) for k in range(2)]
@@ -171,7 +235,7 @@ class TestStack:
     def test_single_network_stacks_to_leading_axis(self):
         stack = rnn.SigmoidNetwork.stack([random_net()])
         assert stack.omega.shape == (1, 6, 5)
-        assert stack.rhs(0.1, 0.2, [0.3, 0.4, 0.5]).shape == (1, 3)
+        assert stack.rhs(0.1, 0.2, [0.3, 0.4, 0.5]).shape == (3,)
 
     def test_mismatched_networks_rejected(self):
         with pytest.raises(ValueError, match="share N"):
@@ -217,7 +281,8 @@ class TestSerialization:
             assert np.array_equal(back.omega, net.omega)
             assert np.array_equal(back.alpha, net.alpha)
             Z = ds.inputs[:10]
-            assert np.array_equal(back.features(Z) @ back.alpha, net.features(Z) @ net.alpha)
+            assert np.array_equal(rnn._features(Z, back.omega, back.beta, back.sigmoid) @ back.alpha,
+                                  rnn._features(Z, net.omega, net.beta, net.sigmoid) @ net.alpha)
 
     def test_json_fields(self):
         cfg = make_config()
@@ -332,6 +397,23 @@ class TestDivergenceCheck:
         )
         with pytest.raises(ValueError):
             rnn.divergence_check(traj_p, traj_q, eps_N=0.1, L_i=2.0)
+
+
+class TestEnvelopeReach:
+    # (shat, x, y) widths 2, 3 and 6: the box diagonal is 7 exactly
+    BOX = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.5, 1.5], [-3.0, 3.0]])
+
+    def test_vacuous_from_the_box_diagonal(self):
+        assert rnn.envelope_reach(7.0, 0.1, 2.0, self.BOX, 0.18)["vacuous"]
+        assert not rnn.envelope_reach(np.nextafter(7.0, 0.0), 0.1, 2.0, self.BOX, 0.18)["vacuous"]
+
+    def test_informative_horizon_closed_form(self):
+        """The envelope (eps_N / L)(e^{L t} - 1) reaches the band at
+        t = ln(1 + band L / eps_N) / L: ln(4.6) / 2 for eps_N 0.1, L 2, band 0.18."""
+        t = rnn.envelope_reach(1.0, 0.1, 2.0, self.BOX, 0.18)["informative_horizon"]
+        assert t == pytest.approx(math.log(4.6) / 2.0, rel=1e-15)
+        assert 0.1 / 2.0 * math.expm1(2.0 * t) == pytest.approx(0.18, rel=1e-15)
+        assert rnn.envelope_reach(0.0, 0.0, 2.0, self.BOX, 0.18)["informative_horizon"] == math.inf
 
 
 class TestLipschitzEstimate:
