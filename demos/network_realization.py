@@ -28,8 +28,8 @@ def main():
               f"validation eps_N {net.eps_N:.4g}")
 
     print(f"\ndivergence check over {cfg.rnn.check_horizon} time units:")
-    for name, (rep, L_i) in zip(names, cli.check_divergence(cfg, nets)):
-        print(f"  {name:<18} L_i={L_i:.2f}  max gap {rep.max_gap:.4g} "
+    for name, rep in zip(names, cli.check_divergence(cfg, nets)):
+        print(f"  {name:<18} L_i={rep.L_i:.2f}  max gap {rep.max_gap:.4g} "
               f"<= bound {rep.max_bound:.4g}  ({'ok' if rep.passed else 'VIOLATED'})")
 
     print("\nfull-horizon comparison:")

@@ -28,16 +28,15 @@ __all__ = [
 class PEReport:
     """Empirical certificate that filtering preserves persistent excitation.
 
-    The drive u satisfies a per-window integral floor (L_window, delta_lower);
-    condition_ok records (delta/L)^2 - Delta*u_inf > 0; delta_star is the
-    filtered output z's worst-window floor on the same length L_star = L,
-    and p = delta_star / ((delta/L)^2 - Delta*u_inf).
+    delta_lower is the drive u's worst-window integral floor on windows of
+    length L = L_window; condition_ok records (delta_lower/L)^2 - Delta*u_inf
+    > 0; delta_star is the filtered output z's worst-window floor on the
+    same length, and p = delta_star / ((delta_lower/L)^2 - Delta*u_inf).
     """
 
     L_window: float
     delta_lower: float
     condition_ok: bool
-    L_star: float
     delta_star: float
     p: float
 
@@ -52,8 +51,7 @@ class ConvergenceReport:
     residence: float
     winding_spent: float
     bound_used: float
-    decided_class: Optional[int] = None
-    horizon: float = 0.0
+    horizon: float
 
     @property
     def entered(self) -> bool:
@@ -78,16 +76,15 @@ def verify_filtered_pe(
     u_traj: np.ndarray,
     dt: float,
     L: float,
-    delta: float,
     Delta: float = 0.0,
 ) -> PEReport:
     """Check that a persistently exciting drive stays exciting after filtering.
 
     z is the filtered response to the drive u (both sampled on the same
-    uniform grid with step dt).  First verifies the drive's own floor
-    (every window of length L has integral of |u| at least delta), then the
-    sign condition (delta/L)^2 - Delta*u_inf > 0 with u_inf = max |u|, then
-    takes z's own floor delta_star on windows of the same length L; a
+    uniform grid with step dt).  Measures the drive's own floor delta_lower
+    (the smallest integral of |u| over a window of length L), then the sign
+    condition (delta_lower/L)^2 - Delta*u_inf > 0 with u_inf = max |u|,
+    then z's own floor delta_star on windows of the same length L; a
     window of length L where z is quiet gives delta_star = 0, and ok is false.
     """
     z = np.asarray(z_traj, dtype=float)
@@ -96,14 +93,8 @@ def verify_filtered_pe(
         raise ValueError("z and u must share the sampling grid")
     u_inf = float(np.max(np.abs(u)))
 
-    u_ints = _window_integrals(u, dt, L)
-    delta_checked = float(np.min(u_ints))
-    if delta_checked < delta - 1e-9:
-        raise ValueError(
-            f"drive violates its excitation floor: min window integral "
-            f"{delta_checked:.6g} < delta={delta:.6g}"
-        )
-    margin = (delta / L) ** 2 - Delta * u_inf
+    delta_lower = float(np.min(_window_integrals(u, dt, L)))
+    margin = (delta_lower / L) ** 2 - Delta * u_inf
     condition_ok = margin > 0
 
     # z's floor on the drive's own window length. The length is fixed: a
@@ -112,9 +103,8 @@ def verify_filtered_pe(
     p = delta_star / margin if condition_ok else math.nan
     return PEReport(
         L_window=L,
-        delta_lower=delta_checked,
+        delta_lower=delta_lower,
         condition_ok=condition_ok,
-        L_star=L,
         delta_star=delta_star,
         p=p,
     )
@@ -170,28 +160,31 @@ def convergence_report(
     )
 
 
+STATE_BOUND_TOL = 1e-6  # rounding a recorded state may exceed its bound by
+
+
 def check_state_bounds(
     traj: Trajectory,
     configs,
     d_theta: float,
     noise_bound: float,
     phi_min: float,
-    tol: float = 1e-6,
 ) -> list[str]:
     """Verify the analytic a-priori bounds on every recorded state.
 
     |x_i|, |y_i| <= max{1, r_i(0)} + tol and
-    |shat_i| <= |shat_i(0)| + (max{|a|,|b|} * D_theta + noise_bound)/phi_min + tol.
+    |shat_i| <= |shat_i(0)| + (max{|a|,|b|} * D_theta + noise_bound)/phi_min + tol,
+    with tol = STATE_BOUND_TOL.
     """
     violations = []
     for i, cfg in enumerate(configs):
         shat, x, y = traj.subsystem(i).T
         r0 = math.hypot(x[0], y[0])
-        lim_xy = max(1.0, r0) + tol
+        lim_xy = max(1.0, r0) + STATE_BOUND_TOL
         lim_s = (
             abs(shat[0])
             + (max(abs(cfg.a), abs(cfg.b)) * d_theta + noise_bound) / phi_min
-            + tol
+            + STATE_BOUND_TOL
         )
         if np.max(np.abs(x)) > lim_xy or np.max(np.abs(y)) > lim_xy:
             violations.append(f"class {i + 1}: rotator state exceeds {lim_xy:.6g}")

@@ -27,9 +27,6 @@ EXIT_INFEASIBLE = 2
 EXIT_NOT_ENTERED = 3
 EXIT_VERIFY_FAIL = 4
 
-# eps_N is the largest error over a held-out sample, not a certified bound.
-EPS_N_BASIS = "sampled"
-
 
 class InfeasibleTuning(Exception):
     pass
@@ -160,17 +157,20 @@ def fit_bank(cfg: ExperimentConfig):
 
 def check_divergence(cfg: ExperimentConfig, nets) -> list:
     """Gronwall check of fitted networks over rnn.check_horizon: one
-    (DivergenceReport, L_i) per class.  The prototype bank runs first, then
-    the network bank, each given the horizon by keyword."""
+    DivergenceReport per class, against the decision band eps +
+    noise_bound/phi_min.  The prototype bank runs first, then the network
+    bank, each given the horizon by keyword."""
     horizon = cfg.rnn.check_horizon
     traj_p = run_simulate(cfg, horizon=horizon)
     traj_r = run_simulate(cfg, horizon=horizon, bank=nets)
-    checks = []
+    phi_min = cfg.plant.phi_min
+    band = cfg.decision.eps + classify.band_from_noise(cfg.plant.noise_bound, phi_min)
+    reports = []
     for i, (clazz, pconf, net) in enumerate(zip(cfg.classes, cfg.class_configs(), nets)):
-        L_i = rnn.estimate_rhs_lipschitz(clazz, pconf, cfg.plant.phi_min, net.domain,
+        L_i = rnn.estimate_rhs_lipschitz(clazz, pconf, phi_min, net.domain,
                                          seed=sub_seed(cfg.seed, f"lip_{i}"))
-        checks.append((rnn.divergence_check(traj_p, traj_r, net.eps_N, L_i, class_index=i), L_i))
-    return checks
+        reports.append(rnn.divergence_check(traj_p, traj_r, net, L_i, band, class_index=i))
+    return reports
 
 
 # ---------------------------------------------------------------- commands
@@ -247,7 +247,6 @@ def cmd_simulate(args) -> int:
         configs[cfg.true_class], cfg.true_class,
     )
     decision = run_decide(cfg, traj, tuning)
-    conv.decided_class = decision.decided
     _write_json(out / "convergence.json", _stamp(conv.to_dict(), cfg))
     _write_json(out / "decision.json", _stamp(asdict(decision), cfg))
     print(f"entered={conv.entered} entry_time={conv.entry_time} "
@@ -317,10 +316,8 @@ def verify_pe_example(cfg: ExperimentConfig) -> analysis.PEReport:
     z = [0.0]
     for tk, uk in zip(t[:-1].tolist(), u.tolist()):
         z += step(held, z[-1:], tk, dt)
-    z = np.array(z)
-    delta = float(np.min(analysis._window_integrals(u, dt, L)))
     Delta = cfg.plant.noise_bound / phi_min
-    return analysis.verify_filtered_pe(z, u, dt, L, delta, Delta=Delta)
+    return analysis.verify_filtered_pe(np.array(z), u, dt, L, Delta=Delta)
 
 
 def cmd_fit_rnn(args) -> int:
@@ -330,19 +327,15 @@ def cmd_fit_rnn(args) -> int:
     for i, net in enumerate(nets):
         net.to_json(out / f"network_{i + 1}.json")
     eps_N = [n.eps_N for n in nets]
-    sweep = [{"N": cfg.rnn.N, "eps_N": eps_N, "eps_N_basis": EPS_N_BASIS}]
+    sweep = [{"N": cfg.rnn.N, "eps_N": eps_N, "eps_N_basis": rnn.EPS_N_BASIS}]
     _write_json(out / "fit_report.json", _stamp({"sweep": sweep}, cfg))
 
     verdict = "skipped"  # rnn.check_horizon 0 runs no check
     if cfg.rnn.check_horizon > 0:
-        checks = check_divergence(cfg, nets)
-        band = cfg.decision.eps + classify.band_from_noise(cfg.plant.noise_bound,
-                                                           cfg.plant.phi_min)
-        results = [asdict(rep) | {"L_i": L_i, "eps_N_basis": EPS_N_BASIS}
-                   | rnn.envelope_reach(rep.max_bound, net.eps_N, L_i, net.domain, band)
-                   for (rep, L_i), net in zip(checks, nets)]
-        _write_json(out / "divergence.json", _stamp({"per_class": results}, cfg))
-        verdict = "pass" if all(rep.passed for rep, _ in checks) else "FAIL"
+        reports = check_divergence(cfg, nets)
+        per_class = [asdict(rep) for rep in reports]
+        _write_json(out / "divergence.json", _stamp({"per_class": per_class}, cfg))
+        verdict = "pass" if all(rep.passed for rep in reports) else "FAIL"
     print(f"fit-rnn: eps_N={[f'{e:.4g}' for e in eps_N]} divergence={verdict}")
     return EXIT_VERIFY_FAIL if verdict == "FAIL" else EXIT_OK
 

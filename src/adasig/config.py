@@ -39,8 +39,7 @@ KEYS = {
     "classes": {"family": ("str", REQUIRED), "theta_range": ("float pair", [0.5, 2.0])},
     "true": {"class": ("int", REQUIRED), "theta": ("float", REQUIRED)},
     "input": {"kind": ("str", "sin")},
-    "plant": {"phi": ("str", "identity"), "slope": ("float", 1.0),
-              "phi_min": ("float", None), "phi_max": ("float", None),
+    "plant": {"phi": ("str", "identity"), "phi_min": ("float", None), "phi_max": ("float", None),
               "s0_range": ("float pair", [0.0, 1.0]), "noise_bound": ("float", 0.0)},
     "prototype": {"a": ("float", REQUIRED), "b": ("float", REQUIRED),
                   "gamma": ("float", None), "clamp_gamma": ("bool", True),
@@ -177,19 +176,16 @@ def _build_input(section: SimpleNamespace) -> "signals.InputSignal":
 
 
 def _build_plant(section: SimpleNamespace) -> PlantSpec:
-    """The plant of the config; phi_min is the slope of the phi kind, and a
-    phi_min or phi_max key may only repeat it."""
+    """The plant of the config; phi_min is the slope of the phi kind (unset:
+    1, the slope of identity), and a phi_max key may only repeat it."""
     kind = section.phi
     _check(kind in ("identity", "linear"), "plant.phi", kind, "'identity' or 'linear'")
-    _check(kind == "linear" or section.slope == 1.0, "plant.slope", section.slope,
+    phi_min = 1.0 if section.phi_min is None else section.phi_min
+    _check(kind == "linear" or phi_min == 1.0, "plant.phi_min", phi_min,
            f"1 for phi kind {kind!r}")
-    _check(section.slope > 0, "plant.slope", section.slope, "positive")
-    phi_min = section.slope if kind == "linear" else 1.0
-    for key in ("phi_min", "phi_max"):
-        value = getattr(section, key)
-        if value is not None and value != phi_min:
-            raise ValueError(f"plant {key} {value} differs from the slope "
-                             f"{phi_min} of phi kind {kind!r}")
+    _check(phi_min > 0, "plant.phi_min", phi_min, "positive")
+    _check(section.phi_max in (None, phi_min), "plant.phi_max", section.phi_max,
+           f"plant.phi_min = {phi_min}")
     return PlantSpec(phi_min=phi_min, s0_range=section.s0_range,
                      noise_bound=section.noise_bound)
 

@@ -226,7 +226,3 @@ class TuningReport:
     error_bound: float
     epsilon: float
     delta: float
-    T_L_star_note: str = (
-        "T'_max and (L*, delta*) are proof-internal existence constants; "
-        "they are measured empirically by the sweep and PE reports."
-    )

@@ -26,8 +26,8 @@ __all__ = [
     "domain_box",
     "sample_rhs",
     "fit_network",
+    "DivergenceReport",
     "divergence_check",
-    "envelope_reach",
     "estimate_rhs_lipschitz",
 ]
 
@@ -220,11 +220,19 @@ class RHSDataset:
     nu_x: float = 0.0
 
 
-def drive_sup(clazz: SignalClass, xi_sup: float, a: float, b: float, n: int = 41) -> float:
+DRIVE_GRID = 41  # points per axis of drive_sup's grid
+BOX_MARGIN = 0.2  # relative inflation of domain_box
+LIPSCHITZ_STEP = 1e-5  # central-difference step of estimate_rhs_lipschitz
+GAP_TOL = 1e-9  # rounding a divergence gap may exceed its envelope by
+# eps_N is the largest error over a held-out sample, not a certified bound.
+EPS_N_BASIS = "sampled"
+
+
+def drive_sup(clazz: SignalClass, xi_sup: float, a: float, b: float) -> float:
     """Grid supremum of |f(xi, theta)| over [-xi_sup, xi_sup] x [a, b]."""
-    xs = np.linspace(-xi_sup, xi_sup, n)
+    xs = np.linspace(-xi_sup, xi_sup, DRIVE_GRID)
     sup = 0.0
-    for th in np.linspace(a, b, n):
+    for th in np.linspace(a, b, DRIVE_GRID):
         sup = max(sup, float(np.max(np.abs(clazz.f(xs, th)))))
     return sup
 
@@ -237,17 +245,16 @@ def domain_box(
     shat0_bound: float,
     noise_bound: float,
     phi_min: float,
-    margin: float = 0.2,
 ) -> np.ndarray:
     """Bounding box for (xi, s, shat, x, y) covering the reachable states,
-    inflated by the given margin (default 20%).
+    inflated by BOX_MARGIN (20%).
 
     The filter copy settles inside |shat0| + (sup |f| + noise)/phi_min, where
     the supremum runs over the read-back interval [a, b]."""
     shat_bound = shat0_bound + (
         drive_sup(clazz, xi_sup, config.a, config.b) + noise_bound
     ) / phi_min
-    m = 1.0 + margin
+    m = 1.0 + BOX_MARGIN
     return np.array(
         [
             [-xi_sup * m, xi_sup * m],
@@ -390,23 +397,30 @@ def fit_network(
 
 @dataclass
 class DivergenceReport:
+    """One class's Gronwall check, as divergence.json records it.
+
+    vacuous: max_bound reaches the diagonal of the network's (shat, x, y)
+    box, the largest gap two states inside it can have, so the check could
+    not have failed. informative_horizon: the time the envelope reaches the
+    decision band, ln(1 + band L_i / eps_N) / L_i (inf for eps_N = 0).
+    """
+
     max_gap: float
     max_bound: float
     passed: bool
-    first_violation_t: Optional[float] = None
-    domain_escape_t: Optional[float] = None
+    first_violation_t: Optional[float]
+    domain_escape_t: Optional[float]
+    L_i: float
+    vacuous: bool
+    informative_horizon: float
+    eps_N_basis: str = EPS_N_BASIS
 
 
-def divergence_check(
-    traj_prototype,
-    traj_rnn,
-    eps_N: float,
-    L_i: float,
-    class_index: int = 0,
-    tol: float = 1e-9,
-) -> DivergenceReport:
-    """Pointwise gap between prototype and network subsystem trajectories vs.
-    the Gronwall envelope (eps_N / L_i) (exp(L_i (t - t0)) - 1).
+def divergence_check(traj_prototype, traj_rnn, net: SigmoidNetwork, L_i: float,
+                     band: float, class_index: int = 0) -> DivergenceReport:
+    """Pointwise gap between the prototype and network trajectories of one
+    class vs. the Gronwall envelope (eps_N / L_i) (exp(L_i (t - t0)) - 1),
+    with eps_N and the domain box of net, that class's network.
 
     The envelope holds only while the network stays inside its fitted domain
     box, so a class whose network left it fails, and the report carries the
@@ -420,34 +434,24 @@ def divergence_check(
         raise ValueError("trajectories must share the initial subsystem state")
     gap = np.linalg.norm(qp - qr, axis=1)
     t = traj_prototype.times - traj_prototype.times[0]
-    bound = eps_N / L_i * (np.exp(L_i * t) - 1.0)
-    bad = gap > bound + tol
+    eps_N = net.eps_N
+    with np.errstate(over="ignore"):  # past L_i t = 709 the envelope is inf
+        bound = eps_N / L_i * (np.exp(L_i * t) - 1.0)
+    bad = gap > bound + GAP_TOL
     first = float(traj_prototype.times[np.argmax(bad)]) if bad.any() else None
     escape = traj_rnn.meta.get("domain_escape_t", [None] * (i + 1))[i]
+    max_bound = float(bound.max())
+    diagonal = float(np.linalg.norm(np.ptp(net.domain[2:], axis=1)))
     return DivergenceReport(
         max_gap=float(gap.max()),
-        max_bound=float(bound.max()),
+        max_bound=max_bound,
         passed=not bad.any() and escape is None,
         first_violation_t=first,
         domain_escape_t=escape,
+        L_i=L_i,
+        vacuous=max_bound >= diagonal,
+        informative_horizon=math.log1p(band * L_i / eps_N) / L_i if eps_N > 0 else math.inf,
     )
-
-
-def envelope_reach(max_bound: float, eps_N: float, L_i: float, box: np.ndarray,
-                   band: float) -> dict:
-    """Whether a divergence check can fail, and for how long it is finer than
-    the decision band.
-
-    vacuous: max_bound reaches the diagonal of the box's (shat, x, y) rows,
-    the largest gap between two states inside it. informative_horizon: the
-    time the envelope (eps_N / L_i)(e^{L_i t} - 1) reaches band,
-    ln(1 + band L_i / eps_N) / L_i (inf for eps_N = 0).
-    """
-    diagonal = float(np.linalg.norm(np.ptp(np.asarray(box)[2:], axis=1)))
-    return {
-        "vacuous": max_bound >= diagonal,
-        "informative_horizon": math.log1p(band * L_i / eps_N) / L_i if eps_N > 0 else math.inf,
-    }
 
 
 def estimate_rhs_lipschitz(
@@ -457,7 +461,6 @@ def estimate_rhs_lipschitz(
     box: np.ndarray,
     n_samples: int = 2000,
     seed: int = 0,
-    h: float = 1e-5,
 ) -> float:
     """Numerical Lipschitz constant of the subsystem rhs in its own state.
 
@@ -471,6 +474,6 @@ def estimate_rhs_lipschitz(
     J = np.empty((len(Z), 3, 3))
     for j in range(3):
         dz = np.zeros(5)
-        dz[2 + j] = h
-        J[:, :, j] = (fn(Z + dz) - fn(Z - dz)) / (2.0 * h)
+        dz[2 + j] = LIPSCHITZ_STEP
+        J[:, :, j] = (fn(Z + dz) - fn(Z - dz)) / (2.0 * LIPSCHITZ_STEP)
     return float(np.linalg.norm(J, 2, axis=(1, 2)).max(initial=0.0))

@@ -200,11 +200,11 @@ def test_08_filtered_excitation_lemma():
         z[k + 1] = rk4_step(
             lambda q, tt: np.array([-q[0] + math.sin(tt)]), zk, t[k], dt
         )[0]
-    rep = analysis.verify_filtered_pe(z, u, dt, L=L, delta=3.99, Delta=0.1)
-    bad = analysis.verify_filtered_pe(z, u, dt, L=L, delta=3.99, Delta=0.5)
+    rep = analysis.verify_filtered_pe(z, u, dt, L=L, Delta=0.1)
+    bad = analysis.verify_filtered_pe(z, u, dt, L=L, Delta=0.5)
     ok = rep.condition_ok and rep.delta_star > 0 and rep.p > 0 and not bad.condition_ok
     _line(8, "filtered excitation lemma", ok,
-          f"L*={rep.L_star:.2f} delta*={rep.delta_star:.3f} p={rep.p:.3f}; "
+          f"L={rep.L_window:.2f} delta*={rep.delta_star:.3f} p={rep.p:.3f}; "
           f"large dead-zone rejected={not bad.condition_ok}")
     assert ok
 
@@ -229,9 +229,9 @@ def test_10_rnn_realization(rnn_demo):
     """Fitted networks stay close to the prototype and reproduce its decision."""
     cfg, tuning, nets, _ = rnn_demo
     div_ok, details = True, []
-    for net, (rep, L_i) in zip(nets, cli.check_divergence(cfg, nets)):
+    for net, rep in zip(nets, cli.check_divergence(cfg, nets)):
         div_ok = div_ok and rep.passed
-        details.append(f"eps_N={net.eps_N:.3g} L={L_i:.2f} gap={rep.max_gap:.3g}")
+        details.append(f"eps_N={net.eps_N:.3g} L={rep.L_i:.2f} gap={rep.max_gap:.3g}")
     traj_p = cli.run_simulate(cfg)
     traj_r = cli.run_simulate(cfg, bank=nets)
     dec_p = cli.run_decide(cfg, traj_p, tuning)

@@ -30,17 +30,17 @@ class TestVerifyFilteredPE:
         self.z = 0.5 * (np.sin(self.t) - np.cos(self.t))
 
     def test_drive_floor_is_four(self):
-        rep = analysis.verify_filtered_pe(self.z, self.u, self.dt, 2 * np.pi, 3.9)
+        rep = analysis.verify_filtered_pe(self.z, self.u, self.dt, 2 * np.pi)
         assert rep.delta_lower == pytest.approx(4.0, rel=1e-4)
 
     def test_condition_ok_with_zero_deadzone(self):
-        rep = analysis.verify_filtered_pe(self.z, self.u, self.dt, 2 * np.pi, 3.9, Delta=0.0)
+        rep = analysis.verify_filtered_pe(self.z, self.u, self.dt, 2 * np.pi, Delta=0.0)
         assert rep.condition_ok
 
     def test_filtered_floor_positive(self):
         # windows of length 2*pi integrate |z| to 4/sqrt(2)
-        rep = analysis.verify_filtered_pe(self.z, self.u, self.dt, 2 * np.pi, 3.9)
-        assert rep.L_star == 2 * np.pi
+        rep = analysis.verify_filtered_pe(self.z, self.u, self.dt, 2 * np.pi)
+        assert rep.L_window == 2 * np.pi
         assert rep.delta_star == pytest.approx(4 / np.sqrt(2), rel=1e-3)
         assert rep.p > 0 and math.isfinite(rep.p)
         assert rep.ok
@@ -51,25 +51,21 @@ class TestVerifyFilteredPE:
         L = 2 * np.pi
         z = self.z.copy()
         z[1000 : 1000 + int(round(L / self.dt)) + 1] = 0.0
-        rep = analysis.verify_filtered_pe(z, self.u, self.dt, L, 3.9)
+        rep = analysis.verify_filtered_pe(z, self.u, self.dt, L)
         assert rep.condition_ok
-        assert rep.L_star == L and rep.delta_star == 0.0
+        assert rep.L_window == L and rep.delta_star == 0.0
         assert not rep.ok
 
     def test_large_deadzone_breaks_condition(self):
-        delta, L = 3.9, 2 * np.pi
+        delta, L = 4.0, 2 * np.pi  # the drive's floor
         Delta = (delta / L) ** 2 / 1.0 * 1.5  # pushes the margin negative
-        rep = analysis.verify_filtered_pe(self.z, self.u, self.dt, L, delta, Delta=Delta)
+        rep = analysis.verify_filtered_pe(self.z, self.u, self.dt, L, Delta=Delta)
         assert not rep.condition_ok
         assert not rep.ok
 
-    def test_violated_drive_floor_raises(self):
-        with pytest.raises(ValueError):
-            analysis.verify_filtered_pe(self.z, self.u, self.dt, 2 * np.pi, 5.0)
-
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            analysis.verify_filtered_pe(self.z[:-1], self.u, self.dt, 2 * np.pi, 3.9)
+            analysis.verify_filtered_pe(self.z[:-1], self.u, self.dt, 2 * np.pi)
 
 
 def spent(traj, cfg):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adasig import analysis, cli, config, integrator, rnn
+from adasig import analysis, classify, cli, config, integrator, prototype, rnn
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -42,7 +43,6 @@ def bench_workloads(monkeypatch):
 
 # Keys that no shipped or benchmark config sets, each kept for its reason.
 CONTRACT_KEYS = {
-    "plant.slope": "the slope of the linear phi kind",
     "prototype.clamp_gamma": "false keeps an inadmissible gain: the only route to exit code 2",
 }
 
@@ -96,8 +96,7 @@ class TestConfigParsing:
             cli.run_simulate(cfg, horizon=horizon)
 
     def test_plant_slope_keys_may_repeat_the_slope(self):
-        raw = small_config(plant={"phi": "linear", "slope": 30.0,
-                                  "phi_min": 30.0, "phi_max": 30.0})
+        raw = small_config(plant={"phi": "linear", "phi_min": 30.0, "phi_max": 30.0})
         assert config.load_config(raw).plant.phi_min == 30.0
 
     def test_grid_within_relative_tolerance_accepted(self):
@@ -195,7 +194,7 @@ class TestExitCodes:
     def test_diverged_integration_exits_1(self, tmp_path, capsys):
         # a stiff plant (slope 100) with dt = 0.1 leaves RK4's stability region
         raw = json.loads((CONFIG_DIR / "one_class_linear.json").read_text())
-        raw["plant"].update(phi="linear", slope=100.0, phi_min=100.0, phi_max=100.0)
+        raw["plant"].update(phi="linear", phi_min=100.0, phi_max=100.0)
         raw["simulation"]["dt"] = 0.1
         path = write_config(tmp_path, raw)
         with warnings.catch_warnings():
@@ -208,7 +207,7 @@ class TestExitCodes:
         # sin of an overflowed estimate is nan before the step's finite check
         raw = json.loads((CONFIG_DIR / "one_class_linear.json").read_text())
         raw["classes"][0]["family"] = "sine"
-        raw["plant"].update(phi="linear", slope=30.0, phi_min=30.0, phi_max=30.0)
+        raw["plant"].update(phi="linear", phi_min=30.0, phi_max=30.0)
         raw["simulation"]["dt"] = 0.1
         path = write_config(tmp_path, raw)
         with warnings.catch_warnings():
@@ -314,7 +313,8 @@ BAD_KEYS = [
 # (key path, value): each value is out of its key's range, and load_config
 # rejects it with a message that names the key
 BAD_VALUES = [
-    (("plant", "slope"), 2.0),  # phi "identity" has slope 1
+    (("plant", "phi_min"), 2.0),  # phi "identity" has slope 1
+    (("plant", "phi_max"), 2.0),  # phi_min is 1
     (("plant", "s0_range"), [1.0, 0.0]),
     (("simulation", "s0"), 1.5),  # outside s0_range [0, 1]
     (("tuning", "window_T"), 0.0),
@@ -414,13 +414,13 @@ class TestLoadTimeRejection:
         assert not out.exists()
 
     def test_linear_slope_must_be_positive(self, tmp_path, capsys):
-        raw = small_config(plant={"phi": "linear", "slope": -1.0})
-        del raw["plant"]["phi_min"], raw["plant"]["phi_max"]
+        raw = small_config(plant={"phi": "linear", "phi_min": -1.0})
+        del raw["plant"]["phi_max"]
         out = tmp_path / "out"
         assert cli.main(["tune", "--config", write_config(tmp_path, raw),
                          "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: plant.slope must be positive") and err.count("\n") == 1
+        assert err.startswith("error: plant.phi_min must be positive") and err.count("\n") == 1
         assert not out.exists()
 
     def test_decision_window_checked_after_dt_override(self, tmp_path, capsys):
@@ -655,6 +655,47 @@ class TestFitRnnCommand:
         (entry,) = json.loads((tmp_path / "divergence.json").read_text())["per_class"]
         assert not entry["passed"]
         assert 0.0 < entry["domain_escape_t"] <= 0.5
+
+
+@pytest.fixture(scope="module")
+def record_artifacts(tmp_path_factory):
+    """simulate, tune, verify --which pe and a small fit-rnn with a
+    divergence check, all on the small config, into one directory."""
+    out = tmp_path_factory.mktemp("records")
+    raw = small_config(rnn={"N": 20, "n_train": 1000, "sigmoid": "tanh",
+                            "check_horizon": 0.5})
+    path = write_config(out, raw)
+    for command in (["simulate"], ["tune"], ["verify", "--which", "pe"], ["fit-rnn"]):
+        assert cli.main([*command, "--config", path, "--out", str(out)]) == 0
+    return out
+
+
+STAMP = {"config_hash", "version"}
+
+
+class TestOneRecordPerArtifact:
+    """Each artifact is one dataclass record, stamped and written whole:
+    its keys are the record's fields, its derived flags and the stamp."""
+
+    @staticmethod
+    def fields(record) -> set:
+        return {f.name for f in dataclasses.fields(record)}
+
+    @pytest.mark.parametrize("artifact,record,extra", [
+        ("convergence.json", analysis.ConvergenceReport, {"entered"}),
+        ("decision.json", classify.DecisionReport, set()),
+        ("tuning.json", prototype.TuningReport, set()),
+        ("verify_pe.json", analysis.PEReport, {"check"}),
+    ])
+    def test_stamped_record(self, record_artifacts, artifact, record, extra):
+        payload = json.loads((record_artifacts / artifact).read_text())
+        assert payload.keys() == self.fields(record) | extra | STAMP
+
+    def test_divergence_entries_are_records(self, record_artifacts):
+        payload = json.loads((record_artifacts / "divergence.json").read_text())
+        assert payload.keys() == {"per_class"} | STAMP
+        for entry in payload["per_class"]:
+            assert entry.keys() == self.fields(rnn.DivergenceReport)
 
 
 @pytest.fixture(scope="module")

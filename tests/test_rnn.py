@@ -295,11 +295,12 @@ class TestSerialization:
         assert len(d["alpha"]) == 3
 
 
-def zero_network():
+def zero_network(eps_N=0.0, domain=None):
     """A network whose rhs is zero: its subsystem state never moves."""
     return rnn.SigmoidNetwork(
         N=1, sigmoid="tanh", omega=np.zeros((1, 5)), beta=np.zeros(1),
-        alpha=np.zeros((1, 3)), domain=small_box(), eps_N=0.0, a=0.5, b=2.5,
+        alpha=np.zeros((1, 3)), domain=small_box() if domain is None else domain,
+        eps_N=eps_N, a=0.5, b=2.5,
     )
 
 
@@ -338,6 +339,8 @@ class TestSimulateRnn:
 
 
 class TestDivergenceCheck:
+    BAND = 0.18
+
     def run_pair(self, horizon=1.0):
         cfg = make_config()
         spec = make_spec()
@@ -348,26 +351,31 @@ class TestDivergenceCheck:
 
     def test_identical_trajectories_pass(self):
         _, _, traj = self.run_pair()
-        rep = rnn.divergence_check(traj, traj, eps_N=0.1, L_i=2.0)
+        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), 2.0, self.BAND)
         assert rep.passed and rep.max_gap == 0.0
 
     def test_bound_zero_at_t0(self):
         _, _, traj = self.run_pair()
-        rep = rnn.divergence_check(traj, traj, eps_N=0.1, L_i=2.0)
+        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), 2.0, self.BAND)
         t = traj.times - traj.times[0]
         assert (0.1 / 2.0) * (np.exp(2.0 * t[0]) - 1.0) == 0.0
+
+    def test_record_carries_L_i_and_the_basis(self):
+        _, _, traj = self.run_pair()
+        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), 2.0, self.BAND)
+        assert rep.L_i == 2.0 and rep.eps_N_basis == "sampled"
 
     def test_domain_escape_fails(self):
         """Inside its box the frozen network stays within the envelope; the
         same network with a shrunken box fails, with the escape time."""
         _, spec, traj_p = self.run_pair()
-        net = zero_network()
+        net = zero_network(eps_N=10.0)
         rep = rnn.divergence_check(traj_p, integrator.integrate_system(
-            spec, LINEAR, 1.5, [net], SIN, horizon=1.0, dt=1e-2), eps_N=10.0, L_i=2.0)
+            spec, LINEAR, 1.5, [net], SIN, horizon=1.0, dt=1e-2), net, 2.0, self.BAND)
         assert rep.passed and rep.domain_escape_t is None
         net.domain = net.domain * 0.5  # x = 1 lies outside [-0.6, 0.6]
         traj_r = integrator.integrate_system(spec, LINEAR, 1.5, [net], SIN, horizon=1.0, dt=1e-2)
-        rep = rnn.divergence_check(traj_p, traj_r, eps_N=10.0, L_i=2.0)
+        rep = rnn.divergence_check(traj_p, traj_r, net, 2.0, self.BAND)
         assert rep.first_violation_t is None and rep.max_gap <= rep.max_bound
         assert not rep.passed
         assert traj_r.meta["domain_escape_t"] == [rep.domain_escape_t] == [traj_r.times[1]]
@@ -379,10 +387,10 @@ class TestDivergenceCheck:
         kw = dict(horizon=1.0, dt=1e-2)
         traj_p = integrator.integrate_system(
             spec, LINEAR, 1.5, [(LINEAR, cfg), (LINEAR, cfg)], SIN, **kw)
-        nets = [zero_network(), zero_network()]
+        nets = [zero_network(eps_N=10.0), zero_network(eps_N=10.0)]
         nets[1].domain = nets[1].domain * 0.5
         traj_r = integrator.integrate_system(spec, LINEAR, 1.5, nets, SIN, **kw)
-        reps = [rnn.divergence_check(traj_p, traj_r, eps_N=10.0, L_i=2.0, class_index=i)
+        reps = [rnn.divergence_check(traj_p, traj_r, nets[i], 2.0, self.BAND, class_index=i)
                 for i in range(2)]
         assert reps[0].passed and reps[0].domain_escape_t is None
         assert not reps[1].passed and reps[1].first_violation_t is None
@@ -396,24 +404,56 @@ class TestDivergenceCheck:
             horizon=1.0, dt=1e-2, s0=0.9,
         )
         with pytest.raises(ValueError):
-            rnn.divergence_check(traj_p, traj_q, eps_N=0.1, L_i=2.0)
+            rnn.divergence_check(traj_p, traj_q, zero_network(eps_N=0.1), 2.0, self.BAND)
+
+    def test_overflowing_envelope_is_inf_without_a_warning(self):
+        """Past L_i t = 709.8, exp overflows: the envelope is inf there, the
+        check is vacuous, and no RuntimeWarning is raised (the suite turns
+        one into an error)."""
+        _, _, traj = self.run_pair(horizon=2.0)
+        L_i = 400.0  # L_i t reaches 800
+        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), L_i, self.BAND)
+        assert rep.max_bound == math.inf and rep.vacuous
+        assert rep.passed and rep.first_violation_t is None
 
 
 class TestEnvelopeReach:
+    """The vacuity flag and the informative horizon of the check's record."""
+
     # (shat, x, y) widths 2, 3 and 6: the box diagonal is 7 exactly
     BOX = np.array([[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0], [-1.5, 1.5], [-3.0, 3.0]])
 
+    @staticmethod
+    def frozen_run(horizon):
+        cfg = make_config()
+        return integrator.integrate_system(
+            make_spec(), LINEAR, 1.5, [(LINEAR, cfg)], SIN, horizon=horizon, dt=1e-2)
+
+    def check(self, eps_N, L_i, box=BOX):
+        traj = self.frozen_run(1.0)
+        return rnn.divergence_check(traj, traj, zero_network(eps_N, box), L_i, 0.18)
+
     def test_vacuous_from_the_box_diagonal(self):
-        assert rnn.envelope_reach(7.0, 0.1, 2.0, self.BOX, 0.18)["vacuous"]
-        assert not rnn.envelope_reach(np.nextafter(7.0, 0.0), 0.1, 2.0, self.BOX, 0.18)["vacuous"]
+        assert self.check(100.0, 2.0).vacuous
+        assert not self.check(0.1, 2.0).vacuous
+
+    def test_vacuous_at_the_diagonal_itself(self):
+        """A box whose (shat, x, y) diagonal is max_bound exactly makes the
+        check vacuous; one ulp wider does not."""
+        max_bound = self.check(0.1, 2.0).max_bound
+        box = self.BOX.copy()
+        box[2:] = [[0.0, max_bound], [0.0, 0.0], [0.0, 0.0]]
+        assert self.check(0.1, 2.0, box).vacuous
+        box[2, 1] = np.nextafter(max_bound, np.inf)
+        assert not self.check(0.1, 2.0, box).vacuous
 
     def test_informative_horizon_closed_form(self):
         """The envelope (eps_N / L)(e^{L t} - 1) reaches the band at
         t = ln(1 + band L / eps_N) / L: ln(4.6) / 2 for eps_N 0.1, L 2, band 0.18."""
-        t = rnn.envelope_reach(1.0, 0.1, 2.0, self.BOX, 0.18)["informative_horizon"]
+        t = self.check(0.1, 2.0).informative_horizon
         assert t == pytest.approx(math.log(4.6) / 2.0, rel=1e-15)
         assert 0.1 / 2.0 * math.expm1(2.0 * t) == pytest.approx(0.18, rel=1e-15)
-        assert rnn.envelope_reach(0.0, 0.0, 2.0, self.BOX, 0.18)["informative_horizon"] == math.inf
+        assert self.check(0.0, 2.0).informative_horizon == math.inf
 
 
 class TestLipschitzEstimate:
