@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/parse error or diverged integration,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -223,6 +224,14 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(_json_text(payload, indent=2, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _stamped_csv(path: Path, cfg: ExperimentConfig):
+    """The open CSV artifact path, its first line the stamp as a comment."""
+    with open(path, "w") as fh:
+        fh.write(f"# config_hash={cfg.hash} version={VERSION}\n")
+        yield fh
+
+
 def cmd_tune(args) -> int:
     cfg = _load(args)
     payload = _stamp(asdict(run_tune(cfg)), cfg)
@@ -237,9 +246,7 @@ def cmd_simulate(args) -> int:
     out = _outdir(args)
     configs = cfg.class_configs()
     traj = run_simulate(cfg)
-    csv_path = out / "trajectory.csv"
-    with open(csv_path, "w") as fh:
-        fh.write(f"# config_hash={cfg.hash} version={VERSION}\n")
+    with _stamped_csv(out / "trajectory.csv", cfg) as fh:
         traj.to_csv(fh)
     bound = theta_bound_for(cfg, tuning)
     conv = analysis.convergence_report(
@@ -325,7 +332,7 @@ def cmd_fit_rnn(args) -> int:
     out = _outdir(args)
     nets, _ = fit_bank(cfg)
     for i, net in enumerate(nets):
-        net.to_json(out / f"network_{i + 1}.json")
+        _write_json(out / f"network_{i + 1}.json", _stamp(net.to_dict(), cfg))
     eps_N = [n.eps_N for n in nets]
     sweep = [{"N": cfg.rnn.N, "eps_N": eps_N, "eps_N_basis": rnn.EPS_N_BASIS}]
     _write_json(out / "fit_report.json", _stamp({"sweep": sweep}, cfg))
@@ -361,7 +368,7 @@ def cmd_report(args) -> int:
                                            cfg.class_configs()[i], i)
         entry = math.nan if conv.entry_time is None else conv.entry_time
         rows.append([theta, entry, conv.residence, conv.winding_spent])
-    with open(out / "sweep.csv", "w") as fh:
+    with _stamped_csv(out / "sweep.csv", cfg) as fh:
         write_csv(fh, "theta,entry_time,residence,winding_spent", [np.array(rows)])
     entry_times = [row[1] for row in rows]
     entered = not any(math.isnan(t) for t in entry_times)

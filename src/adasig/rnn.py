@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -80,7 +80,9 @@ class SigmoidNetwork:
     omega: (N, 5) input weights over (xi, s, shat, x, y); beta: (N,) biases;
     alpha: (N, 3) output weights, one column per state derivative.  The
     read-back bounds (a, b) and initial phase nu_x are carried along so the
-    network is a drop-in replacement for the subsystem it realizes.
+    network is a drop-in replacement for the subsystem it realizes; they
+    obey the rules PrototypeConfig sets for them, and eps_N is finite and
+    non-negative.  The unit count N is read from the arrays.
 
     A bank of m networks that share N and the sigmoid stacks into one network
     of 3m states (see stack): every array gains a leading network axis, and
@@ -90,7 +92,6 @@ class SigmoidNetwork:
     which rhs evaluates.
     """
 
-    N: int
     sigmoid: str
     omega: np.ndarray
     beta: np.ndarray
@@ -108,19 +109,36 @@ class SigmoidNetwork:
         self.domain = np.asarray(self.domain, dtype=float)
         if self.sigmoid not in SIGMOIDS:
             raise ValueError(f"unknown sigmoid {self.sigmoid!r}")
-        lead = self.omega.shape[:-2]
-        if len(lead) > 1 or self.omega.shape != lead + (self.N, 5) \
-                or self.beta.shape != lead + (self.N,):
-            raise ValueError("weight shapes inconsistent with N")
-        if self.alpha.shape != lead + (self.N, 3) or self.domain.shape != lead + (5, 2):
-            raise ValueError("alpha must be (N, 3) and domain (5, 2), "
+        if self.omega.ndim not in (2, 3) or self.omega.shape[-1] != 5:
+            raise ValueError("omega must be (N, 5), or (m, N, 5) for a stack")
+        lead, N = self.omega.shape[:-2], self.omega.shape[-2]
+        if self.beta.shape != lead + (N,) or self.alpha.shape != lead + (N, 3) \
+                or self.domain.shape != lead + (5, 2):
+            raise ValueError("beta must be (N,), alpha (N, 3) and domain (5, 2), "
                              "with the network axis of omega")
-        for arr in (self.omega, self.beta, self.alpha, self.domain):
+        readback = [np.asarray(getattr(self, k), dtype=float) for k in ("eps_N", "a", "b", "nu_x")]
+        if any(v.shape != lead for v in readback):
+            raise ValueError("eps_N, a, b and nu_x need one value per network")
+        for arr in (self.omega, self.beta, self.alpha, self.domain, *readback):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("network parameters must be finite")
-        self.W, self.A = _block_matrices(self.omega.reshape(-1, self.N, 5),
-                                         self.beta.reshape(-1, self.N),
-                                         self.alpha.reshape(-1, self.N, 3))
+        eps_N, a, b, nu_x = readback
+        if np.any(eps_N < 0):
+            raise ValueError("eps_N must be non-negative")
+        if not np.all(a < b):
+            raise ValueError("need a < b")
+        if not np.all((0.0 <= nu_x) & (nu_x <= 2 * math.pi)):
+            raise ValueError("nu_x must lie in [0, 2*pi]")
+        if lead:
+            self.eps_N, self.a, self.b, self.nu_x = eps_N, a, b, nu_x
+        self.W, self.A = _block_matrices(self.omega.reshape(-1, N, 5),
+                                         self.beta.reshape(-1, N),
+                                         self.alpha.reshape(-1, N, 3))
+
+    @property
+    def N(self) -> int:
+        """Units per network."""
+        return self.beta.shape[-1]
 
     @classmethod
     def stack(cls, nets: Sequence["SigmoidNetwork"]) -> "SigmoidNetwork":
@@ -133,7 +151,6 @@ class SigmoidNetwork:
         if any((net.N, net.sigmoid) != (nets[0].N, nets[0].sigmoid) for net in nets):
             raise ValueError("stacked networks must share N and the sigmoid")
         return cls(
-            N=nets[0].N,
             sigmoid=nets[0].sigmoid,
             **{k: np.stack([getattr(net, k) for net in nets])
                for k in ("omega", "beta", "alpha", "domain")},
@@ -159,50 +176,20 @@ class SigmoidNetwork:
         return np.all((z >= self.domain[..., 0]) & (z <= self.domain[..., 1]), axis=-1)
 
     def to_dict(self) -> dict:
-        if self.omega.ndim != 2:
-            raise ValueError("a stack has no single-network form; serialize its networks")
-        return {
-            "N": self.N,
-            "sigmoid": self.sigmoid,
-            "units": [
-                {"omega": list(self.omega[j]), "beta": float(self.beta[j])}
-                for j in range(self.N)
-            ],
-            "alpha": [list(self.alpha[:, k]) for k in range(3)],
-            "domain": [list(row) for row in self.domain],
-            "eps_N": self.eps_N,
-            "a": self.a,
-            "b": self.b,
-            "nu_x": self.nu_x,
-        }
-
-    def to_json(self, path) -> None:
-        """Write the network as JSON; from_json reads it back."""
-        text = json.dumps(self.to_dict(), indent=2)
-        with open(path, "w") as fh:
-            fh.write(text)
+        """The fields, with arrays as nested lists; from_dict reads it back."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in d.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SigmoidNetwork":
-        omega = np.array([u["omega"] for u in d["units"]])
-        beta = np.array([u["beta"] for u in d["units"]])
-        alpha = np.ascontiguousarray(np.array(d["alpha"]).T)
-        return cls(
-            N=d["N"],
-            sigmoid=d["sigmoid"],
-            omega=omega,
-            beta=beta,
-            alpha=alpha,
-            domain=np.array(d["domain"]),
-            eps_N=d["eps_N"],
-            a=d["a"],
-            b=d["b"],
-            nu_x=d.get("nu_x", 0.0),
-        )
+        """The network whose fields d holds; other keys, such as a file's
+        config_hash and version, are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
     @classmethod
     def from_json(cls, path) -> "SigmoidNetwork":
-        """Read a network that to_json wrote; path is a str or PathLike."""
+        """Read a network file, to_dict's record written as JSON; path is a
+        str or PathLike."""
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
@@ -222,6 +209,7 @@ class RHSDataset:
 
 DRIVE_GRID = 41  # points per axis of drive_sup's grid
 BOX_MARGIN = 0.2  # relative inflation of domain_box
+LIPSCHITZ_SAMPLES = 2000  # sample points of estimate_rhs_lipschitz
 LIPSCHITZ_STEP = 1e-5  # central-difference step of estimate_rhs_lipschitz
 GAP_TOL = 1e-9  # rounding a divergence gap may exceed its envelope by
 # eps_N is the largest error over a held-out sample, not a certified bound.
@@ -331,6 +319,7 @@ def _draw_features(box: np.ndarray, N: int, rng: np.random.Generator):
     return W, beta
 
 
+VALIDATION_ROWS = 30000  # held-out rows behind a network's eps_N
 _VALIDATION_BLOCK = 8192  # rows per block of validation features
 
 
@@ -340,13 +329,12 @@ def fit_network(
     ridge: float = 1e-10,
     seed: int = 0,
     sigmoid: str = "logistic",
-    n_validation: int = 30000,
 ) -> tuple[SigmoidNetwork, float]:
     """Random-feature fit with ridge least squares per output dimension.
 
     Returns the network and its sup-error on the training sample. The
-    network's eps_N is the sup-error over a held-out seeded validation
-    sample of the domain box (re-evaluating the exact right-hand side there).
+    network's eps_N is the sup-error over VALIDATION_ROWS held-out seeded
+    uniform rows of the domain box (re-evaluating the exact right-hand side there).
     """
     if N < 1:
         raise ValueError("need at least one unit")
@@ -370,18 +358,17 @@ def fit_network(
     del Phi
 
     # Validation features are formed one row block at a time instead of as
-    # one n_validation x N matrix. With n_validation = 0 one empty block is
-    # left, and np.max rejects it.
+    # one VALIDATION_ROWS x N matrix. With no rows one empty block is left,
+    # and np.max rejects it.
     rng_v = np.random.default_rng(seed + 1)
-    Zv = box[:, 0] + rng_v.uniform(size=(n_validation, 5)) * (box[:, 1] - box[:, 0])
+    Zv = box[:, 0] + rng_v.uniform(size=(VALIDATION_ROWS, 5)) * (box[:, 1] - box[:, 0])
     val_sup = max(
         float(np.max(np.abs(_features(Zb, W, beta, sigmoid) @ alpha - dataset.target_fn(Zb))))
         for Zb in (Zv[i : i + _VALIDATION_BLOCK]
-                   for i in range(0, max(n_validation, 1), _VALIDATION_BLOCK))
+                   for i in range(0, max(VALIDATION_ROWS, 1), _VALIDATION_BLOCK))
     )
 
     net = SigmoidNetwork(
-        N=N,
         sigmoid=sigmoid,
         omega=W,
         beta=beta,
@@ -459,17 +446,17 @@ def estimate_rhs_lipschitz(
     config: PrototypeConfig,
     phi_min: float,
     box: np.ndarray,
-    n_samples: int = 2000,
     seed: int = 0,
 ) -> float:
     """Numerical Lipschitz constant of the subsystem rhs in its own state.
 
-    Central finite differences of the (shat, x, y) Jacobian at seeded sample
-    points of the box; returns the largest spectral norm observed.
+    Central finite differences of the (shat, x, y) Jacobian at
+    LIPSCHITZ_SAMPLES seeded uniform points of the box; returns the largest
+    spectral norm observed.
     """
     rng = np.random.default_rng(seed)
     box = np.asarray(box, dtype=float)
-    Z = box[:, 0] + rng.uniform(size=(n_samples, 5)) * (box[:, 1] - box[:, 0])
+    Z = box[:, 0] + rng.uniform(size=(LIPSCHITZ_SAMPLES, 5)) * (box[:, 1] - box[:, 0])
     fn = _target_fn(clazz, config, phi_min)
     J = np.empty((len(Z), 3, 3))
     for j in range(3):

@@ -618,7 +618,7 @@ class TestFitRnnCommand:
         assert cli.main(["fit-rnn", "--config", path, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         net = json.loads((tmp_path / "network_1.json").read_text())
-        assert net["N"] == 60
+        assert np.shape(net["omega"]) == (60, 5)
         fit = json.loads((tmp_path / "fit_report.json").read_text())
         assert [e["eps_N_basis"] for e in fit["sweep"]] == ["sampled"]
         div = json.loads((tmp_path / "divergence.json").read_text())
@@ -686,6 +686,7 @@ class TestOneRecordPerArtifact:
         ("decision.json", classify.DecisionReport, set()),
         ("tuning.json", prototype.TuningReport, set()),
         ("verify_pe.json", analysis.PEReport, {"check"}),
+        ("network_1.json", rnn.SigmoidNetwork, set()),
     ])
     def test_stamped_record(self, record_artifacts, artifact, record, extra):
         payload = json.loads((record_artifacts / artifact).read_text())
@@ -719,11 +720,13 @@ class TestReportCommand:
     def test_sweep_csv_header(self, single_point_report):
         _, out = single_point_report
         lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "theta,entry_time,residence,winding_spent"
+        payload = json.loads((out / "report.json").read_text())
+        assert lines[0] == f"# config_hash={payload['config_hash']} version={payload['version']}"
+        assert lines[1] == "theta,entry_time,residence,winding_spent"
 
     def test_single_point_sets_t_prime_max(self, single_point_report):
         _, out = single_point_report
-        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        rows = (out / "sweep.csv").read_text().splitlines()[2:]
         assert len(rows) == 1
         entry_time = float(rows[0].split(",")[1])
         payload = json.loads((out / "report.json").read_text())
@@ -735,7 +738,7 @@ class TestReportCommand:
         path = write_config(tmp_path, raw)
         assert cli.main(["report", "--config", path, "--out", str(tmp_path)]) == 3
         capsys.readouterr()
-        row = (tmp_path / "sweep.csv").read_text().splitlines()[1]
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[2]
         assert row.split(",")[1] == "nan"
         payload = strict_json(tmp_path / "report.json")
         assert payload["T_prime_max_empirical"] is None

@@ -663,7 +663,7 @@ def random_network(N, sigmoid, seed, a=0.5, b=2.5):
     rng = np.random.default_rng(seed)
     box = np.array([[-5.0, 5.0]] * 5)
     return rnn.SigmoidNetwork(
-        N=N, sigmoid=sigmoid, omega=rng.normal(size=(N, 5)), beta=rng.normal(size=N),
+        sigmoid=sigmoid, omega=rng.normal(size=(N, 5)), beta=rng.normal(size=N),
         alpha=0.3 * rng.normal(size=(N, 3)), domain=box, eps_N=0.0, a=a, b=b,
         nu_x=float(rng.uniform(0.0, 6.0)),
     )

@@ -492,7 +492,7 @@ def start(nu_x, s0):
     """integrate_system's first state behind s, (shat, x, y), for a
     one-subsystem prototype bank and for a one-network bank, both at phase
     nu_x and started from s0."""
-    net = rnn.SigmoidNetwork(N=1, sigmoid="tanh", omega=np.zeros((1, 5)), beta=np.zeros(1),
+    net = rnn.SigmoidNetwork(sigmoid="tanh", omega=np.zeros((1, 5)), beta=np.zeros(1),
                              alpha=np.zeros((1, 3)), domain=[[-2.0, 2.0]] * 5, eps_N=0.0,
                              a=0.5, b=2.5, nu_x=nu_x)
     return [tuple(integrator.integrate_system(plant.PlantSpec(), LINEAR, 1.5, bank,

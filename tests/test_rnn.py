@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -82,10 +84,11 @@ class TestFitNetwork:
         assert np.array_equal(n1.alpha, n2.alpha)
         assert np.array_equal(n1.omega, n2.omega)
 
-    def test_validation_error_certified(self):
+    def test_validation_error_certified(self, monkeypatch):
+        monkeypatch.setattr(rnn, "VALIDATION_ROWS", 2000)
         cfg = make_config()
         ds = rnn.sample_rhs(LINEAR, cfg, small_box(), 2000, phi_min=1.0, seed=2)
-        net, train_error = rnn.fit_network(ds, N=100, seed=0, sigmoid="tanh", n_validation=2000)
+        net, train_error = rnn.fit_network(ds, N=100, seed=0, sigmoid="tanh")
         assert np.isfinite(net.eps_N)
         # the training error is the sup over the training rows
         F = rnn._features(ds.inputs, net.omega, net.beta, net.sigmoid)
@@ -101,24 +104,26 @@ class TestFitNetwork:
 
 
     @pytest.mark.parametrize("sigmoid", ["tanh", "logistic"])
-    def test_peak_memory_below_two_feature_matrices(self, sigmoid):
+    def test_peak_memory_below_two_feature_matrices(self, sigmoid, monkeypatch):
         cfg = make_config()
         n, N = 4000, 64
+        monkeypatch.setattr(rnn, "VALIDATION_ROWS", n)
         ds = rnn.sample_rhs(LINEAR, cfg, small_box(), n, phi_min=1.0, seed=2)
         tracemalloc.start()
         try:
-            rnn.fit_network(ds, N=N, seed=0, sigmoid=sigmoid, n_validation=n)
+            rnn.fit_network(ds, N=N, seed=0, sigmoid=sigmoid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * n * N * 8
 
     @pytest.mark.parametrize("sigmoid", ["tanh", "logistic"])
-    def test_blocked_validation_is_sup_over_all_rows(self, sigmoid):
+    def test_blocked_validation_is_sup_over_all_rows(self, sigmoid, monkeypatch):
         cfg = make_config()
         ds = rnn.sample_rhs(LINEAR, cfg, small_box(), 300, phi_min=1.0, seed=2)
         # 20,000 rows: two full validation blocks and a partial one
-        net, _ = rnn.fit_network(ds, N=20, seed=3, sigmoid=sigmoid, n_validation=20000)
+        monkeypatch.setattr(rnn, "VALIDATION_ROWS", 20000)
+        net, _ = rnn.fit_network(ds, N=20, seed=3, sigmoid=sigmoid)
         box = small_box()
         Zv = box[:, 0] + np.random.default_rng(4).uniform(size=(20000, 5)) * (box[:, 1] - box[:, 0])
         # BLAS may sum the output product of a block in another order than
@@ -127,17 +132,18 @@ class TestFitNetwork:
         tol = net.N * np.finfo(float).eps * np.max(np.abs(F) @ np.abs(net.alpha))
         assert abs(net.eps_N - np.max(np.abs(F @ net.alpha - ds.target_fn(Zv)))) <= tol
 
-    def test_no_validation_rows_rejected(self):
+    def test_no_validation_rows_rejected(self, monkeypatch):
+        monkeypatch.setattr(rnn, "VALIDATION_ROWS", 0)
         cfg = make_config()
         ds = rnn.sample_rhs(LINEAR, cfg, small_box(), 100, phi_min=1.0)
         with pytest.raises(ValueError, match="zero-size array"):
-            rnn.fit_network(ds, N=10, n_validation=0)
+            rnn.fit_network(ds, N=10)
 
 
 def random_net(N=6, sigmoid="tanh", seed=0):
     rng = np.random.default_rng(seed)
     return rnn.SigmoidNetwork(
-        N=N, sigmoid=sigmoid, omega=rng.normal(size=(N, 5)), beta=rng.normal(size=N),
+        sigmoid=sigmoid, omega=rng.normal(size=(N, 5)), beta=rng.normal(size=N),
         alpha=rng.normal(size=(N, 3)), domain=small_box(), eps_N=0.1 * seed, a=0.5, b=2.5,
         nu_x=0.2 * seed,
     )
@@ -212,7 +218,7 @@ class TestStack:
     def test_stage_matches_per_network_reference(self, N, sigmoid, m, scale, seed):
         rng = np.random.default_rng(seed)
         nets = [rnn.SigmoidNetwork(
-            N=N, sigmoid=sigmoid, omega=scale * rng.normal(size=(N, 5)),
+            sigmoid=sigmoid, omega=scale * rng.normal(size=(N, 5)),
             beta=scale * rng.normal(size=N), alpha=rng.normal(size=(N, 3)),
             domain=small_box(), eps_N=0.0, a=0.5, b=2.5) for _ in range(m)]
         xi_val, s, *state = rng.uniform(-2.0, 2.0, size=2 + 3 * m).tolist()
@@ -250,7 +256,7 @@ class TestStack:
 
     def test_inconsistent_stacked_shapes_rejected(self):
         net = random_net()
-        kw = dict(N=6, sigmoid="tanh", eps_N=0.0, a=0.5, b=2.5)
+        kw = dict(sigmoid="tanh", eps_N=[0.0] * 2, a=[0.5] * 2, b=[2.5] * 2, nu_x=[0.0] * 2)
         arrays = dict(omega=np.stack([net.omega] * 2), beta=np.stack([net.beta] * 2),
                       alpha=np.stack([net.alpha] * 2), domain=np.stack([net.domain] * 2))
         rnn.SigmoidNetwork(**kw, **arrays)
@@ -258,47 +264,80 @@ class TestStack:
             bad = dict(arrays, **{key: np.stack([getattr(net, key)] * 3)})
             with pytest.raises(ValueError):
                 rnn.SigmoidNetwork(**kw, **bad)
+        for key in ("eps_N", "a", "b", "nu_x"):  # one read-back value per network
+            with pytest.raises(ValueError, match="one value per network"):
+                rnn.SigmoidNetwork(**arrays, **dict(kw, **{key: kw[key][:1]}))
         with pytest.raises(ValueError):
             rnn.SigmoidNetwork(**kw, **{k: v[None] for k, v in arrays.items()})
 
-    def test_stack_has_no_json(self, tmp_path):
-        stack = rnn.SigmoidNetwork.stack([random_net(), random_net(seed=1)])
+    @pytest.mark.parametrize("bad", [
+        dict(a=2.5, b=0.5), dict(a=1.0, b=1.0), dict(a=-math.inf), dict(b=math.nan),
+        dict(eps_N=-0.1), dict(eps_N=math.inf), dict(eps_N=math.nan),
+        dict(nu_x=-0.1), dict(nu_x=7.0), dict(nu_x=math.nan),
+    ])
+    def test_impossible_readback_rejected(self, bad):
+        """The read-back values obey PrototypeConfig's rules, and eps_N is
+        finite and non-negative: for one network, and for each network of a
+        stack."""
         with pytest.raises(ValueError):
-            stack.to_json(tmp_path / "stack.json")
-        assert not (tmp_path / "stack.json").exists()
+            dataclasses.replace(random_net(), **bad)
+        stack = rnn.SigmoidNetwork.stack([random_net(), random_net(seed=1)])
+        per_network = {k: np.array([getattr(stack, k)[0], v]) for k, v in bad.items()}
+        with pytest.raises(ValueError):
+            dataclasses.replace(stack, **per_network)
+
+    def test_edge_readback_accepted(self):
+        net = dataclasses.replace(random_net(), eps_N=0.0, nu_x=2 * math.pi)
+        assert net.nu_x == 2 * math.pi and net.eps_N == 0.0
 
 
 class TestSerialization:
+    """A network's dict is its fields, arrays as nested lists."""
+
     def test_roundtrip(self, tmp_path):
         cfg = make_config()
         ds = rnn.sample_rhs(LINEAR, cfg, small_box(), 300, phi_min=1.0, seed=2)
         net, _ = rnn.fit_network(ds, N=25, seed=1)
         path = tmp_path / "net.json"
-        net.to_json(path)
+        path.write_text(json.dumps(net.to_dict()))
         for source in (str(path), path):  # a str or a PathLike
             back = rnn.SigmoidNetwork.from_json(source)
             assert back.N == net.N and back.sigmoid == net.sigmoid
-            assert np.array_equal(back.omega, net.omega)
-            assert np.array_equal(back.alpha, net.alpha)
-            Z = ds.inputs[:10]
-            assert np.array_equal(rnn._features(Z, back.omega, back.beta, back.sigmoid) @ back.alpha,
-                                  rnn._features(Z, net.omega, net.beta, net.sigmoid) @ net.alpha)
+            for key in ("omega", "beta", "alpha", "domain"):
+                assert np.array_equal(getattr(back, key), getattr(net, key))
+            assert (back.eps_N, back.a, back.b, back.nu_x) == (net.eps_N, net.a, net.b, net.nu_x)
+            for xi_val, s, *state in ds.inputs[:10].tolist():
+                assert np.array_equal(back.rhs(xi_val, s, state), net.rhs(xi_val, s, state))
 
     def test_json_fields(self):
         cfg = make_config()
         ds = rnn.sample_rhs(LINEAR, cfg, small_box(), 100, phi_min=1.0)
         net, _ = rnn.fit_network(ds, N=5, seed=1)
         d = net.to_dict()
-        assert set(d) >= {"N", "sigmoid", "units", "alpha", "domain", "eps_N"}
-        assert len(d["units"]) == 5
-        assert len(d["units"][0]["omega"]) == 5
-        assert len(d["alpha"]) == 3
+        assert list(d) == [f.name for f in dataclasses.fields(rnn.SigmoidNetwork)]
+        assert set(d) == {"sigmoid", "omega", "beta", "alpha", "domain",
+                          "eps_N", "a", "b", "nu_x"}
+        shapes = {k: np.shape(d[k]) for k in ("omega", "beta", "alpha", "domain")}
+        assert shapes == {"omega": (5, 5), "beta": (5,), "alpha": (5, 3), "domain": (5, 2)}
+        # a file's stamp is ignored; a missing field is not filled in
+        stamped = d | {"config_hash": "0" * 16, "version": "0"}
+        assert rnn.SigmoidNetwork.from_dict(stamped).to_dict() == d
+        with pytest.raises(KeyError):
+            rnn.SigmoidNetwork.from_dict({k: v for k, v in d.items() if k != "nu_x"})
+
+    def test_stack_roundtrip(self):
+        stack = rnn.SigmoidNetwork.stack([random_net(), random_net(seed=1)])
+        back = rnn.SigmoidNetwork.from_dict(json.loads(json.dumps(stack.to_dict())))
+        assert back.sigmoid == stack.sigmoid and back.N == stack.N
+        for f in dataclasses.fields(rnn.SigmoidNetwork)[1:]:
+            assert np.array_equal(getattr(back, f.name), getattr(stack, f.name))
+        assert np.array_equal(back.W, stack.W) and np.array_equal(back.A, stack.A)
 
 
 def zero_network(eps_N=0.0, domain=None):
     """A network whose rhs is zero: its subsystem state never moves."""
     return rnn.SigmoidNetwork(
-        N=1, sigmoid="tanh", omega=np.zeros((1, 5)), beta=np.zeros(1),
+        sigmoid="tanh", omega=np.zeros((1, 5)), beta=np.zeros(1),
         alpha=np.zeros((1, 3)), domain=small_box() if domain is None else domain,
         eps_N=eps_N, a=0.5, b=2.5,
     )
@@ -457,9 +496,10 @@ class TestEnvelopeReach:
 
 
 class TestLipschitzEstimate:
-    def test_positive_and_finite(self):
+    def test_positive_and_finite(self, monkeypatch):
+        monkeypatch.setattr(rnn, "LIPSCHITZ_SAMPLES", 200)
         cfg = make_config()
-        L = rnn.estimate_rhs_lipschitz(LINEAR, cfg, 1.0, small_box(), n_samples=200)
+        L = rnn.estimate_rhs_lipschitz(LINEAR, cfg, 1.0, small_box())
         assert 1.0 <= L < 100.0  # the filter alone contributes slope 1
 
     @staticmethod
@@ -482,12 +522,13 @@ class TestLipschitzEstimate:
         return worst
 
     @pytest.mark.parametrize("family", ["linear", "sine", "quadratic-affine"])
-    def test_matches_per_row_loop(self, family):
+    def test_matches_per_row_loop(self, family, monkeypatch):
+        monkeypatch.setattr(rnn, "LIPSCHITZ_SAMPLES", 300)
         clazz = signals.builtin_class(family, (1.0, 2.0))
         cfg = make_config(epsilon=0.05)
-        L = rnn.estimate_rhs_lipschitz(clazz, cfg, 1.5, small_box(), n_samples=300, seed=2)
+        L = rnn.estimate_rhs_lipschitz(clazz, cfg, 1.5, small_box(), seed=2)
         assert L == self.per_row_lipschitz(clazz, cfg, 1.5, small_box(), 300, 2)
 
-    def test_no_samples_gives_zero(self):
-        assert rnn.estimate_rhs_lipschitz(LINEAR, make_config(), 1.0, small_box(),
-                                          n_samples=0) == 0.0
+    def test_no_samples_gives_zero(self, monkeypatch):
+        monkeypatch.setattr(rnn, "LIPSCHITZ_SAMPLES", 0)
+        assert rnn.estimate_rhs_lipschitz(LINEAR, make_config(), 1.0, small_box()) == 0.0
