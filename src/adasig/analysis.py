@@ -6,7 +6,7 @@ Everything here is pure post-processing over immutable trajectories.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,13 +52,7 @@ class ConvergenceReport:
     winding_spent: float
     bound_used: float
     horizon: float
-
-    @property
-    def entered(self) -> bool:
-        return self.entry_time is not None
-
-    def to_dict(self) -> dict:
-        return asdict(self) | {"entered": self.entered}
+    entered: bool
 
 
 def _window_integrals(vals: np.ndarray, dt: float, L: float) -> np.ndarray:
@@ -157,6 +151,7 @@ def convergence_report(
         winding_spent=_winding_spent(traj, config, class_index),
         bound_used=bound,
         horizon=float(traj.times[-1]),
+        entered=entry_time is not None,
     )
 
 

@@ -170,7 +170,8 @@ def check_divergence(cfg: ExperimentConfig, nets) -> list:
     for i, (clazz, pconf, net) in enumerate(zip(cfg.classes, cfg.class_configs(), nets)):
         L_i = rnn.estimate_rhs_lipschitz(clazz, pconf, phi_min, net.domain,
                                          seed=sub_seed(cfg.seed, f"lip_{i}"))
-        reports.append(rnn.divergence_check(traj_p, traj_r, net, L_i, band, class_index=i))
+        reports.append(rnn.divergence_check(traj_p, traj_r, net, L_i, band, cfg.inp.xi,
+                                            class_index=i))
     return reports
 
 
@@ -254,7 +255,7 @@ def cmd_simulate(args) -> int:
         configs[cfg.true_class], cfg.true_class,
     )
     decision = run_decide(cfg, traj, tuning)
-    _write_json(out / "convergence.json", _stamp(conv.to_dict(), cfg))
+    _write_json(out / "convergence.json", _stamp(asdict(conv), cfg))
     _write_json(out / "decision.json", _stamp(asdict(decision), cfg))
     print(f"entered={conv.entered} entry_time={conv.entry_time} "
           f"status={decision.status} decided={decision.decided}")

@@ -231,21 +231,10 @@ def integrate_system(
     times = t0 + np.arange(0, n + 1, record_every) * dt
     a = np.array([obj.a for obj in subsystems])
     b = np.array([obj.b for obj in subsystems])
-    info = {"dt": dt, "record_every": record_every}
-    if net is not None:
-        # Domain escape: every recorded row after the first, with xi at the
-        # step end t0 + k dt + dt, in one check that flags each network.
-        rec = states[1:]
-        k = np.arange(1, len(rec) + 1) * record_every - 1
-        xi_rec = inp.xi(t0 + k * dt + dt)[:, None]
-        inside = net.in_domain(xi_rec, rec[:, :1], rec[:, 1:].reshape(len(rec), m, 3))
-        if not inside.all():
-            info["domain_escape_t"] = [None if col.all() else float(times[1 + int(col.argmin())])
-                                       for col in inside.T]
     return Trajectory(
         times=times,
         states=states,
         theta_hat=theta_hat(states[:, 2::3], a, b),
         hf=states[:, :1] - states[:, 1::3],
-        meta=info,
+        meta={"dt": dt, "record_every": record_every},
     )

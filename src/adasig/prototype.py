@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 __all__ = [
     "PrototypeConfig",
     "TuningReport",
@@ -64,34 +62,33 @@ def theta_hat(x: float, a: float, b: float) -> float:
 def prototype_rhs(q, s, xi_val, kernel: Callable) -> list:
     """Right-hand side of a bank of perturbed subsystems (delta = 0 is unperturbed).
 
-    kernel is bank_kernel(bank, phi_min, rows) for the bank; subsystem i
-    reads (shat, x, y) at q[1 + 3i : 4 + 3i], behind the measurement's slot
-    q[0], and the 3m derivatives come back as one list in bank order. Each
-    filter copy sees the plant's phi(shat) = phi_min * shat. Elementwise:
-    floats from the float form (the filter derivative goes through float(),
-    since an f may return a numpy scalar), arrays for a block of sample rows
-    from the row form (f must then accept arrays). The read-back is
-    theta_hat written out, in the same association order, and the dead zone
-    is max(|shat - s| - epsilon, 0).
+    kernel is bank_kernel(bank, phi_min) for the bank; subsystem i reads
+    (shat, x, y) at q[1 + 3i : 4 + 3i], behind the measurement's slot q[0],
+    and the 3m derivatives come back as one list in bank order. Each filter
+    copy sees the plant's phi(shat) = phi_min * shat. Elementwise: floats
+    give floats, and arrays for a block of sample rows give arrays (f must
+    then accept arrays). The read-back is theta_hat written out, in the
+    same association order, and the dead zone is max(|shat - s| - epsilon, 0).
     """
     return kernel(q, s, xi_val)
 
 
-def bank_kernel(bank: Sequence[tuple], phi_min: float, rows: bool = False) -> Callable:
+def bank_kernel(bank: Sequence[tuple], phi_min: float) -> Callable:
     """prototype_rhs's kernel for this bank, compiled from straight-line source.
 
     bank holds one (SignalClass, PrototypeConfig) pair per subsystem, and
-    subsystem i sits at q[1 + 3i] in both forms. The offsets and every
-    constant (a, (b - a)/2, gamma, epsilon, delta and phi_min) are written
-    into the source as parenthesised repr literals, which give the floats
-    back bit for bit (a non-finite one raises ValueError, as it has no
-    literal); the families' f are bound as globals f0..f{m-1}.
-    Subsystem i's (shat, x, y) go into shat{i}, x{i}, y{i}, and the 3m
-    derivatives come back in one list display. The float form (rows False)
-    writes the dead zone as (0.0 if v < 0.0 else v), the bits of
-    max(v, 0.0), nan included, and passes the filter derivative through
-    float(); the row form takes np.maximum and casts nothing. The source is
-    the function's __doc__.
+    subsystem i sits at q[1 + 3i]. The offsets and every constant (a,
+    (b - a)/2, gamma, epsilon, delta and phi_min) are written into the
+    source as parenthesised repr literals, which give the floats back bit
+    for bit (a non-finite one raises ValueError, as it has no literal); the
+    families' f are bound as globals f0..f{m-1}, and abs is the only other
+    name the source calls, so one source serves Python floats and numpy row
+    blocks alike. Subsystem i's (shat, x, y) go into shat{i}, x{i}, y{i},
+    and the 3m derivatives come back in one list display. The dead zone is
+    written ((v + abs(v)) * 0.5): v + |v| is exactly 2v or +0.0, so it has
+    the bits of max(v, 0.0), nan included, until |shat - s| passes half the
+    float range (2v overflows to inf there, on a run that already
+    diverges). The source is the function's __doc__.
     """
     def lit(value):
         value = float(value)
@@ -99,23 +96,20 @@ def bank_kernel(bank: Sequence[tuple], phi_min: float, rows: bool = False) -> Ca
             raise ValueError(f"bank constant {value!r} is not finite")
         return f"({value!r})"
 
-    namespace = {"maximum": np.maximum}
-    lines, derivatives = [], []
+    namespace, lines, derivatives = {}, [], []
     for i, (clazz, c) in enumerate(bank):
         namespace[f"f{i}"] = clazz.f
-        clip = f"maximum(v{i}, 0.0)" if rows else f"(0.0 if v{i} < 0.0 else v{i})"
-        ds = (f"-{lit(phi_min)} * shat{i} + "
-              f"f{i}(xi_val, {lit(c.a)} + {lit((c.b - c.a) / 2.0)} * (x{i} + 1.0))")
         lines += [f"shat{i}, x{i}, y{i} = q[{3 * i + 1}], q[{3 * i + 2}], q[{3 * i + 3}]",
                   f"v{i} = abs(shat{i} - s) - {lit(c.epsilon)}",
-                  f"g{i} = {lit(c.gamma)} * ({clip} + {lit(c.delta)})",
+                  f"g{i} = {lit(c.gamma)} * (((v{i} + abs(v{i})) * 0.5) + {lit(c.delta)})",
                   f"r{i} = x{i} * x{i} + y{i} * y{i}"]
-        derivatives += [ds if rows else f"float({ds})",
+        derivatives += [f"-{lit(phi_min)} * shat{i} + "
+                        f"f{i}(xi_val, {lit(c.a)} + {lit((c.b - c.a) / 2.0)} * (x{i} + 1.0))",
                         f"g{i} * (x{i} - y{i} - x{i} * r{i})",
                         f"g{i} * (x{i} + y{i} - y{i} * r{i})"]
     src = "\n    ".join(["def rhs(q, s, xi_val):", *lines,
                          f"return [{', '.join(derivatives)}]"]) + "\n"
-    exec(compile(src, f"<bank_kernel m={len(bank)} rows={rows}>", "exec"), namespace)
+    exec(compile(src, f"<bank_kernel m={len(bank)}>", "exec"), namespace)
     kernel = namespace["rhs"]
     kernel.__doc__ = src
     return kernel

@@ -81,15 +81,16 @@ class SigmoidNetwork:
     alpha: (N, 3) output weights, one column per state derivative.  The
     read-back bounds (a, b) and initial phase nu_x are carried along so the
     network is a drop-in replacement for the subsystem it realizes; they
-    obey the rules PrototypeConfig sets for them, and eps_N is finite and
-    non-negative.  The unit count N is read from the arrays.
+    obey the rules PrototypeConfig sets for them, eps_N is finite and
+    non-negative, and no axis of the domain box has its lower bound above
+    its upper bound.  The unit count N is read from the arrays.
 
     A bank of m networks that share N and the sigmoid stacks into one network
     of 3m states (see stack): every array gains a leading network axis, and
     eps_N, a, b and nu_x become (m,) arrays.  A single network is the m = 1
-    case without that axis; rhs and in_domain serve both.  Construction lays
-    the weights out once as the block network (W, A) of _block_matrices,
-    which rhs evaluates.
+    case without that axis; rhs serves both.  Construction lays the weights
+    out once as the block network (W, A) of _block_matrices, which rhs
+    evaluates.
     """
 
     sigmoid: str
@@ -122,6 +123,11 @@ class SigmoidNetwork:
         for arr in (self.omega, self.beta, self.alpha, self.domain, *readback):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("network parameters must be finite")
+        for k, box in enumerate(self.domain.reshape(-1, 5, 2)):
+            if np.any(box[:, 0] > box[:, 1]):
+                owner = f" of network {k + 1}" if lead else ""
+                raise ValueError(f"domain{owner} {box.tolist()} has a lower bound "
+                                 "above its upper bound")
         eps_N, a, b, nu_x = readback
         if np.any(eps_N < 0):
             raise ValueError("eps_N must be non-negative")
@@ -165,11 +171,11 @@ class SigmoidNetwork:
         return self.A @ SIGMOIDS[self.sigmoid](u, out=u)
 
     def in_domain(self, xi_val, s, state) -> np.ndarray:
-        """Whether (xi, s, state) lies in the fitted box, elementwise.
+        """Whether (xi, s, state) lies in this network's fitted box, elementwise.
 
-        state has shape (..., 3), or (..., m, 3) for a stack; xi_val and s
-        broadcast against state[..., 0].  One network at one point gives a
-        scalar bool; a stack gives one flag per network.
+        state has shape (..., 3); xi_val and s broadcast against
+        state[..., 0].  One point gives a scalar bool, a block of rows one
+        flag per row.
         """
         q = np.asarray(state, dtype=float)
         z = np.stack(np.broadcast_arrays(xi_val, s, q[..., 0], q[..., 1], q[..., 2]), axis=-1)
@@ -255,7 +261,7 @@ def domain_box(
 
 
 def _target_fn(clazz: SignalClass, config: PrototypeConfig, phi_min: float) -> Callable:
-    kernel = bank_kernel([(clazz, config)], phi_min, rows=True)
+    kernel = bank_kernel([(clazz, config)], phi_min)
 
     def fn(Z: np.ndarray) -> np.ndarray:
         xi_val, s, shat, x, y = np.atleast_2d(Z).T
@@ -404,15 +410,15 @@ class DivergenceReport:
 
 
 def divergence_check(traj_prototype, traj_rnn, net: SigmoidNetwork, L_i: float,
-                     band: float, class_index: int = 0) -> DivergenceReport:
+                     band: float, xi: Callable, class_index: int = 0) -> DivergenceReport:
     """Pointwise gap between the prototype and network trajectories of one
     class vs. the Gronwall envelope (eps_N / L_i) (exp(L_i (t - t0)) - 1),
     with eps_N and the domain box of net, that class's network.
 
     The envelope holds only while the network stays inside its fitted domain
     box, so a class whose network left it fails, and the report carries the
-    first recorded time outside (entry class_index of the trajectory's meta
-    "domain_escape_t", which is absent when no network left its box)."""
+    first recorded time outside: every row of traj_rnn after the first is
+    checked, with the input xi read at the row's own time."""
     if not np.allclose(traj_prototype.times, traj_rnn.times):
         raise ValueError("trajectories must share the time grid")
     i = class_index
@@ -426,7 +432,8 @@ def divergence_check(traj_prototype, traj_rnn, net: SigmoidNetwork, L_i: float,
         bound = eps_N / L_i * (np.exp(L_i * t) - 1.0)
     bad = gap > bound + GAP_TOL
     first = float(traj_prototype.times[np.argmax(bad)]) if bad.any() else None
-    escape = traj_rnn.meta.get("domain_escape_t", [None] * (i + 1))[i]
+    inside = net.in_domain(xi(traj_rnn.times[1:]), traj_rnn.states[1:, 0], qr[1:])
+    escape = None if inside.all() else float(traj_rnn.times[1 + int(inside.argmin())])
     max_bound = float(bound.max())
     diagonal = float(np.linalg.norm(np.ptp(net.domain[2:], axis=1)))
     return DivergenceReport(

@@ -2,6 +2,8 @@ import dataclasses
 import importlib.util
 import json
 import math
+import shutil
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -477,6 +479,27 @@ def test_distribution_version_is_the_artifact_version():
     assert meta["project"]["version"] == config.VERSION
 
 
+def test_failing_hypothesis_example_ends_no_run(tmp_path):
+    """Under the repository's warning filters, a failing hypothesis test is
+    reported as a failure and the tests after it still run: reporting the
+    example imports libcst, whose mypy_extensions import warns, and as an
+    error that warning would stop pytest with an INTERNALERROR."""
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    (tmp_path / "test_example.py").write_text("\n".join([
+        "from hypothesis import given, strategies as st",
+        "@given(st.integers())",
+        "def test_fails(x):",
+        "    assert x < 0",
+        "def test_passes():",
+        "    pass",
+    ]) + "\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "test_example.py"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
+
+
 class TestRhoReach:
     """run_tune evaluates rho at b - a, the largest separation it samples."""
 
@@ -675,14 +698,15 @@ STAMP = {"config_hash", "version"}
 
 class TestOneRecordPerArtifact:
     """Each artifact is one dataclass record, stamped and written whole:
-    its keys are the record's fields, its derived flags and the stamp."""
+    its keys are the record's fields and the stamp, and verify_pe.json's
+    check name."""
 
     @staticmethod
     def fields(record) -> set:
         return {f.name for f in dataclasses.fields(record)}
 
     @pytest.mark.parametrize("artifact,record,extra", [
-        ("convergence.json", analysis.ConvergenceReport, {"entered"}),
+        ("convergence.json", analysis.ConvergenceReport, set()),
         ("decision.json", classify.DecisionReport, set()),
         ("tuning.json", prototype.TuningReport, set()),
         ("verify_pe.json", analysis.PEReport, {"check"}),

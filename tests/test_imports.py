@@ -226,7 +226,7 @@ def test_readme_lists_the_config_key_table():
 
 
 def test_readme_shows_the_kernel_source():
-    """The README's `def rhs(q, s, xi_val):` block is bank_kernel's float-form
+    """The README's `def rhs(q, s, xi_val):` block is bank_kernel's
     source for the one-class bank the README states."""
     from adasig import prototype, signals
 

@@ -579,7 +579,7 @@ class TestKernelCompiledPerRun:
         for horizon in (0.1, 0.5):
             integrator.integrate_system(make_spec(), LINEAR, 1.5, bank, SIN,
                                         horizon=horizon, dt=1e-2)
-        assert names == [f"<bank_kernel m={m} rows=False>"] * 2
+        assert names == [f"<bank_kernel m={m}>"] * 2
 
     def test_network_bank_compiles_none(self, monkeypatch):
         names = compiled_kernels(monkeypatch)
@@ -738,25 +738,33 @@ class TestOneKindPerBank:
             integrator.integrate_system(make_spec(), LINEAR, 1.5, bank, SIN, horizon=0.1)
 
 
-def reference_escape_t(traj, bank, inp, t0, dt, record_every):
+def reference_escape_t(traj, bank, inp):
     """Per network, the first recorded row after the start where it is
     outside its box, checked one row and one network at a time with xi at
-    the step end; None for a network that never leaves its box."""
+    the row's time; None for a network that never leaves its box."""
     escapes = [None] * len(bank)
     for j in range(1, len(traj.times)):
-        k = j * record_every - 1
-        t = t0 + k * dt
-        xi_val = float(inp.xi(np.asarray(t + dt)))
+        xi_val = float(inp.xi(traj.times[j]))
         row = traj.states[j]
         for i, e in enumerate(bank):
             z = np.array([xi_val, row[0], *row[1 + 3 * i : 4 + 3 * i]])
             inside = np.all(z >= e.domain[:, 0]) and np.all(z <= e.domain[:, 1])
             if escapes[i] is None and not inside:
-                escapes[i] = t0 + (k + 1) * dt
+                escapes[i] = float(traj.times[j])
     return escapes
 
 
+def escape_t(traj, bank, inp):
+    """Each class's domain escape as divergence_check reports it; the run is
+    its own reference, so only the escape can fail the check."""
+    return [rnn.divergence_check(traj, traj, net, 1.0, 0.1, inp.xi, class_index=i).domain_escape_t
+            for i, net in enumerate(bank)]
+
+
 class TestDomainEscape:
+    """divergence_check finds each class's first recorded time outside its
+    network's box."""
+
     @settings(max_examples=25, deadline=None)
     @given(
         **NETWORK_KIND,
@@ -780,27 +788,30 @@ class TestDomainEscape:
             make_spec(), LINEAR, 1.5, bank, inp, t0=t0, horizon=2.0, dt=1e-2, seed=seed,
             record_every=record_every, s0=0.5,
         )
-        expected = reference_escape_t(traj, bank, inp, t0, 1e-2, record_every)
-        if any(t is not None for t in expected):
-            assert traj.meta["domain_escape_t"] == expected
-            assert all(t is None or type(t) is float for t in traj.meta["domain_escape_t"])
-        else:
-            assert "domain_escape_t" not in traj.meta
+        got = escape_t(traj, bank, inp)
+        assert got == reference_escape_t(traj, bank, inp)
+        assert all(t is None or type(t) is float for t in got)
 
     def test_xi_read_at_the_step_end(self):
         """A frozen network whose box admits only |xi| <= 0.5 leaves it at the
-        first recorded time t with sin(t) > 0.5: xi is read at the step end."""
+        first recorded time t with sin(t) > 0.5: xi is read at the step end,
+        the row's own time."""
         net = random_network(3, "tanh", 0)
         net.alpha = np.zeros((3, 3))
         net.domain[0] = [-0.5, 0.5]
         traj = integrator.integrate_system(make_spec(), LINEAR, 1.5, [net], SIN, horizon=1.0,
                                            dt=1e-2, record_every=1)
         t = traj.times
-        assert traj.meta["domain_escape_t"] == [t[np.argmax(np.sin(t) > 0.5)]]
-        assert type(traj.meta["domain_escape_t"][0]) is float
+        (escape,) = escape_t(traj, [net], SIN)
+        assert escape == t[np.argmax(np.sin(t) > 0.5)] and type(escape) is float
 
-    def test_no_networks_no_escape_key(self):
-        traj = integrator.integrate_system(
-            make_spec(), LINEAR, 1.5, [(LINEAR, make_config())], SIN, horizon=0.5, dt=1e-2,
-        )
-        assert "domain_escape_t" not in traj.meta
+    @pytest.mark.parametrize("kind", ["empty", "prototypes", "networks"])
+    def test_meta_is_dt_and_record_every_for_every_bank(self, kind):
+        """The integrator records no domain escape, not even for a network
+        that leaves its box at once."""
+        net = random_network(3, "tanh", 0)
+        net.domain = net.domain * 1e-3
+        bank = {"empty": [], "prototypes": [(LINEAR, make_config())], "networks": [net]}[kind]
+        traj = integrator.integrate_system(make_spec(), LINEAR, 1.5, bank, SIN, horizon=0.5,
+                                           dt=1e-2, record_every=5)
+        assert traj.meta == {"dt": 1e-2, "record_every": 5}

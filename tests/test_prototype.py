@@ -100,6 +100,15 @@ class TestPrototypeRhs:
         d = prototype.prototype_rhs(state, 0.5, 0.0, prototype.bank_kernel(one(LINEAR, cfg), 1.0))
         assert d[1] == 0.0 and d[2] == 0.0
 
+    def test_deadzone_exact_up_to_half_the_float_range(self):
+        """The dead zone (v + |v|) * 0.5 is exactly v while 2v is finite and
+        inf past half the float range, where max(v, 0) would still be v."""
+        kernel = prototype.bank_kernel(one(LINEAR, make_config(gamma=1.0)), 1.0)
+        half = sys.float_info.max / 2.0
+        for shat, rate in [(half, half), (math.nextafter(half, math.inf), math.inf)]:
+            # the rotator at (1, 0) turns at dy/dt = gamma * |shat - s| with s = 0
+            assert prototype.prototype_rhs([0.0, shat, 1.0, 0.0], 0.0, 0.3, kernel)[2] == rate
+
     @settings(max_examples=30, deadline=None)
     @given(
         family=st.sampled_from(["linear", "sine", "quadratic-affine"]),
@@ -112,23 +121,20 @@ class TestPrototypeRhs:
         clazz = signals.builtin_class(family, (1.0, 2.0))
         bank = one(clazz, make_config(epsilon=epsilon, delta=delta))
         xi_val, s, shat, x, y = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, 64))
-        rows_form = prototype.bank_kernel(bank, slope, rows=True)
-        float_form = prototype.bank_kernel(bank, slope)
-        block = prototype.prototype_rhs((s, shat, x, y), s, xi_val, rows_form)
-        rows = [prototype.prototype_rhs(q, s[k], xi_val[k], float_form)
+        kernel = prototype.bank_kernel(bank, slope)
+        block = prototype.prototype_rhs((s, shat, x, y), s, xi_val, kernel)
+        rows = [prototype.prototype_rhs(q, s[k], xi_val[k], kernel)
                 for k, q in enumerate(zip(s.tolist(), shat.tolist(), x.tolist(), y.tolist()))]
         assert np.array_equal(np.stack(block, axis=1), np.array(rows))
 
     def test_floats_stay_floats(self):
-        # a family whose f returns a numpy scalar must not leak it either
-        numpy_f = signals.SignalClass(
-            name="numpy-scalar", f=lambda xi, th: np.float64(th * xi),
-            theta_range=(1.0, 2.0), lipschitz_theta=1.0, lipschitz_xi=2.0)
-        classes = [signals.builtin_class(f, (1.0, 2.0)) for f in FAMILIES] + [numpy_f]
-        bank = [(c, make_config(epsilon=0.05)) for c in classes]
-        q = [0.3, 0.4, 0.6, -0.8, 0.1, 1.0, 0.0, 0.5, 0.0, -1.0, 0.2, 0.6, 0.8]
+        # every built-in family returns a float for float arguments, and the
+        # kernel casts nothing, so no numpy scalar leaks into the state
+        bank = [(signals.builtin_class(f, (1.0, 2.0)), make_config(epsilon=0.05))
+                for f in FAMILIES]
+        q = [0.3, 0.4, 0.6, -0.8, 0.1, 1.0, 0.0, 0.5, 0.0, -1.0]
         d = prototype.prototype_rhs(q, 0.3, 0.7, prototype.bank_kernel(bank, 2.0))
-        assert len(d) == 12 and all(type(v) is float for v in d)
+        assert len(d) == 9 and all(type(v) is float for v in d)
 
 
 class TestBankMatchesPerSubsystemReference:
@@ -160,7 +166,7 @@ class TestBankMatchesPerSubsystemReference:
             cfg = make_config(gamma=gamma, epsilon=epsilon, delta=delta, a=a, b=a + span)
             bank.append((clazz, cfg))
             ref += reference_prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, clazz, cfg, slope)
-        kernel = prototype.bank_kernel(bank, slope, rows is not None)
+        kernel = prototype.bank_kernel(bank, slope)
         out = prototype.prototype_rhs(q, s, xi_val, kernel)
         assert len(out) == 3 * m
         assert np.array_equal(np.array(out), np.array(ref))
@@ -197,48 +203,47 @@ class TestBankKernel:
     def test_doc_source_gives_the_same_bits(self, m, rows):
         rng = np.random.default_rng(10 * m + rows)
         bank, slope = random_bank(rng, m)
-        source = prototype.bank_kernel(bank, slope, rows).__doc__
-        namespace = {"maximum": np.maximum,
-                     **{f"f{i}": clazz.f for i, (clazz, _) in enumerate(bank)}}
+        source = prototype.bank_kernel(bank, slope).__doc__
+        namespace = {f"f{i}": clazz.f for i, (clazz, _) in enumerate(bank)}
         exec(compile(source, "<doc>", "exec"), namespace)
         args = random_args(rng, m, rows)
-        got = prototype.prototype_rhs(*args, prototype.bank_kernel(bank, slope, rows))
+        got = prototype.prototype_rhs(*args, prototype.bank_kernel(bank, slope))
         assert len(got) == 3 * m
         assert np.array_equal(np.array(got), np.array(namespace["rhs"](*args)))
         for i in range(m):
             o = 1 + 3 * i
             assert f"shat{i}, x{i}, y{i} = q[{o}], q[{o + 1}], q[{o + 2}]" in source
 
-    @pytest.mark.parametrize("rows", [False, True])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_kernel_calls_only_the_families(self, m, rows):
-        """The generated source calls abs, float or maximum and the families
-        f0..f{m-1}, nothing else: the plant slope enters as arithmetic."""
+    def test_kernel_calls_only_the_families(self, m):
+        """The generated source calls abs and the families f0..f{m-1},
+        nothing else: the plant slope enters as arithmetic, and nothing is
+        cast, so floats and row blocks run the same source."""
         bank, slope = random_bank(np.random.default_rng(20 + m), m)
-        source = prototype.bank_kernel(bank, slope, rows).__doc__
+        source = prototype.bank_kernel(bank, slope).__doc__
         calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
         assert all(isinstance(func, ast.Name) for func in calls)
         families = {f"f{i}" for i in range(m)}
         called = {func.id for func in calls}
-        assert families <= called <= families | {"abs", "float", "maximum"}
+        assert families <= called <= families | {"abs"}
+        assert "float(" not in source and "maximum" not in source
         for i in range(m):
             assert f"-({slope!r}) * shat{i} + f{i}(" in source
 
-    @pytest.mark.parametrize("rows", [False, True])
     @pytest.mark.parametrize("m", range(5))
-    def test_source_loads_no_bank_name(self, m, rows):
+    def test_source_loads_no_bank_name(self, m):
         """Every constant is a literal: the only names the source loads
-        besides its arguments and its own locals are the families f0..f{m-1},
-        abs, float and maximum; in particular not bank or phi_min."""
+        besides its arguments and its own locals are the families f0..f{m-1}
+        and abs; in particular not bank or phi_min."""
         bank, slope = random_bank(np.random.default_rng(30 + m), m)
-        tree = ast.parse(prototype.bank_kernel(bank, slope, rows).__doc__)
+        tree = ast.parse(prototype.bank_kernel(bank, slope).__doc__)
         (fn,) = tree.body
         bound = {arg.arg for arg in fn.args.args} | {
             node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
         free = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} - bound
-        assert free <= {f"f{i}" for i in range(m)} | {"abs", "float", "maximum"}
+        assert free <= {f"f{i}" for i in range(m)} | {"abs"}
         assert not free & {"bank", "phi_min"}
         assert {f"f{i}" for i in range(m)} <= free
 
@@ -256,7 +261,7 @@ class TestBankKernel:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_literals_keep_the_bits(self, subsystems, rows, slope, seed):
-        """Both forms equal the per-subsystem reference bit for bit with
+        """Floats and row blocks equal the per-subsystem reference bit for bit with
         negative read-back bounds, a signed-zero epsilon, delta = 0 and
         constants whose repr is long."""
         rng = np.random.default_rng(seed)
@@ -274,7 +279,7 @@ class TestBankKernel:
             cfg = make_config(gamma=gamma, a=a, b=a + span, epsilon=epsilon, delta=0.0)
             bank.append((clazz, cfg))
             ref += reference_prototype_rhs(q[1 + 3 * i : 4 + 3 * i], s, xi_val, clazz, cfg, slope)
-        kernel = prototype.bank_kernel(bank, slope, rows is not None)
+        kernel = prototype.bank_kernel(bank, slope)
         out = prototype.prototype_rhs(q, s, xi_val, kernel)
         assert len(out) == 3 * m
         got, want = np.array(out, dtype=float), np.array(ref, dtype=float)
@@ -300,8 +305,8 @@ class TestBankKernel:
             # A one-subsystem kernel reads q[1:4], so subsystem i's slice
             # starts one slot before its shat.
             joined += prototype.prototype_rhs(q[3 * i : 3 * i + 4], s, xi_val,
-                                              prototype.bank_kernel([entry], slope, rows))
-        kernel = prototype.bank_kernel(bank, slope, rows)
+                                              prototype.bank_kernel([entry], slope))
+        kernel = prototype.bank_kernel(bank, slope)
         assert np.array_equal(np.array(prototype.prototype_rhs(q, s, xi_val, kernel)),
                               np.array(joined))
 
@@ -346,11 +351,11 @@ class TestBankKernel:
         nan_at=st.sampled_from(["s", "shat", "x", "y"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_row_form_is_the_float_form_row_by_row(self, family, a, span, epsilon, delta,
-                                                   nan_at, seed):
-        """The row form equals the float form on each row, bit for bit, with
-        rows on the dead zone's corner and a nan row, which both forms keep
-        nan at the same places."""
+    def test_row_block_is_the_kernel_row_by_row(self, family, a, span, epsilon, delta,
+                                                nan_at, seed):
+        """The kernel on a row block equals the kernel on each row's floats,
+        bit for bit, with rows on the dead zone's corner and a nan row,
+        which both keep nan at the same places."""
         clazz = signals.builtin_class(family, (1.0, 2.0))
         bank = one(clazz, make_config(a=a, b=a + span, epsilon=epsilon, delta=delta))
         block = np.random.default_rng(seed).uniform(-2.0, 2.0, (5, 16))
@@ -361,10 +366,9 @@ class TestBankKernel:
         block[["s", "shat", "x", "y"].index(nan_at) + 1, 4] = np.nan
         xi_val, s, shat, x, y = block
         assert abs(shat[0] - s[0]) - epsilon == 0.0 == abs(shat[1] - s[1]) - epsilon
-        rows_form = prototype.bank_kernel(bank, 1.5, rows=True)
-        float_form = prototype.bank_kernel(bank, 1.5)
-        rows = np.stack(prototype.prototype_rhs((s, shat, x, y), s, xi_val, rows_form), axis=1)
-        floats = np.array([prototype.prototype_rhs(q, s[k], xi_val[k], float_form)
+        kernel = prototype.bank_kernel(bank, 1.5)
+        rows = np.stack(prototype.prototype_rhs((s, shat, x, y), s, xi_val, kernel), axis=1)
+        floats = np.array([prototype.prototype_rhs(q, s[k], xi_val[k], kernel)
                            for k, q in enumerate(zip(s.tolist(), shat.tolist(), x.tolist(),
                                                      y.tolist()))])
         nan = np.isnan(floats)

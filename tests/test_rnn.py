@@ -230,11 +230,10 @@ class TestStack:
     def test_in_domain_per_network(self):
         nets = [random_net(seed=k) for k in range(2)]
         nets[1].domain = nets[1].domain * 0.1
-        stack = rnn.SigmoidNetwork.stack(nets)
-        state = np.full((4, 2, 3), 0.5)
-        inside = stack.in_domain(np.zeros((4, 1)), np.zeros((4, 1)), state)
-        assert inside.shape == (4, 2)
-        assert inside[:, 0].all() and not inside[:, 1].any()
+        state = np.full((4, 3), 0.5)
+        inside = [net.in_domain(np.zeros(4), np.zeros(4), state) for net in nets]
+        assert inside[0].shape == inside[1].shape == (4,)
+        assert inside[0].all() and not inside[1].any()
         assert nets[0].in_domain(0.0, 0.0, [0.5, 0.5, 0.5])
         assert not nets[1].in_domain(0.0, 0.0, [0.5, 0.5, 0.5])
 
@@ -285,6 +284,22 @@ class TestStack:
         per_network = {k: np.array([getattr(stack, k)[0], v]) for k, v in bad.items()}
         with pytest.raises(ValueError):
             dataclasses.replace(stack, **per_network)
+
+    def test_inverted_domain_rejected(self, tmp_path):
+        """A box with an axis whose lower bound exceeds its upper bound is
+        refused on construction and when read from a file, for one network
+        and for each network of a stack; a zero-width axis is a box."""
+        inverted = np.array([[1.0, -1.0]] * 5)
+        with pytest.raises(ValueError, match=r"domain \[\[1\.0, -1\.0\]"):
+            dataclasses.replace(random_net(), domain=inverted)
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(random_net().to_dict() | {"domain": inverted.tolist()}))
+        with pytest.raises(ValueError, match="domain"):
+            rnn.SigmoidNetwork.from_json(path)
+        stack = rnn.SigmoidNetwork.stack([random_net(), random_net(seed=1)])
+        with pytest.raises(ValueError, match="domain of network 2"):
+            dataclasses.replace(stack, domain=np.stack([stack.domain[0], inverted]))
+        assert dataclasses.replace(random_net(), domain=np.zeros((5, 2))).N == 6
 
     def test_edge_readback_accepted(self):
         net = dataclasses.replace(random_net(), eps_N=0.0, nu_x=2 * math.pi)
@@ -374,7 +389,8 @@ class TestSimulateRnn:
         traj = integrator.integrate_system(
             make_spec(), LINEAR, 1.5, [net], SIN, horizon=0.5, dt=1e-2
         )
-        assert traj.meta["domain_escape_t"] == [traj.times[1]]
+        rep = rnn.divergence_check(traj, traj, net, 2.0, 0.18, SIN.xi)
+        assert rep.domain_escape_t == traj.times[1] and not rep.passed
 
 
 class TestDivergenceCheck:
@@ -390,18 +406,18 @@ class TestDivergenceCheck:
 
     def test_identical_trajectories_pass(self):
         _, _, traj = self.run_pair()
-        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), 2.0, self.BAND)
+        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), 2.0, self.BAND, SIN.xi)
         assert rep.passed and rep.max_gap == 0.0
 
     def test_bound_zero_at_t0(self):
         _, _, traj = self.run_pair()
-        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), 2.0, self.BAND)
+        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), 2.0, self.BAND, SIN.xi)
         t = traj.times - traj.times[0]
         assert (0.1 / 2.0) * (np.exp(2.0 * t[0]) - 1.0) == 0.0
 
     def test_record_carries_L_i_and_the_basis(self):
         _, _, traj = self.run_pair()
-        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), 2.0, self.BAND)
+        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), 2.0, self.BAND, SIN.xi)
         assert rep.L_i == 2.0 and rep.eps_N_basis == "sampled"
 
     def test_domain_escape_fails(self):
@@ -410,14 +426,14 @@ class TestDivergenceCheck:
         _, spec, traj_p = self.run_pair()
         net = zero_network(eps_N=10.0)
         rep = rnn.divergence_check(traj_p, integrator.integrate_system(
-            spec, LINEAR, 1.5, [net], SIN, horizon=1.0, dt=1e-2), net, 2.0, self.BAND)
+            spec, LINEAR, 1.5, [net], SIN, horizon=1.0, dt=1e-2), net, 2.0, self.BAND, SIN.xi)
         assert rep.passed and rep.domain_escape_t is None
         net.domain = net.domain * 0.5  # x = 1 lies outside [-0.6, 0.6]
         traj_r = integrator.integrate_system(spec, LINEAR, 1.5, [net], SIN, horizon=1.0, dt=1e-2)
-        rep = rnn.divergence_check(traj_p, traj_r, net, 2.0, self.BAND)
+        rep = rnn.divergence_check(traj_p, traj_r, net, 2.0, self.BAND, SIN.xi)
         assert rep.first_violation_t is None and rep.max_gap <= rep.max_bound
         assert not rep.passed
-        assert traj_r.meta["domain_escape_t"] == [rep.domain_escape_t] == [traj_r.times[1]]
+        assert rep.domain_escape_t == traj_r.times[1]
 
     def test_domain_escape_fails_only_its_class(self):
         """Two frozen networks, only the second with a shrunken box: class 0
@@ -429,7 +445,7 @@ class TestDivergenceCheck:
         nets = [zero_network(eps_N=10.0), zero_network(eps_N=10.0)]
         nets[1].domain = nets[1].domain * 0.5
         traj_r = integrator.integrate_system(spec, LINEAR, 1.5, nets, SIN, **kw)
-        reps = [rnn.divergence_check(traj_p, traj_r, nets[i], 2.0, self.BAND, class_index=i)
+        reps = [rnn.divergence_check(traj_p, traj_r, nets[i], 2.0, self.BAND, SIN.xi, class_index=i)
                 for i in range(2)]
         assert reps[0].passed and reps[0].domain_escape_t is None
         assert not reps[1].passed and reps[1].first_violation_t is None
@@ -443,7 +459,7 @@ class TestDivergenceCheck:
             horizon=1.0, dt=1e-2, s0=0.9,
         )
         with pytest.raises(ValueError):
-            rnn.divergence_check(traj_p, traj_q, zero_network(eps_N=0.1), 2.0, self.BAND)
+            rnn.divergence_check(traj_p, traj_q, zero_network(eps_N=0.1), 2.0, self.BAND, SIN.xi)
 
     def test_overflowing_envelope_is_inf_without_a_warning(self):
         """Past L_i t = 709.8, exp overflows: the envelope is inf there, the
@@ -451,7 +467,7 @@ class TestDivergenceCheck:
         one into an error)."""
         _, _, traj = self.run_pair(horizon=2.0)
         L_i = 400.0  # L_i t reaches 800
-        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), L_i, self.BAND)
+        rep = rnn.divergence_check(traj, traj, zero_network(eps_N=0.1), L_i, self.BAND, SIN.xi)
         assert rep.max_bound == math.inf and rep.vacuous
         assert rep.passed and rep.first_violation_t is None
 
@@ -470,7 +486,7 @@ class TestEnvelopeReach:
 
     def check(self, eps_N, L_i, box=BOX):
         traj = self.frozen_run(1.0)
-        return rnn.divergence_check(traj, traj, zero_network(eps_N, box), L_i, 0.18)
+        return rnn.divergence_check(traj, traj, zero_network(eps_N, box), L_i, 0.18, SIN.xi)
 
     def test_vacuous_from_the_box_diagonal(self):
         assert self.check(100.0, 2.0).vacuous

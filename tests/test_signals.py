@@ -11,7 +11,7 @@ from adasig import prototype, signals
 def deadzone(e, epsilon):
     """The dead zone max(|e| - epsilon, 0) as prototype_rhs applies it: the
     rotator speed dy/dt at (x, y) = (1, 0) with gamma = 1, delta = 0,
-    shat = e and s = xi = 0. An array e goes through the row-block path."""
+    shat = e and s = xi = 0. An array e is one row block for the same kernel."""
     config = prototype.PrototypeConfig(gamma=1.0, a=0.5, b=2.5, epsilon=epsilon)
     bank = [(signals.builtin_class("linear"), config)]
     if isinstance(e, np.ndarray):
@@ -19,7 +19,7 @@ def deadzone(e, epsilon):
         q, s = (zeros, e, zeros + 1.0, zeros), zeros
     else:
         q, s = [0.0, e, 1.0, 0.0], 0.0
-    kernel = prototype.bank_kernel(bank, 1.0, isinstance(e, np.ndarray))
+    kernel = prototype.bank_kernel(bank, 1.0)
     return prototype.prototype_rhs(q, s, s, kernel)[2]
 
 
