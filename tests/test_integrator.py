@@ -805,6 +805,19 @@ class TestDomainEscape:
         (escape,) = escape_t(traj, [net], SIN)
         assert escape == t[np.argmax(np.sin(t) > 0.5)] and type(escape) is float
 
+    def test_first_row_is_not_judged(self):
+        """The start row is the run's initial condition, not a step of the
+        network: a frozen network whose box holds xi = sin(t) only for
+        t > 0 never escapes, though xi(0) = 0 lies outside."""
+        net = random_network(3, "tanh", 0)
+        net.alpha = np.zeros((3, 3))
+        net.domain[0] = [1e-3, 1.0]
+        traj = integrator.integrate_system(make_spec(), LINEAR, 1.5, [net], SIN, horizon=1.0,
+                                           dt=1e-2, record_every=1)
+        assert not net.in_domain(SIN.xi(traj.times[:1]), traj.states[:1, 0],
+                                 traj.subsystem(0)[:1]).any()
+        assert escape_t(traj, [net], SIN) == [None]
+
     @pytest.mark.parametrize("kind", ["empty", "prototypes", "networks"])
     def test_meta_is_dt_and_record_every_for_every_bank(self, kind):
         """The integrator records no domain escape, not even for a network

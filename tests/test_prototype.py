@@ -109,6 +109,34 @@ class TestPrototypeRhs:
             # the rotator at (1, 0) turns at dy/dt = gamma * |shat - s| with s = 0
             assert prototype.prototype_rhs([0.0, shat, 1.0, 0.0], 0.0, 0.3, kernel)[2] == rate
 
+    @pytest.mark.parametrize("gap", [
+        0.5,                               # v = 0: on the dead zone's corner
+        math.nextafter(0.5, math.inf),     # v = one ulp above the corner
+        math.nextafter(0.5, 0.0),          # v = one ulp below the corner
+        0.0,                               # v = -epsilon: deep inside the dead zone
+        math.inf,                          # v = inf: a diverged filter copy
+        math.nan,                          # v = nan
+    ])
+    @pytest.mark.parametrize("block", [False, True], ids=["floats", "rows"])
+    def test_deadzone_is_max_at_its_edges(self, gap, block):
+        """At gamma = 1, delta = 0 the rotator at (1, 0) turns at
+        dy/dt = max(|shat - s| - epsilon, 0), with the sign of zero and the
+        nan kept, on floats and on a row block alike."""
+        kernel = prototype.bank_kernel(one(LINEAR, make_config(gamma=1.0, epsilon=0.5)), 1.0)
+        v = abs(gap) - 0.5
+        want = v if math.isnan(v) else max(v, 0.0)
+        if block:
+            q = [np.full(3, value) for value in (0.0, gap, 1.0, 0.0)]
+            with np.errstate(invalid="ignore"):  # at v = inf, dx/dt is inf * 0
+                got = prototype.prototype_rhs(q, np.zeros(3), np.full(3, 0.3), kernel)[2]
+            assert np.array_equal(got, np.full(3, want), equal_nan=True)
+            assert not np.signbit(got).any()
+        else:
+            got = prototype.prototype_rhs([0.0, gap, 1.0, 0.0], 0.0, 0.3, kernel)[2]
+            assert type(got) is float
+            assert (math.isnan(got) and math.isnan(want)) or got == want
+            assert math.copysign(1.0, got) == 1.0
+
     @settings(max_examples=30, deadline=None)
     @given(
         family=st.sampled_from(["linear", "sine", "quadratic-affine"]),
@@ -213,6 +241,17 @@ class TestBankKernel:
         for i in range(m):
             o = 1 + 3 * i
             assert f"shat{i}, x{i}, y{i} = q[{o}], q[{o + 1}], q[{o + 2}]" in source
+
+    def test_prototype_imports_no_numpy(self):
+        """The kernel needs no array library: prototype.py imports only the
+        standard library, and row blocks bring their own arithmetic."""
+        tree = ast.parse((ROOT / "src" / "adasig" / "prototype.py").read_text())
+        modules = {alias.name.split(".")[0] for node in tree.body
+                   if isinstance(node, ast.Import) for alias in node.names}
+        modules |= {node.module.split(".")[0] for node in tree.body
+                    if isinstance(node, ast.ImportFrom)}
+        assert modules <= set(sys.stdlib_module_names) | {"__future__"}
+        assert "numpy" not in modules
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_kernel_calls_only_the_families(self, m):
