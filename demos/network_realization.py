@@ -22,10 +22,9 @@ def main():
     cfg = config.load_config(str(CONFIG))
     names = [c.name for c in cfg.classes]
     print(f"fitting {len(names)} networks, N = {cfg.rnn.N} units each...")
-    nets, train_errors = cli.fit_bank(cfg)
-    for name, net, train_error in zip(names, nets, train_errors):
-        print(f"  {name:<18} train sup err {train_error:.4g}, "
-              f"validation eps_N {net.eps_N:.4g}")
+    nets = cli.fit_bank(cfg)
+    for name, net in zip(names, nets):
+        print(f"  {name:<18} validation eps_N {net.eps_N:.4g}")
 
     print(f"\ndivergence check over {cfg.rnn.check_horizon} time units:")
     for name, rep in zip(names, cli.check_divergence(cfg, nets)):

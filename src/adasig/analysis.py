@@ -47,12 +47,18 @@ class PEReport:
 
 @dataclass
 class ConvergenceReport:
+    """Entry and residence of one class's estimate, as convergence.json
+    records it. vacuous: bound_used reaches b - a, so every estimate in the
+    read-back interval lies inside the bound and the entry time tells
+    nothing."""
+
     entry_time: Optional[float]
     residence: float
     winding_spent: float
     bound_used: float
     horizon: float
     entered: bool
+    vacuous: bool
 
 
 def _window_integrals(vals: np.ndarray, dt: float, L: float) -> np.ndarray:
@@ -152,6 +158,7 @@ def convergence_report(
         bound_used=bound,
         horizon=float(traj.times[-1]),
         entered=entry_time is not None,
+        vacuous=bool(bound >= config.b - config.a),
     )
 
 

@@ -82,6 +82,7 @@ def run_tune(cfg: ExperimentConfig) -> TuningReport:
         error_bound=err,
         epsilon=pconf.epsilon,
         delta=pconf.delta,
+        vacuous=err >= b - a,
     )
 
 
@@ -127,14 +128,14 @@ def run_decide(cfg: ExperimentConfig, traj, tuning: TuningReport):
 
 def fit_bank(cfg: ExperimentConfig):
     """Fit one network of rnn.N units per class to its subsystem right-hand
-    side; returns the networks and their training sup-errors."""
+    side; returns the networks."""
     r = cfg.rnn
     configs = cfg.class_configs()
     true_sup = rnn.drive_sup(cfg.classes[cfg.true_class], cfg.inp.xi_sup,
                              cfg.prototype.a, cfg.prototype.b)
     s0_bound = max(abs(v) for v in cfg.plant.s0_range)
     s_bound = max(s0_bound, (true_sup + cfg.plant.noise_bound) / cfg.plant.phi_min)
-    nets, train_errors = [], []
+    nets = []
     for i, (clazz, pconf) in enumerate(zip(cfg.classes, configs)):
         box = rnn.domain_box(
             clazz, pconf, cfg.inp.xi_sup, s_bound,
@@ -145,15 +146,13 @@ def fit_bank(cfg: ExperimentConfig):
             clazz, pconf, box, r.n_train, cfg.plant.phi_min,
             seed=sub_seed(cfg.seed, f"sample_{i}"),
         )
-        net, train_error = rnn.fit_network(
+        nets.append(rnn.fit_network(
             ds, r.N,
             ridge=r.ridge,
             seed=sub_seed(cfg.seed, f"fit_{i}"),
             sigmoid=r.sigmoid,
-        )
-        nets.append(net)
-        train_errors.append(train_error)
-    return nets, train_errors
+        ))
+    return nets
 
 
 def check_divergence(cfg: ExperimentConfig, nets) -> list:
@@ -331,7 +330,7 @@ def verify_pe_example(cfg: ExperimentConfig) -> analysis.PEReport:
 def cmd_fit_rnn(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    nets, _ = fit_bank(cfg)
+    nets = fit_bank(cfg)
     for i, net in enumerate(nets):
         _write_json(out / f"network_{i + 1}.json", _stamp(net.to_dict(), cfg))
     eps_N = [n.eps_N for n in nets]

@@ -211,6 +211,10 @@ def error_bound(
 
 @dataclass
 class TuningReport:
+    """The tuning of one class, as tuning.json records it. vacuous:
+    error_bound reaches b - a, the width of the read-back interval, so the
+    accuracy radius excludes no estimate."""
+
     c: float
     gamma_star: float
     gamma: float
@@ -220,3 +224,4 @@ class TuningReport:
     error_bound: float
     epsilon: float
     delta: float
+    vacuous: bool

@@ -73,7 +73,7 @@ def _block_matrices(omega: np.ndarray, beta: np.ndarray, alpha: np.ndarray):
     return W, A
 
 
-@dataclass
+@dataclass(frozen=True)
 class SigmoidNetwork:
     """zeta' = sum_j alpha_j * sigma(omega_j . (xi, s, zeta) + beta_j).
 
@@ -90,7 +90,9 @@ class SigmoidNetwork:
     eps_N, a, b and nu_x become (m,) arrays.  A single network is the m = 1
     case without that axis; rhs serves both.  Construction lays the weights
     out once as the block network (W, A) of _block_matrices, which rhs
-    evaluates.
+    evaluates.  A network is frozen and its arrays are read-only, so the
+    checks and (W, A) cannot fall behind its fields; dataclasses.replace
+    builds a changed copy.
     """
 
     sigmoid: str
@@ -104,26 +106,27 @@ class SigmoidNetwork:
     nu_x: float = 0.0
 
     def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.domain = np.asarray(self.domain, dtype=float)
+        # Every array is stored as a read-only copy, so neither the network
+        # nor the caller's array can change the other after the checks.
+        arrays = {k: np.array(getattr(self, k), dtype=float)
+                  for k in ("omega", "beta", "alpha", "domain")}
+        omega, beta, alpha, domain = arrays.values()
         if self.sigmoid not in SIGMOIDS:
             raise ValueError(f"unknown sigmoid {self.sigmoid!r}")
-        if self.omega.ndim not in (2, 3) or self.omega.shape[-1] != 5:
+        if omega.ndim not in (2, 3) or omega.shape[-1] != 5:
             raise ValueError("omega must be (N, 5), or (m, N, 5) for a stack")
-        lead, N = self.omega.shape[:-2], self.omega.shape[-2]
-        if self.beta.shape != lead + (N,) or self.alpha.shape != lead + (N, 3) \
-                or self.domain.shape != lead + (5, 2):
+        lead, N = omega.shape[:-2], omega.shape[-2]
+        if beta.shape != lead + (N,) or alpha.shape != lead + (N, 3) \
+                or domain.shape != lead + (5, 2):
             raise ValueError("beta must be (N,), alpha (N, 3) and domain (5, 2), "
                              "with the network axis of omega")
-        readback = [np.asarray(getattr(self, k), dtype=float) for k in ("eps_N", "a", "b", "nu_x")]
+        readback = [np.array(getattr(self, k), dtype=float) for k in ("eps_N", "a", "b", "nu_x")]
         if any(v.shape != lead for v in readback):
             raise ValueError("eps_N, a, b and nu_x need one value per network")
-        for arr in (self.omega, self.beta, self.alpha, self.domain, *readback):
+        for arr in (*arrays.values(), *readback):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("network parameters must be finite")
-        for k, box in enumerate(self.domain.reshape(-1, 5, 2)):
+        for k, box in enumerate(domain.reshape(-1, 5, 2)):
             if np.any(box[:, 0] > box[:, 1]):
                 owner = f" of network {k + 1}" if lead else ""
                 raise ValueError(f"domain{owner} {box.tolist()} has a lower bound "
@@ -136,10 +139,16 @@ class SigmoidNetwork:
         if not np.all((0.0 <= nu_x) & (nu_x <= 2 * math.pi)):
             raise ValueError("nu_x must lie in [0, 2*pi]")
         if lead:
-            self.eps_N, self.a, self.b, self.nu_x = eps_N, a, b, nu_x
-        self.W, self.A = _block_matrices(self.omega.reshape(-1, N, 5),
-                                         self.beta.reshape(-1, N),
-                                         self.alpha.reshape(-1, N, 3))
+            arrays.update(eps_N=eps_N, a=a, b=b, nu_x=nu_x)
+        else:  # a single network's read-back values are floats
+            for name, value in zip(("eps_N", "a", "b", "nu_x"), readback):
+                object.__setattr__(self, name, float(value))
+        arrays["W"], arrays["A"] = _block_matrices(omega.reshape(-1, N, 5),
+                                                   beta.reshape(-1, N),
+                                                   alpha.reshape(-1, N, 3))
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def N(self) -> int:
@@ -326,7 +335,15 @@ def _draw_features(box: np.ndarray, N: int, rng: np.random.Generator):
 
 
 VALIDATION_ROWS = 30000  # held-out rows behind a network's eps_N
-_VALIDATION_BLOCK = 8192  # rows per block of validation features
+# Rows per block of validation features: 3.2 MB at N = 400. When glibc frees
+# an mmapped block it raises its mmap threshold to that block's size (up to
+# 32 MiB), so larger blocks come from the heap from the second one on, and
+# that heap stays resident beside the next class's training matrix. At
+# N = 400 a block of 1,000 rows, like any larger one, stays on OpenBLAS's
+# regular gemm path, so no per-row error depends on the block size; blocks
+# of 800 rows or fewer, or a short tail block, take another path and round
+# differently.
+_VALIDATION_BLOCK = 1000
 
 
 def fit_network(
@@ -335,11 +352,10 @@ def fit_network(
     ridge: float = 1e-10,
     seed: int = 0,
     sigmoid: str = "logistic",
-) -> tuple[SigmoidNetwork, float]:
+) -> SigmoidNetwork:
     """Random-feature fit with ridge least squares per output dimension.
 
-    Returns the network and its sup-error on the training sample. The
-    network's eps_N is the sup-error over VALIDATION_ROWS held-out seeded
+    The network's eps_N is the sup-error over VALIDATION_ROWS held-out seeded
     uniform rows of the domain box (re-evaluating the exact right-hand side there).
     """
     if N < 1:
@@ -360,7 +376,6 @@ def fit_network(
         raise np.linalg.LinAlgError(
             "normal equations are singular; increase ridge"
         ) from exc
-    train_sup = float(np.max(np.abs(Phi @ alpha - dataset.targets)))
     del Phi
 
     # Validation features are formed one row block at a time instead of as
@@ -374,7 +389,7 @@ def fit_network(
                    for i in range(0, max(VALIDATION_ROWS, 1), _VALIDATION_BLOCK))
     )
 
-    net = SigmoidNetwork(
+    return SigmoidNetwork(
         sigmoid=sigmoid,
         omega=W,
         beta=beta,
@@ -385,7 +400,6 @@ def fit_network(
         b=dataset.b,
         nu_x=dataset.nu_x,
     )
-    return net, train_sup
 
 
 @dataclass

@@ -48,8 +48,7 @@ def one_class():
 def rnn_demo():
     cfg = config.load_config(str(CONFIG_DIR / "rnn_demo.json"))
     tuning = cli.run_tune(cfg)
-    nets, train_errors = cli.fit_bank(cfg)
-    return cfg, tuning, nets, train_errors
+    return cfg, tuning, cli.fit_bank(cfg)
 
 
 # ----------------------------------------------------------------- criteria
@@ -227,7 +226,7 @@ def test_09_degenerate_input(tmp_path):
 
 def test_10_rnn_realization(rnn_demo):
     """Fitted networks stay close to the prototype and reproduce its decision."""
-    cfg, tuning, nets, _ = rnn_demo
+    cfg, tuning, nets = rnn_demo
     div_ok, details = True, []
     for net, rep in zip(nets, cli.check_divergence(cfg, nets)):
         div_ok = div_ok and rep.passed

@@ -166,6 +166,17 @@ class TestConvergenceReport:
             traj.times, traj.theta_hat[:, 0], theta, bound)
         assert rep.entry_time == entry and rep.residence == residence
 
+    def test_vacuous_from_the_readback_width(self):
+        """A bound that reaches b - a = 2 holds every estimate of [a, b]: the
+        record is vacuous at 2 exactly and above, not one ulp below, and the
+        flag is a Python bool, which JSON can write."""
+        cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5)
+        traj = sim(cfg, horizon=1.0)
+        reps = [analysis.convergence_report(traj, LINEAR, 1.5, bound, cfg)
+                for bound in (np.nextafter(2.0, 0.0), 2.0, 3.0)]
+        assert [rep.vacuous for rep in reps] == [False, True, True]
+        assert all(type(rep.vacuous) is bool for rep in reps)
+
     def test_bad_bound_rejected(self):
         cfg = prototype.PrototypeConfig(gamma=0.05, a=0.5, b=2.5)
         with pytest.raises(ValueError):

@@ -469,6 +469,22 @@ class TestTuneCommand:
         assert payload["k_prime"] == 1
 
 
+    @pytest.mark.parametrize("noise_bound,vacuous", [(0.0, False), (1e-6, False), (1e-4, True)])
+    @pytest.mark.filterwarnings("ignore:rho inverse evaluated beyond")
+    def test_vacuous_when_the_bound_spans_the_readback(self, tmp_path, capsys,
+                                                        noise_bound, vacuous):
+        """tuning.json's vacuous is error_bound >= b - a: on [1.1, 2.2] the
+        radius 0.386 at noise 1e-6 can exclude an estimate, 1.221 at 1e-4
+        cannot."""
+        path = write_config(tmp_path, small_config(plant={"noise_bound": noise_bound}))
+        assert cli.main(["tune", "--config", path, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / "tuning.json").read_text())
+        cfg = config.load_config(path)
+        assert payload["vacuous"] is vacuous
+        assert vacuous == (payload["error_bound"] >= cfg.prototype.b - cfg.prototype.a)
+
+
 def test_distribution_version_is_the_artifact_version():
     """pyproject.toml reads its version from adasig.config.VERSION, the
     version stamped into every artifact."""
@@ -739,6 +755,7 @@ class TestReportCommand:
         assert code == 0
         payload = json.loads((out / "report.json").read_text())
         assert payload["sweep_entered"]
+        assert payload["tuning"]["vacuous"] is False  # error_bound 0 without noise
         assert (out / "sweep.csv").exists()
 
     def test_sweep_csv_header(self, single_point_report):

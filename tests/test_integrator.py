@@ -778,11 +778,11 @@ class TestDomainEscape:
                                        degenerate, seed):
         bank = build_bank(N, sigmoid, m, seed)
         rng = np.random.default_rng(seed)
-        for e, shrink in zip(bank, shrinks):
+        for k, shrink in enumerate(shrinks[:len(bank)]):
             # boxes that the run leaves at some recorded row, or never
-            e.domain = np.array([[-1.1, 1.1], [-2.0, 2.0], [-2.0, 2.0],
-                                 [-1.0, 1.0], [-1.0, 1.0]])
-            e.domain[rng.integers(0, 5)] *= shrink
+            box = np.array([[-1.1, 1.1], [-2.0, 2.0], [-2.0, 2.0], [-1.0, 1.0], [-1.0, 1.0]])
+            box[rng.integers(0, 5)] *= shrink
+            bank[k] = dataclasses.replace(bank[k], domain=box)
         inp = signals.degenerate_xi() if degenerate else SIN
         traj = integrator.integrate_system(
             make_spec(), LINEAR, 1.5, bank, inp, t0=t0, horizon=2.0, dt=1e-2, seed=seed,
@@ -797,8 +797,9 @@ class TestDomainEscape:
         first recorded time t with sin(t) > 0.5: xi is read at the step end,
         the row's own time."""
         net = random_network(3, "tanh", 0)
-        net.alpha = np.zeros((3, 3))
-        net.domain[0] = [-0.5, 0.5]
+        box = net.domain.copy()
+        box[0] = [-0.5, 0.5]
+        net = dataclasses.replace(net, alpha=np.zeros((3, 3)), domain=box)
         traj = integrator.integrate_system(make_spec(), LINEAR, 1.5, [net], SIN, horizon=1.0,
                                            dt=1e-2, record_every=1)
         t = traj.times
@@ -810,8 +811,9 @@ class TestDomainEscape:
         network: a frozen network whose box holds xi = sin(t) only for
         t > 0 never escapes, though xi(0) = 0 lies outside."""
         net = random_network(3, "tanh", 0)
-        net.alpha = np.zeros((3, 3))
-        net.domain[0] = [1e-3, 1.0]
+        box = net.domain.copy()
+        box[0] = [1e-3, 1.0]
+        net = dataclasses.replace(net, alpha=np.zeros((3, 3)), domain=box)
         traj = integrator.integrate_system(make_spec(), LINEAR, 1.5, [net], SIN, horizon=1.0,
                                            dt=1e-2, record_every=1)
         assert not net.in_domain(SIN.xi(traj.times[:1]), traj.states[:1, 0],
@@ -823,7 +825,7 @@ class TestDomainEscape:
         """The integrator records no domain escape, not even for a network
         that leaves its box at once."""
         net = random_network(3, "tanh", 0)
-        net.domain = net.domain * 1e-3
+        net = dataclasses.replace(net, domain=net.domain * 1e-3)
         bank = {"empty": [], "prototypes": [(LINEAR, make_config())], "networks": [net]}[kind]
         traj = integrator.integrate_system(make_spec(), LINEAR, 1.5, bank, SIN, horizon=0.5,
                                            dt=1e-2, record_every=5)
