@@ -1,8 +1,7 @@
 """Experiment runner: tune -> simulate -> verify -> fit-rnn -> report.
 
 Exit codes: 0 success, 1 usage/parse error or diverged integration,
-2 infeasible tuning, 3 trajectory never entered the target set,
-4 verification failure.
+3 trajectory never entered the target set, 4 verification failure.
 """
 from __future__ import annotations
 
@@ -24,13 +23,8 @@ from .prototype import TuningReport, choose_winding, compute_L, compute_c, error
 
 EXIT_OK = 0
 EXIT_PARSE = 1
-EXIT_INFEASIBLE = 2
 EXIT_NOT_ENTERED = 3
 EXIT_VERIFY_FAIL = 4
-
-
-class InfeasibleTuning(Exception):
-    pass
 
 
 # ---------------------------------------------------------------- pipeline
@@ -59,13 +53,9 @@ def run_tune(cfg: ExperimentConfig) -> TuningReport:
     c = compute_c(d_theta, phi_min, a, b)
     gamma = pconf.gamma
     s_min, s_max = cfg.plant.s0_range
-    try:
-        # The supremum gain makes the budget denominator vanish; the budget
-        # is evaluated at the working gain, which sits strictly inside.
-        h_star = tune_hstar(s_min, s_max, d_theta, a, b, phi_min,
-                            gamma, cfg.prototype.kappa, cfg.prototype.d, c)
-    except ValueError as exc:
-        raise InfeasibleTuning(str(exc)) from exc
+    # load_config admitted this gain by the same budget_denominator test
+    h_star = tune_hstar(s_min, s_max, d_theta, a, b, phi_min,
+                        gamma, cfg.prototype.kappa, cfg.prototype.d, c)
     k_prime = choose_winding(h_star, pconf.nu_x)
 
     rho = rho_envelope_for(cfg, i)
@@ -425,9 +415,6 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except InfeasibleTuning as exc:
-        print(f"infeasible tuning: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (ValueError, KeyError, OSError, json.JSONDecodeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -5,8 +5,8 @@ its one default.  `load_config` resolves every section against it once:
 it rejects unknown keys, values of the wrong type and values outside
 their range (naming the key), fills in defaults (derived ones included),
 checks the simulation grid and the decision window, and fixes every
-class's gain.  All randomness in a run flows from the single simulation
-seed through named sub-seeds.
+class's gain, so that a config that loads can be tuned.  All randomness in
+a run flows from the single simulation seed through named sub-seeds.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import signals
 from .plant import PlantSpec
-from .prototype import PrototypeConfig, compute_c, tune_gamma
+from .prototype import PrototypeConfig, budget_denominator, compute_c, tune_gamma
 from .rnn import SIGMOIDS
 
 __all__ = ["ExperimentConfig", "KEYS", "config_hash", "load_config", "sub_seed"]
@@ -41,8 +41,7 @@ KEYS = {
     "input": {"kind": ("str", "sin")},
     "plant": {"phi": ("str", "identity"), "phi_min": ("float", None), "phi_max": ("float", None),
               "s0_range": ("float pair", [0.0, 1.0]), "noise_bound": ("float", 0.0)},
-    "prototype": {"a": ("float", REQUIRED), "b": ("float", REQUIRED),
-                  "gamma": ("float", None), "clamp_gamma": ("bool", True),
+    "prototype": {"a": ("float", REQUIRED), "b": ("float", REQUIRED), "gamma": ("float", None),
                   "safety": ("float", 0.5), "kappa": ("float", 2.0), "d": ("float", 0.5),
                   "delta": ("float", 1e-3), "nu_x": ("float", 0.0), "k_prime": ("int", 0)},
     "simulation": {"t0": ("float", 0.0), "horizon": ("float", 10.0), "dt": ("float", 1e-3),
@@ -194,29 +193,28 @@ def _class_configs(p: SimpleNamespace, classes, plant: PlantSpec) -> tuple[list,
     """Per-class prototype configurations and gain suprema gamma_star.
 
     Without prototype.gamma a class works at safety * gamma_star.  A requested
-    gain at or above a class's gamma_star is clamped to safety * gamma_star
-    for that class (with a warning); this keeps one shared config file
-    usable across families of different sensitivity.
+    gain with no positive budget_denominator for a class is clamped to
+    safety * gamma_star for that class (with a warning); this keeps one shared
+    config file usable across families of different sensitivity.  A safety
+    whose gain has none either is rejected, so tune_hstar can always run.
     """
     epsilon = plant.noise_bound / plant.phi_min
     configs, gamma_stars = [], []
     for clazz in classes:
         c = compute_c(clazz.lipschitz_theta, plant.phi_min, p.a, p.b)
-        gamma_star, gamma_default = tune_gamma(p.kappa, p.d, c, plant.phi_min, p.safety)
-        gamma = gamma_default if p.gamma is None else p.gamma
-        if gamma >= gamma_star:
-            if p.clamp_gamma:
-                warnings.warn(
-                    f"requested gamma {gamma} inadmissible for class "
-                    f"{clazz.name!r} (gamma_star={gamma_star:.6g}); clamping"
-                )
-                gamma = p.safety * gamma_star
+        gamma_star, gamma = tune_gamma(p.kappa, p.d, c, plant.phi_min, p.safety)
+        if p.gamma is not None:
+            if budget_denominator(plant.phi_min, p.gamma, p.kappa, p.d, c) > 0:
+                gamma = p.gamma
             else:
                 warnings.warn(
-                    f"requested gamma {gamma} exceeds gamma_star="
-                    f"{gamma_star:.6g} for class {clazz.name!r}; "
-                    "keeping it (clamp_gamma false)"
+                    f"requested gamma {p.gamma} inadmissible for class "
+                    f"{clazz.name!r} (gamma_star={gamma_star:.6g}); clamping"
                 )
+        _check(gamma > 0 and budget_denominator(plant.phi_min, gamma, p.kappa, p.d, c) > 0,
+               "prototype.safety", p.safety,
+               f"such that safety * gamma_star (gamma_star = {gamma_star!r}) is a "
+               f"positive gain with a finite phase budget for class {clazz.name!r}")
         gamma_stars.append(gamma_star)
         configs.append(PrototypeConfig(gamma=gamma, a=p.a, b=p.b, epsilon=epsilon,
                                        delta=p.delta, nu_x=p.nu_x))

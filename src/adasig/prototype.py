@@ -23,6 +23,7 @@ __all__ = [
     "bank_kernel",
     "compute_c",
     "tune_gamma",
+    "budget_denominator",
     "tune_hstar",
     "choose_winding",
     "compute_L",
@@ -147,6 +148,13 @@ def tune_gamma(
     return gamma_star, safety * gamma_star
 
 
+def budget_denominator(phi_min: float, gamma: float, kappa: float, d: float, c: float) -> float:
+    """Denominator of tune_hstar's phase budget at gain gamma > 0: the one test
+    of an admissible gain, positive below gamma_star and zero at it."""
+    return (phi_min / gamma / math.log(kappa / d) * (kappa - 1.0) / kappa
+            - c * (2.0 + kappa / (1.0 - d)))
+
+
 def tune_hstar(
     s_min: float,
     s_max: float,
@@ -161,14 +169,11 @@ def tune_hstar(
 ) -> float:
     """Minimal initial phase budget guaranteeing trapped convergence at gain gamma.
 
-    Requires gamma strictly below the supremum gamma_star; at gamma_star the
-    denominator vanishes and no finite budget works.
+    Requires a positive budget_denominator, which holds strictly below the
+    supremum gamma_star; at gamma_star it vanishes and no finite budget works.
     """
     numerator = (s_max - s_min) + d_theta * (b - a) / phi_min
-    denominator = (
-        phi_min / gamma / math.log(kappa / d) * (kappa - 1.0) / kappa
-        - c * (2.0 + kappa / (1.0 - d))
-    )
+    denominator = budget_denominator(phi_min, gamma, kappa, d, c)
     if denominator <= 0:
         raise ValueError(
             "phase-budget denominator is non-positive; pick a smaller gamma"

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adasig import analysis, classify, cli, config, integrator, prototype, rnn
 
@@ -41,12 +42,6 @@ def bench_workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, wl)  # its dataclasses look it up
     spec.loader.exec_module(wl)
     return wl
-
-
-# Keys that no shipped or benchmark config sets, each kept for its reason.
-CONTRACT_KEYS = {
-    "prototype.clamp_gamma": "false keeps an inadmissible gain: the only route to exit code 2",
-}
 
 
 def write_config(tmp_path, raw, name="exp.json"):
@@ -124,7 +119,7 @@ class TestConfigParsing:
 
     def test_every_key_is_set_by_some_config(self, monkeypatch):
         """A key that no shipped config and no benchmark input set sets is an
-        option nothing uses, unless it is a contract key."""
+        option nothing uses."""
         wl = bench_workloads(monkeypatch)
         raws = [json.loads(p.read_text()) for p in CONFIG_DIR.glob("*.json")]
         raws += [wl.make_config(w, i) for w in wl.WORKLOADS for i in range(wl.N_INPUTS)]
@@ -134,8 +129,7 @@ class TestConfigParsing:
             for s in config.KEYS:
                 entries = raw.get(s, []) if s == "classes" else [raw.get(s, {})]
                 used |= {f"{s}.{k}" for entry in entries for k in entry}
-        assert CONTRACT_KEYS.keys() <= keys
-        assert sorted(keys - used - CONTRACT_KEYS.keys()) == []
+        assert sorted(keys - used) == []
 
     def test_sub_seed_distinct(self):
         assert config.sub_seed(0, "noise") != config.sub_seed(0, "fit_0")
@@ -155,17 +149,6 @@ class TestExitCodes:
     def test_usage_error_exits_1(self, tmp_path, capsys):
         assert cli.main(["tune"]) == 1
         capsys.readouterr()
-
-    @pytest.mark.parametrize("command", ["tune", "simulate", "report"])
-    def test_infeasible_tuning_exits_2(self, tmp_path, capsys, command):
-        # unclamped gamma above the supremum: budget denominator goes negative
-        raw = small_config(prototype={"gamma": 0.2, "clamp_gamma": False})
-        path = write_config(tmp_path, raw)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = cli.main([command, "--config", path, "--out", str(tmp_path)])
-        assert code == 2
-        assert "infeasible tuning" in capsys.readouterr().err
 
     @pytest.mark.parametrize("simulation,extra", [
         ({"horizon": 150.005}, []),
@@ -300,7 +283,7 @@ BAD_KEYS = [
     (("prototype", "delta"), [1], "tune"),
     (("rnn", "N"), None, "fit-rnn"),
     (("rnn", "sigmoid"), "relu", "fit-rnn"),
-    (("prototype", "clamp_gamma"), "yes", "tune"),
+    (("prototype", "clamp_gamma"), "yes", "tune"),  # removed: an unknown config key
     (("simulation", "record_every"), 2.5, "tune"),
     (("simulation", "seed"), True, "tune"),
     (("plant", "s0_range"), [0.0], "tune"),
@@ -432,6 +415,72 @@ class TestLoadTimeRejection:
         assert cli.main(["tune", "--config", path, "--out", str(tmp_path / "b"),
                          "--dt", "0.02"]) == 1
         assert capsys.readouterr().err.startswith("error: decision.T_star")
+
+
+def near_gamma_star_config(**prototype):
+    """one_class_linear at kappa 1.5 and d 0.2, where the gain one ulp below
+    gamma_star has no positive budget denominator."""
+    raw = json.loads((CONFIG_DIR / "one_class_linear.json").read_text())
+    raw["prototype"].update(kappa=1.5, d=0.2, **prototype)
+    return raw
+
+
+def ulps_from(x: float, k: int) -> float:
+    """The float k steps of one ulp above x (below it for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+class TestGainRule:
+    """A config that loads can be tuned: load_config admits a gain by the
+    budget denominator that tune_hstar divides by."""
+
+    def test_gain_one_ulp_below_gamma_star_is_clamped(self, tmp_path, capsys):
+        gamma_star = config.load_config(near_gamma_star_config()).gamma_star[0]
+        raw = near_gamma_star_config(gamma=ulps_from(gamma_star, -1))
+        path = write_config(tmp_path, raw)
+        with pytest.warns(UserWarning, match="inadmissible for class 'linear'.*; clamping"):
+            assert cli.main(["tune", "--config", path, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        tuning = json.loads((tmp_path / "tuning.json").read_text())
+        assert tuning["gamma"] == raw["prototype"]["safety"] * gamma_star
+
+    @pytest.mark.parametrize("command", ["tune", "simulate", "report"])
+    def test_safety_without_a_finite_budget_exits_1(self, tmp_path, capsys, command):
+        raw = near_gamma_star_config(safety=0.9999999999999999)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path, raw),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: prototype.safety must be ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(kappa=st.floats(1.0, 5.0, exclude_min=True),
+           d=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           safety=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+           | st.integers(1, 4).map(lambda k: ulps_from(1.0, -k)),
+           true_class=st.integers(0, 2), offset=st.none() | st.integers(-4, 4))
+    def test_a_config_that_loads_can_be_tuned(self, kappa, d, safety, true_class, offset):
+        """safety free or within 4 ulps of 1; the gain unset or within 4 ulps
+        of the true class's gamma_star, which no safety changes."""
+        raw = json.loads((CONFIG_DIR / "three_class.json").read_text())
+        del raw["prototype"]["gamma"]
+        raw["prototype"].update(kappa=kappa, d=d)
+        raw["true"]["class"] = true_class
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # gamma clamps, rho extrapolation
+            try:
+                cfg = config.load_config(raw)
+                raw["prototype"]["safety"] = safety
+                if offset is not None:
+                    raw["prototype"]["gamma"] = ulps_from(cfg.gamma_star[true_class], offset)
+                cfg = config.load_config(raw)
+            except ValueError as exc:
+                assert str(exc).startswith("prototype.safety must be ")
+                return
+            cli.run_tune(cfg)
 
 
 class TestTuneCommand:

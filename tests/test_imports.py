@@ -225,6 +225,28 @@ def test_readme_lists_the_config_key_table():
                     for name, keys in KEYS.items() for key, (kind, value) in keys.items()]
 
 
+def exit_codes(text: str) -> list[int]:
+    """The codes that text's "Exit codes:" sentence lists: the number, in
+    backticks or not, after its colon and after each comma."""
+    sentence = " ".join(text.split("Exit codes:", 1)[1].split()).split(". ", 1)[0]
+    return [int(code) for code in re.findall(r"(?:^|, )`?(\d+)`? ", sentence)]
+
+
+def test_exit_codes_are_documented():
+    """README's "Exit codes:" sentence and the cli module docstring list
+    exactly the values of cli's EXIT_* constants."""
+    from adasig import cli
+
+    codes = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    assert exit_codes((ROOT / "README.md").read_text()) == codes
+    assert exit_codes(cli.__doc__) == codes
+
+
+def test_reads_an_exit_code_sentence():
+    text = "Intro.\nExit codes: `0` ok, `1` bad,\n`7` worse, 12 other. Then 2, 3.\n"
+    assert exit_codes(text) == [0, 1, 7, 12]
+
+
 def test_readme_shows_the_kernel_source():
     """The README's `def rhs(q, s, xi_val):` block is bank_kernel's
     source for the one-class bank the README states."""
