@@ -337,13 +337,41 @@ def _draw_features(box: np.ndarray, N: int, rng: np.random.Generator):
 VALIDATION_ROWS = 30000  # held-out rows behind a network's eps_N
 # Rows per block of validation features: 3.2 MB at N = 400. When glibc frees
 # an mmapped block it raises its mmap threshold to that block's size (up to
-# 32 MiB), so larger blocks come from the heap from the second one on, and
-# that heap stays resident beside the next class's training matrix. At
-# N = 400 a block of 1,000 rows, like any larger one, stays on OpenBLAS's
-# regular gemm path, so no per-row error depends on the block size; blocks
-# of 800 rows or fewer, or a short tail block, take another path and round
-# differently.
+# 32 MiB), so larger blocks would come from the heap from the second one on.
+# A row of features has the same bits in a block of any size; the product
+# with alpha does not: at N = 400 a block of 850 rows or more keeps the bits
+# of one product over all rows, and a block of 801 rows or fewer, or a short
+# tail block, rounds differently.
 _VALIDATION_BLOCK = 1000
+# Rows per chunk of training features: the K block (GEMM_Q) of OpenBLAS's
+# SkylakeX kernel on one thread, which cuts K into blocks of 384 and splits a
+# remainder of 385-767 rows into two halves, the first rounded up. Summed
+# in that order, the chunks give the bits of one syrk over all rows, and of
+# one gemm where its first half (rounded up to 16 rows) is the same, as at
+# n = 40,000. Under another kernel the chunked sum is still one fixed order,
+# as deterministic as one product and equal to it up to rounding.
+_FIT_CHUNK = 384
+
+
+def _row_chunks(n: int) -> list[tuple[int, int]]:
+    """The (start, stop) rows of the training chunks, in order, tiling [0, n)."""
+    starts = list(range(0, n, _FIT_CHUNK))
+    if len(starts) > 1 and n - starts[-2] < 2 * _FIT_CHUNK:
+        starts[-1] = starts[-2] + (n - starts[-2] + 1) // 2
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _normal_equations(Z: np.ndarray, targets: np.ndarray, omega: np.ndarray,
+                      beta: np.ndarray, sigmoid: str) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi^T Phi, Phi^T targets) for the features Phi of the rows of Z,
+    summed over _row_chunks so that Phi is never held whole."""
+    N = len(beta)
+    G, R = np.zeros((N, N)), np.zeros((N, targets.shape[1]))
+    for start, stop in _row_chunks(len(Z)):
+        P = _features(Z[start:stop], omega, beta, sigmoid)
+        G += P.T @ P
+        R += P.T @ targets[start:stop]
+    return G, R
 
 
 def fit_network(
@@ -367,16 +395,14 @@ def fit_network(
     rng = np.random.default_rng(seed)
     box = dataset.domain
     W, beta = _draw_features(box, N, rng)
-    Phi = _features(dataset.inputs, W, beta, sigmoid)
-    n = len(dataset.inputs)
-    A = Phi.T @ Phi + ridge * n * np.eye(N)
+    G, R = _normal_equations(dataset.inputs, dataset.targets, W, beta, sigmoid)
+    G += ridge * len(dataset.inputs) * np.eye(N)
     try:
-        alpha = np.linalg.solve(A, Phi.T @ dataset.targets)
+        alpha = np.linalg.solve(G, R)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "normal equations are singular; increase ridge"
         ) from exc
-    del Phi
 
     # Validation features are formed one row block at a time instead of as
     # one VALIDATION_ROWS x N matrix. With no rows one empty block is left,
