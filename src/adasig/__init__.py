@@ -17,7 +17,7 @@ from .analysis import (
     convergence_report,
     verify_filtered_pe,
 )
-from .classify import DecisionReport, band_from_noise, decide
+from .classify import DecisionReport, decide
 from .config import VERSION as __version__
 from .config import ExperimentConfig, config_hash, load_config
 from .integrator import Trajectory, integrate_system, rk4_step

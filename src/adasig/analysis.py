@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .integrator import Trajectory
+from .plant import PlantSpec
 from .prototype import PrototypeConfig
 from .signals import SignalClass
 
@@ -169,25 +170,21 @@ def check_state_bounds(
     traj: Trajectory,
     configs,
     d_theta: float,
-    noise_bound: float,
-    phi_min: float,
+    plant: PlantSpec,
 ) -> list[str]:
     """Verify the analytic a-priori bounds on every recorded state.
 
     |x_i|, |y_i| <= max{1, r_i(0)} + tol and
-    |shat_i| <= |shat_i(0)| + (max{|a|,|b|} * D_theta + noise_bound)/phi_min + tol,
-    with tol = STATE_BOUND_TOL.
+    |shat_i| <= |shat_i(0)| + plant.radius(max{|a|,|b|} * D_theta) + tol,
+    with tol = STATE_BOUND_TOL; plant.radius(sup) is (sup + noise_bound)/phi_min.
     """
     violations = []
     for i, cfg in enumerate(configs):
         shat, x, y = traj.subsystem(i).T
         r0 = math.hypot(x[0], y[0])
         lim_xy = max(1.0, r0) + STATE_BOUND_TOL
-        lim_s = (
-            abs(shat[0])
-            + (max(abs(cfg.a), abs(cfg.b)) * d_theta + noise_bound) / phi_min
-            + STATE_BOUND_TOL
-        )
+        radius = plant.radius(max(abs(cfg.a), abs(cfg.b)) * d_theta)
+        lim_s = abs(shat[0]) + radius + STATE_BOUND_TOL
         if np.max(np.abs(x)) > lim_xy or np.max(np.abs(y)) > lim_xy:
             violations.append(f"class {i + 1}: rotator state exceeds {lim_xy:.6g}")
         if np.max(np.abs(shat)) > lim_s:

@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .integrator import Trajectory
 
-__all__ = ["DecisionReport", "decide", "band_from_noise"]
+__all__ = ["DecisionReport", "decide"]
 
 
 @dataclass
@@ -32,25 +32,17 @@ class DecisionReport:
         return asdict(self)
 
 
-def band_from_noise(delta_eta: float, phi_min: float) -> float:
-    """The growth delta_eta/phi_min of the h_f band under noise of level delta_eta."""
-    if delta_eta < 0 or phi_min <= 0:
-        raise ValueError("need delta_eta >= 0 and phi_min > 0")
-    return delta_eta / phi_min
-
-
 def decide(
     traj: Trajectory,
     T_star: float,
-    eps: float,
-    D_of_noise: float = 0.0,
+    band: float,
     band_theta: Optional[float] = None,
 ) -> DecisionReport:
     """Earliest-window decision over a recorded trajectory.
 
     Finds the earliest recorded t' such that sup over [t', t' + T_star] of
-    |h_f,i| < eps + D_of_noise for exactly one class; several qualifying
-    classes at that instant -> ambiguous, none ever -> undecided.
+    |h_f,i| < band for exactly one class; several qualifying classes at
+    that instant -> ambiguous, none ever -> undecided.
     """
     m = traj.n_classes
     if m == 0:
@@ -62,7 +54,6 @@ def decide(
     w = int(round(T_star / dt_rec)) + 1
     if w > len(times):
         raise ValueError("horizon shorter than the decision window")
-    band = eps + D_of_noise
 
     # (m, n) in C order: over the F-order transpose the window max is ~30x slower.
     hf = np.abs(traj.hf.T, order="C")

@@ -105,13 +105,17 @@ def theta_bound_for(cfg: ExperimentConfig, tuning: TuningReport) -> float:
     return THETA_BOUND_FALLBACK
 
 
+def decision_band(cfg: ExperimentConfig) -> float:
+    """The band on |h_f| that decide judges: decision.eps plus the noise band
+    noise_bound/phi_min."""
+    return cfg.decision.eps + cfg.plant.radius()
+
+
 def run_decide(cfg: ExperimentConfig, traj, tuning: TuningReport):
-    dec = cfg.decision
     return classify.decide(
         traj,
-        T_star=dec.T_star,
-        eps=dec.eps,
-        D_of_noise=classify.band_from_noise(cfg.plant.noise_bound, cfg.plant.phi_min),
+        T_star=cfg.decision.T_star,
+        band=decision_band(cfg),
         band_theta=theta_bound_for(cfg, tuning),
     )
 
@@ -124,14 +128,11 @@ def fit_bank(cfg: ExperimentConfig):
     true_sup = rnn.drive_sup(cfg.classes[cfg.true_class], cfg.inp.xi_sup,
                              cfg.prototype.a, cfg.prototype.b)
     s0_bound = max(abs(v) for v in cfg.plant.s0_range)
-    s_bound = max(s0_bound, (true_sup + cfg.plant.noise_bound) / cfg.plant.phi_min)
+    s_bound = max(s0_bound, cfg.plant.radius(true_sup))
     nets = []
     for i, (clazz, pconf) in enumerate(zip(cfg.classes, configs)):
-        box = rnn.domain_box(
-            clazz, pconf, cfg.inp.xi_sup, s_bound,
-            shat0_bound=s0_bound, noise_bound=cfg.plant.noise_bound,
-            phi_min=cfg.plant.phi_min,
-        )
+        box = rnn.domain_box(clazz, pconf, cfg.inp.xi_sup, s_bound,
+                             shat0_bound=s0_bound, plant=cfg.plant)
         ds = rnn.sample_rhs(
             clazz, pconf, box, r.n_train, cfg.plant.phi_min,
             seed=sub_seed(cfg.seed, f"sample_{i}"),
@@ -147,14 +148,14 @@ def fit_bank(cfg: ExperimentConfig):
 
 def check_divergence(cfg: ExperimentConfig, nets) -> list:
     """Gronwall check of fitted networks over rnn.check_horizon: one
-    DivergenceReport per class, against the decision band eps +
-    noise_bound/phi_min.  The prototype bank runs first, then the network
+    DivergenceReport per class, against decision_band(cfg), the band that
+    run_decide judges.  The prototype bank runs first, then the network
     bank, each given the horizon by keyword."""
     horizon = cfg.rnn.check_horizon
     traj_p = run_simulate(cfg, horizon=horizon)
     traj_r = run_simulate(cfg, horizon=horizon, bank=nets)
     phi_min = cfg.plant.phi_min
-    band = cfg.decision.eps + classify.band_from_noise(cfg.plant.noise_bound, phi_min)
+    band = decision_band(cfg)
     reports = []
     for i, (clazz, pconf, net) in enumerate(zip(cfg.classes, cfg.class_configs(), nets)):
         L_i = rnn.estimate_rhs_lipschitz(clazz, pconf, phi_min, net.domain,
@@ -277,9 +278,7 @@ def cmd_verify(args) -> int:
         traj = run_simulate(cfg)
         configs = cfg.class_configs()
         d_theta = max(c.lipschitz_theta for c in cfg.classes)
-        violations = analysis.check_state_bounds(
-            traj, configs, d_theta, cfg.plant.noise_bound, cfg.plant.phi_min
-        )
+        violations = analysis.check_state_bounds(traj, configs, d_theta, cfg.plant)
         passed = not violations
         payload = _stamp({"check": "bounds", "violations": violations}, cfg)
     else:  # pragma: no cover - argparse restricts choices
@@ -313,8 +312,7 @@ def verify_pe_example(cfg: ExperimentConfig) -> analysis.PEReport:
     z = [0.0]
     for tk, uk in zip(t[:-1].tolist(), u.tolist()):
         z += step(held, z[-1:], tk, dt)
-    Delta = cfg.plant.noise_bound / phi_min
-    return analysis.verify_filtered_pe(np.array(z), u, dt, L, Delta=Delta)
+    return analysis.verify_filtered_pe(np.array(z), u, dt, L, Delta=cfg.plant.radius())
 
 
 def cmd_fit_rnn(args) -> int:

@@ -68,7 +68,6 @@ def _finite(v) -> bool:
 _TYPES = {
     "float": lambda v: float(v) if _finite(v) else None,
     "int": lambda v: v if isinstance(v, int) and not isinstance(v, bool) else None,
-    "bool": lambda v: v if isinstance(v, bool) else None,
     "str": lambda v: v if isinstance(v, str) else None,
     "float pair": lambda v: (tuple(map(float, v)) if isinstance(v, list) and len(v) == 2
                              and all(map(_finite, v)) else None),
@@ -198,7 +197,7 @@ def _class_configs(p: SimpleNamespace, classes, plant: PlantSpec) -> tuple[list,
     config file usable across families of different sensitivity.  A safety
     whose gain has none either is rejected, so tune_hstar can always run.
     """
-    epsilon = plant.noise_bound / plant.phi_min
+    epsilon = plant.radius()
     configs, gamma_stars = [], []
     for clazz in classes:
         c = compute_c(clazz.lipschitz_theta, plant.phi_min, p.a, p.b)
@@ -284,6 +283,9 @@ def load_config(path_or_dict) -> ExperimentConfig:
     _check(rnn_sec.N >= 1, "rnn.N", rnn_sec.N, "at least 1")
     _check(rnn_sec.n_train >= 1, "rnn.n_train", rnn_sec.n_train, "at least 1")
     _check(rnn_sec.ridge >= 0, "rnn.ridge", rnn_sec.ridge, "non-negative")
+    # n_train < N rows leave the N x N normal equations rank-deficient
+    _check(rnn_sec.ridge > 0 or rnn_sec.n_train >= rnn_sec.N, "rnn.ridge", rnn_sec.ridge,
+           f"positive when rnn.n_train = {rnn_sec.n_train} is below rnn.N = {rnn_sec.N}")
     _check(rnn_sec.check_horizon >= 0, "rnn.check_horizon", rnn_sec.check_horizon,
            "non-negative")
     _check(rnn_sec.sigmoid in SIGMOIDS, "rnn.sigmoid", rnn_sec.sigmoid,

@@ -35,6 +35,11 @@ class PlantSpec:
         if not self.s0_range[0] <= self.s0_range[1]:
             raise ValueError(f"s0_range must be an interval with lo <= hi, got {self.s0_range}")
 
+    def radius(self, drive_sup: float = 0.0) -> float:
+        """(drive_sup + noise_bound)/phi_min: the filter driven by |f| <= drive_sup
+        settles within it of zero; radius() is the noise band Delta."""
+        return (drive_sup + self.noise_bound) / self.phi_min
+
 
 def make_noise(spec: PlantSpec, n_steps: int, seed: int) -> np.ndarray:
     """Per-step noise values, held constant over each integration step:

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .plant import PlantSpec
 from .prototype import PrototypeConfig, bank_kernel, prototype_rhs
 from .signals import SignalClass
 
@@ -246,17 +247,14 @@ def domain_box(
     xi_sup: float,
     s_bound: float,
     shat0_bound: float,
-    noise_bound: float,
-    phi_min: float,
+    plant: PlantSpec,
 ) -> np.ndarray:
     """Bounding box for (xi, s, shat, x, y) covering the reachable states,
     inflated by BOX_MARGIN (20%).
 
-    The filter copy settles inside |shat0| + (sup |f| + noise)/phi_min, where
+    The filter copy settles inside |shat0| + plant.radius(sup |f|), where
     the supremum runs over the read-back interval [a, b]."""
-    shat_bound = shat0_bound + (
-        drive_sup(clazz, xi_sup, config.a, config.b) + noise_bound
-    ) / phi_min
+    shat_bound = shat0_bound + plant.radius(drive_sup(clazz, xi_sup, config.a, config.b))
     m = 1.0 + BOX_MARGIN
     return np.array(
         [

@@ -75,28 +75,13 @@ class TestReadout:
             assert prototype.theta_hat(x, cfg.a, cfg.b) == traj.theta_hat[k, 0]
 
 
-class TestBandFromNoise:
-    def test_zero_noise(self):
-        assert classify.band_from_noise(0.0, 1.0) == 0.0
-
-    def test_hf_component(self):
-        assert classify.band_from_noise(1e-4, 1.0) == pytest.approx(1e-4)
-        assert classify.band_from_noise(1e-4, 2.0) == pytest.approx(5e-5)
-
-    def test_bad_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            classify.band_from_noise(-1e-4, 1.0)
-        with pytest.raises(ValueError):
-            classify.band_from_noise(1e-4, 0.0)
-
-
 class TestDecide:
     def test_single_clear_winner(self):
         traj = synthetic_traj(
             [lambda t: 0.0 * t, lambda t: 1.0 + 0.0 * t],
             [lambda t: 1.5 + 0.0 * t, lambda t: 2.0 + 0.0 * t],
         )
-        rep = classify.decide(traj, T_star=1.0, eps=0.1)
+        rep = classify.decide(traj, T_star=1.0, band=0.1)
         assert rep.status == "decided" and rep.decided == 0
         assert rep.theta_estimate == pytest.approx(1.5)
         assert rep.t_prime == traj.times[0]
@@ -106,7 +91,7 @@ class TestDecide:
             [lambda t: 1.0 + 0.0 * t, lambda t: 1.0 + 0.0 * t],
             [lambda t: 1.5 + 0.0 * t, lambda t: 2.0 + 0.0 * t],
         )
-        rep = classify.decide(traj, T_star=1.0, eps=0.1)
+        rep = classify.decide(traj, T_star=1.0, band=0.1)
         assert rep.status == "undecided"
         assert rep.decided is None and rep.theta_estimate is None
 
@@ -115,7 +100,7 @@ class TestDecide:
             [lambda t: 0.0 * t, lambda t: 0.0 * t],
             [lambda t: 1.5 + 0.0 * t, lambda t: 2.0 + 0.0 * t],
         )
-        rep = classify.decide(traj, T_star=1.0, eps=0.1)
+        rep = classify.decide(traj, T_star=1.0, band=0.1)
         assert rep.status == "ambiguous"
 
     def test_earliest_window_chosen(self):
@@ -124,7 +109,7 @@ class TestDecide:
             [lambda t: np.where(t < 5.0, 1.0, 0.0), lambda t: 1.0 + 0.0 * t],
             [lambda t: 1.5 + 0.0 * t, lambda t: 2.0 + 0.0 * t],
         )
-        rep = classify.decide(traj, T_star=1.0, eps=0.1)
+        rep = classify.decide(traj, T_star=1.0, band=0.1)
         assert rep.status == "decided"
         assert rep.t_prime == pytest.approx(5.0)
 
@@ -133,8 +118,8 @@ class TestDecide:
             [lambda t: 0.05 + 0.0 * t, lambda t: 0.5 + 0.0 * t],
             [lambda t: 1.5 + 0.0 * t, lambda t: 2.0 + 0.0 * t],
         )
-        small = classify.decide(traj, T_star=1.0, eps=0.1)
-        grown = classify.decide(traj, T_star=1.0, eps=0.3)
+        small = classify.decide(traj, T_star=1.0, band=0.1)
+        grown = classify.decide(traj, T_star=1.0, band=0.3)
         assert small.status == "decided"
         assert grown.status in ("decided", "ambiguous")  # never undecided
 
@@ -143,17 +128,18 @@ class TestDecide:
             [lambda t: 0.12 + 0.0 * t],
             [lambda t: 1.5 + 0.0 * t],
         )
-        assert classify.decide(traj, T_star=1.0, eps=0.1).status == "undecided"
-        assert classify.decide(traj, T_star=1.0, eps=0.1, D_of_noise=0.05).status == "decided"
+        assert classify.decide(traj, T_star=1.0, band=0.1).status == "undecided"
+        noise_band = plant.PlantSpec(noise_bound=0.05).radius()
+        assert classify.decide(traj, T_star=1.0, band=0.1 + noise_band).status == "decided"
 
     def test_window_longer_than_horizon_rejected(self):
         traj = synthetic_traj([lambda t: 0.0 * t], [lambda t: 1.5 + 0.0 * t])
         with pytest.raises(ValueError):
-            classify.decide(traj, T_star=100.0, eps=0.1)
+            classify.decide(traj, T_star=100.0, band=0.1)
 
     def test_one_row_rejected(self):
         # a zero horizon records one row: no step to size the window with
         traj = synthetic_traj([lambda t: 0.0 * t], [lambda t: 1.5 + 0.0 * t], horizon=0.0)
         assert len(traj.times) == 1
         with pytest.raises(ValueError, match="two recorded rows"):
-            classify.decide(traj, T_star=1.0, eps=0.1)
+            classify.decide(traj, T_star=1.0, band=0.1)

@@ -408,6 +408,25 @@ class TestLoadTimeRejection:
         assert err.startswith("error: plant.phi_min must be positive") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_train", [1, 5, 9])
+    def test_rank_deficient_fit_rejected(self, tmp_path, capsys, n_train):
+        """With ridge 0, fewer training rows than units leave the normal
+        equations singular: the load names rnn.ridge before any fit runs."""
+        raw = small_config(rnn={"N": 10, "n_train": n_train, "ridge": 0.0})
+        with pytest.raises(ValueError, match="^rnn.ridge must be positive when rnn.n_train"):
+            config.load_config(raw)
+        out = tmp_path / "out"
+        assert cli.main(["fit-rnn", "--config", write_config(tmp_path, raw),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rnn.ridge must be ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_ridge_zero_loads_with_as_many_rows_as_units(self):
+        raw = small_config(rnn={"N": 10, "n_train": 10, "ridge": 0.0})
+        assert config.load_config(raw).rnn.ridge == 0.0
+
     def test_decision_window_checked_after_dt_override(self, tmp_path, capsys):
         # T_star 0.3 is 3 recorded steps at dt = 0.01 and 1.5 at dt = 0.02
         path = write_config(tmp_path, small_config(decision={"T_star": 0.3}))
@@ -629,6 +648,17 @@ class TestSimulateCommand:
         decision = json.loads((tmp_path / "decision.json").read_text())
         conv = json.loads((tmp_path / "convergence.json").read_text())
         assert decision["band_theta"] == conv["bound_used"] == 0.1
+
+    def test_band_hf_is_eps_plus_noise_band(self, tmp_path, capsys):
+        """decision.json's band_hf is decision.eps + noise_bound/phi_min."""
+        raw = small_config(plant={"phi": "linear", "phi_min": 2.0, "phi_max": 2.0,
+                                  "noise_bound": 1e-6}, simulation={"horizon": 40.0})
+        path = write_config(tmp_path, raw)
+        cli.main(["simulate", "--config", path, "--out", str(tmp_path)])
+        capsys.readouterr()
+        decision = json.loads((tmp_path / "decision.json").read_text())
+        assert decision["band_hf"] == raw["decision"]["eps"] + 1e-6 / 2.0
+        assert decision["band_hf"] == cli.decision_band(config.load_config(raw))
 
     def test_run_far_from_t_zero(self, tmp_path, capsys):
         """A run that starts at t = 1e5 writes its grid t0 + j*dt: the

@@ -8,8 +8,9 @@ The package ``__init__`` is skipped: its imports are the public API.
 Likewise every top-level def and class of the package, and every public
 method of its classes, is referenced somewhere in src/, demos/ or
 perfbench/ outside its own definition (a name only tests reach is dead),
-the package writes CSV through one writer, never through np.savetxt, and
-only integrator.py spells a trajectory column name.
+the package writes CSV through one writer, never through np.savetxt,
+only plant.py does arithmetic with noise_bound, and only integrator.py
+spells a trajectory column name.
 """
 import ast
 import json
@@ -166,6 +167,36 @@ def test_detects_a_savetxt_call():
     source = ("import numpy as np\nfrom numpy import savetxt\n"
               "np.savetxt('a.csv', x)\nsavetxt('b.csv', x)\n'np.savetxt in a string'\n")
     assert savetxt_references(source) == [3, 4]
+
+
+def noise_bound_arithmetic(source: str) -> list[int]:
+    """Lines of binary operations with noise_bound as an operand, bare or
+    as an attribute."""
+    def is_noise_bound(node):
+        return (isinstance(node, ast.Name) and node.id == "noise_bound"
+                or isinstance(node, ast.Attribute) and node.attr == "noise_bound")
+
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.BinOp)
+                   and (is_noise_bound(node.left) or is_noise_bound(node.right))})
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "plant.py"),
+                         ids=lambda p: p.name)
+def test_one_home_for_the_filter_radius(path):
+    """noise_bound enters arithmetic only in PlantSpec.radius; everything
+    else asks the plant for its radius."""
+    assert noise_bound_arithmetic(path.read_text()) == []
+
+
+def test_detects_noise_bound_arithmetic():
+    source = ("a = (sup + noise_bound) / phi_min\n"
+              "b = plant.noise_bound / plant.phi_min\n"
+              "c = f(noise_bound, phi_min)\n"
+              "d = -x.noise_bound\n"
+              "e = 2.0 * spec.noise_bound + 1\n"
+              "g = 'noise_bound / phi_min'\n")
+    assert noise_bound_arithmetic(source) == [1, 2, 5]
 
 
 # Trajectory column names besides t and s: shat_i, x_i, y_i, theta_hat_i, hf_i.

@@ -264,7 +264,7 @@ class TestIntegrateSystem:
         traj = integrator.integrate_system(
             make_spec(), LINEAR, 1.5, [(LINEAR, cfg)], SIN, horizon=20.0, dt=1e-2,
         )
-        assert check_state_bounds(traj, [cfg], LINEAR.lipschitz_theta, 0.0, 1.0) == []
+        assert check_state_bounds(traj, [cfg], LINEAR.lipschitz_theta, make_spec()) == []
 
     def test_record_every_below_one_rejected(self):
         with pytest.raises(ValueError):

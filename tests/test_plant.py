@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from adasig import integrator, plant, signals
 
@@ -40,6 +41,32 @@ class TestPlantSpec:
         kwargs = {field: (0.0, value) if field == "s0_range" else value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             plant.PlantSpec(**kwargs)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestRadius:
+    """PlantSpec.radius(sup) = (sup + noise_bound)/phi_min, the filter's
+    settling radius; radius() is the noise band Delta = noise_bound/phi_min."""
+
+    def test_zero_noise(self):
+        assert make_spec().radius() == 0.0
+
+    def test_noise_band(self):
+        assert plant.PlantSpec(noise_bound=1e-4).radius() == pytest.approx(1e-4)
+        assert plant.PlantSpec(phi_min=2.0, noise_bound=1e-4).radius() == pytest.approx(5e-5)
+
+    @given(phi_min=st.floats(min_value=1e-300, max_value=1e300),
+           noise_bound=st.floats(min_value=0.0, max_value=1e300), sup=FINITE)
+    def test_formula_bit_for_bit(self, phi_min, noise_bound, sup):
+        spec = plant.PlantSpec(phi_min=phi_min, noise_bound=noise_bound)
+        assert bits(spec.radius(sup)) == bits((sup + noise_bound) / phi_min)
+        assert bits(spec.radius()) == bits(noise_bound / phi_min)
 
 
 def plant_derivative(spec, theta, s, t, seed=0):
