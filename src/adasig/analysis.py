@@ -16,14 +16,6 @@ from .plant import PlantSpec
 from .prototype import PrototypeConfig
 from .signals import SignalClass
 
-__all__ = [
-    "PEReport",
-    "ConvergenceReport",
-    "verify_filtered_pe",
-    "convergence_report",
-    "check_state_bounds",
-]
-
 
 @dataclass
 class PEReport:

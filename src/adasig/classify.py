@@ -14,8 +14,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .integrator import Trajectory
 
-__all__ = ["DecisionReport", "decide"]
-
 
 @dataclass
 class DecisionReport:

@@ -91,7 +91,7 @@ def run_simulate(cfg: ExperimentConfig, theta=None, horizon=None, bank=None):
         t0=cfg.simulation.t0,
         horizon=horizon,
         dt=dt,
-        seed=sub_seed(cfg.seed, "noise"),
+        seed=sub_seed(cfg.simulation.seed, "noise"),
         record_every=record_every,
         s0=cfg.simulation.s0,
     )
@@ -135,12 +135,12 @@ def fit_bank(cfg: ExperimentConfig):
                              shat0_bound=s0_bound, plant=cfg.plant)
         ds = rnn.sample_rhs(
             clazz, pconf, box, r.n_train, cfg.plant.phi_min,
-            seed=sub_seed(cfg.seed, f"sample_{i}"),
+            seed=sub_seed(cfg.simulation.seed, f"sample_{i}"),
         )
         nets.append(rnn.fit_network(
             ds, r.N,
             ridge=r.ridge,
-            seed=sub_seed(cfg.seed, f"fit_{i}"),
+            seed=sub_seed(cfg.simulation.seed, f"fit_{i}"),
             sigmoid=r.sigmoid,
         ))
     return nets
@@ -159,7 +159,7 @@ def check_divergence(cfg: ExperimentConfig, nets) -> list:
     reports = []
     for i, (clazz, pconf, net) in enumerate(zip(cfg.classes, cfg.class_configs(), nets)):
         L_i = rnn.estimate_rhs_lipschitz(clazz, pconf, phi_min, net.domain,
-                                         seed=sub_seed(cfg.seed, f"lip_{i}"))
+                                         seed=sub_seed(cfg.simulation.seed, f"lip_{i}"))
         reports.append(rnn.divergence_check(traj_p, traj_r, net, L_i, band, cfg.inp.xi,
                                             class_index=i))
     return reports
@@ -413,7 +413,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, FloatingPointError) as exc:
+    except (ValueError, KeyError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -25,8 +25,6 @@ from .plant import PlantSpec
 from .prototype import PrototypeConfig, budget_denominator, compute_c, tune_gamma
 from .rnn import SIGMOIDS
 
-__all__ = ["ExperimentConfig", "KEYS", "config_hash", "load_config", "sub_seed"]
-
 VERSION = "0.1.0"
 
 REQUIRED = object()
@@ -132,10 +130,6 @@ class ExperimentConfig:
     gamma_star: list  # admissible gain supremum per class
     _class_configs: list
     hash: str = ""
-
-    @property
-    def seed(self) -> int:
-        return self.simulation.seed
 
     def class_configs(self) -> list[PrototypeConfig]:
         """Per-class prototype configurations with admissible gains."""

@@ -18,8 +18,6 @@ from .prototype import PrototypeConfig, bank_kernel, prototype_rhs, theta_hat
 from .rnn import SigmoidNetwork
 from .signals import InputSignal, SignalClass
 
-__all__ = ["Trajectory", "write_csv", "rk4_step", "integrate_system"]
-
 # Rows per write_csv block; at 7 columns a block is about 0.2 MB of text.
 CSV_BLOCK_ROWS = 1024
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PlantSpec", "make_noise"]
-
 
 @dataclass
 class PlantSpec:

@@ -15,21 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-__all__ = [
-    "PrototypeConfig",
-    "TuningReport",
-    "theta_hat",
-    "prototype_rhs",
-    "bank_kernel",
-    "compute_c",
-    "tune_gamma",
-    "budget_denominator",
-    "tune_hstar",
-    "choose_winding",
-    "compute_L",
-    "error_bound",
-]
-
 
 @dataclass
 class PrototypeConfig:

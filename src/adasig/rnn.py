@@ -21,17 +21,6 @@ from .plant import PlantSpec
 from .prototype import PrototypeConfig, bank_kernel, prototype_rhs
 from .signals import SignalClass
 
-__all__ = [
-    "SigmoidNetwork",
-    "RHSDataset",
-    "domain_box",
-    "sample_rhs",
-    "fit_network",
-    "DivergenceReport",
-    "divergence_check",
-    "estimate_rhs_lipschitz",
-]
-
 
 def _logistic(u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """1 / (1 + exp(-u)), optionally written into out (which may be u)."""

@@ -16,17 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "SignalClass",
-    "InputSignal",
-    "RhoEnvelope",
-    "persistency_envelope",
-    "degenerate_xi",
-    "builtin_class",
-    "sin_input",
-    "BUILTIN_FAMILIES",
-]
-
 
 @dataclass
 class SignalClass:

@@ -2,8 +2,10 @@
 
 A stdlib-only stand-in for a linter's unused-import rule: a name bound by a
 top-level import must appear somewhere else in the module, as a name, as
-the base of an attribute, inside a string annotation, or in ``__all__``.
-The package ``__init__`` is skipped: its imports are the public API.
+the base of an attribute or inside a string annotation. The package
+``__init__`` binds no names and no module declares ``__all__``: callers
+import the modules, so ``adasig.<module>.<name>`` is the one spelling of
+every public name.
 
 Likewise every top-level def and class of the package, and every public
 method of its classes, is referenced somewhere in src/, demos/ or
@@ -42,7 +44,7 @@ def used_names(tree: ast.Module) -> set[str]:
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # string annotations such as "signals.InputSignal", and __all__ entries
+            # string annotations such as "signals.InputSignal"
             try:
                 expr = ast.parse(node.value, mode="eval")
             except SyntaxError:
@@ -58,7 +60,7 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -77,14 +79,11 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def references(tree: ast.Module) -> set[tuple[str, tuple[str, ...]]]:
-    """(name, owner) for every name and attribute in the module, leaving out
-    ``__all__``. The owner is () at module level, (f,) inside the top-level
-    def or class f, and (C, m) inside method m of the top-level class C."""
+    """(name, owner) for every name and attribute in the module. The owner
+    is () at module level, (f,) inside the top-level def or class f, and
+    (C, m) inside method m of the top-level class C."""
     refs = set()
     for top in tree.body:
-        if isinstance(top, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
-            continue
         owner = (top.name,) if isinstance(top, DEFS) else ()
         in_method = {}
         if isinstance(top, ast.ClassDef):
@@ -132,7 +131,7 @@ def test_every_package_name_is_used():
 
     corpus = {label(p): p.read_text()
               for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")}
-    modules = {label(p): p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    modules = {label(p): p.read_text() for p in SRC.glob("*.py")}
     assert dead_names(modules, corpus) == []
 
 
@@ -148,6 +147,38 @@ def test_detects_a_dead_name():
            "    def _private(self): pass\n")
     corpus = {"m": mod, "user": "import m\nm.used()\nm.C().used_method()\n"}
     assert dead_names({"m": mod}, corpus) == ["m.dead", "m.recursive", "m.C.dead_method"]
+
+
+def second_spellings(source: str, is_init: bool) -> list[int]:
+    """Lines that give a public name a second spelling: an assignment to
+    ``__all__``, and in the package ``__init__`` any statement besides its
+    docstring."""
+    tree = ast.parse(source)
+    if is_init:
+        return [node.lineno for node in tree.body[1 if ast.get_docstring(tree) else 0:]]
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name)
+                   and node.id == "__all__" and isinstance(node.ctx, ast.Store)})
+
+
+def test_one_spelling_per_name():
+    """adasig.<module>.<name> is the only spelling of a public name: the
+    package ``__init__`` is its docstring alone and no module declares
+    ``__all__``; a leading underscore marks what is private."""
+    found = {p.name: second_spellings(p.read_text(), p.name == "__init__.py")
+             for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_detects_a_second_spelling():
+    init = '"""Docs."""\nfrom .config import VERSION as __version__\nx = 1\n'
+    assert second_spellings(init, is_init=True) == [2, 3]
+    assert second_spellings('"""Docs only."""\n', is_init=True) == []
+    module = ("import math\n"
+              "__all__ = ['f']\n"
+              "__all__ += ['g']\n"
+              "def f(): return math.pi, __all__\n"
+              "'__all__ = []'\n")
+    assert second_spellings(module, is_init=False) == [2, 3]
 
 
 def savetxt_references(source: str) -> list[int]:

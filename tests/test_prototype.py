@@ -365,10 +365,9 @@ class TestBankKernel:
             "    sources.append(filename)",
             "    return real(source, filename, *args, **kwargs)",
             "builtins.compile = compile",
-            "import adasig",
-            "from adasig import cli, integrator",
+            "from adasig import cli, config, integrator",
             f"for path in {paths!r}:",
-            "    cli.run_tune(adasig.load_config(path))",
+            "    cli.run_tune(config.load_config(path))",
             "print(sum(name.startswith('<bank_kernel') for name in sources),",
             "      integrator.rk4_stepper.cache_info().currsize)",
         ])
