@@ -17,7 +17,7 @@ from .prototype import PrototypeConfig
 from .signals import SignalClass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PEReport:
     """Empirical certificate that filtering preserves persistent excitation.
 
@@ -38,7 +38,7 @@ class PEReport:
         return self.condition_ok and self.delta_star > 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceReport:
     """Entry and residence of one class's estimate, as convergence.json
     records it. vacuous: bound_used reaches b - a, so every estimate in the

@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .integrator import Trajectory
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecisionReport:
     decided: Optional[int]  # class index (0-based) or None
     theta_estimate: Optional[float]

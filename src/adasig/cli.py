@@ -1,7 +1,8 @@
 """Experiment runner: tune -> simulate -> verify -> fit-rnn -> report.
 
-Exit codes: 0 success, 1 usage/parse error or diverged integration,
-3 trajectory never entered the target set, 4 verification failure.
+Exit codes: 0 success, 1 usage/parse error, diverged integration or a singular
+network fit ("normal equations are singular; increase ridge"), 3 trajectory
+never entered the target set, 4 verification failure.
 """
 from __future__ import annotations
 

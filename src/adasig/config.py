@@ -3,7 +3,9 @@
 `KEYS` is the whole config format: every section with each key's type and
 its one default.  `load_config` resolves every section against it once:
 it rejects unknown keys, values of the wrong type and values outside
-their range (naming the key), fills in defaults (derived ones included),
+their range (naming the key; a rule on a field of PlantSpec or
+PrototypeConfig, or on a tune_gamma constant, is stated there alone and
+load_config names its section), fills in defaults (derived ones included),
 checks the simulation grid and the decision window, and fixes every
 class's gain, so that a config that loads can be tuned.  All randomness in
 a run flows from the single simulation seed through named sub-seeds.
@@ -31,8 +33,8 @@ REQUIRED = object()
 """Default of a key that every config must set."""
 
 # section -> key -> (type, default); "classes" describes each entry of the
-# classes list.  A None default leaves the key unset; load_config fills in
-# the derived one (tuning.pe_horizon) and the per-class gain.
+# classes list.  A None default leaves the key unset; _resolve fills in the
+# derived one (tuning.pe_horizon) and load_config the per-class gain.
 KEYS = {
     "classes": {"family": ("str", REQUIRED), "theta_range": ("float pair", [0.5, 2.0])},
     "true": {"class": ("int", REQUIRED), "theta": ("float", REQUIRED)},
@@ -88,6 +90,8 @@ def _resolve(section: str, given, where: str) -> SimpleNamespace:
         if value is None and key in given:
             raise ValueError(f"{where}.{key} must be {kind}, got {given[key]!r}")
         out[key] = value
+    if section == "tuning" and out["pe_horizon"] is None:  # the one derived default
+        out["pe_horizon"] = 8.0 * out["window_T"]
     return SimpleNamespace(**out)
 
 
@@ -95,6 +99,15 @@ def _check(ok: bool, key: str, value, rule: str) -> None:
     """Reject a config value that breaks its rule, naming its key."""
     if not ok:
         raise ValueError(f"{key} must be {rule}, got {value!r}")
+
+
+def _named(where: str, build, *args):
+    """build(*args), whose ValueError "<key> must be ..." gets where. in front
+    of the key: the records and tune_gamma state their own rules."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}.{exc}") from None
 
 
 def config_hash(raw: dict) -> str:
@@ -109,7 +122,7 @@ def sub_seed(seed: int, name: str) -> int:
     return int.from_bytes(h[:4], "big")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A loaded experiment: resolved sections (see `KEYS`) and the objects
     built from them."""
@@ -171,12 +184,10 @@ def _build_plant(section: SimpleNamespace) -> PlantSpec:
     """The plant of the config; phi_min is the slope of the phi kind (unset:
     1, the slope of identity), and a phi_max key may only repeat it."""
     kind = section.phi
-    _check(kind in ("identity", "linear"), "plant.phi", kind, "'identity' or 'linear'")
+    _check(kind in ("identity", "linear"), "phi", kind, "'identity' or 'linear'")
     phi_min = 1.0 if section.phi_min is None else section.phi_min
-    _check(kind == "linear" or phi_min == 1.0, "plant.phi_min", phi_min,
-           f"1 for phi kind {kind!r}")
-    _check(phi_min > 0, "plant.phi_min", phi_min, "positive")
-    _check(section.phi_max in (None, phi_min), "plant.phi_max", section.phi_max,
+    _check(kind == "linear" or phi_min == 1.0, "phi_min", phi_min, f"1 for phi kind {kind!r}")
+    _check(section.phi_max in (None, phi_min), "phi_max", section.phi_max,
            f"plant.phi_min = {phi_min}")
     return PlantSpec(phi_min=phi_min, s0_range=section.s0_range,
                      noise_bound=section.noise_bound)
@@ -196,21 +207,19 @@ def _class_configs(p: SimpleNamespace, classes, plant: PlantSpec) -> tuple[list,
     for clazz in classes:
         c = compute_c(clazz.lipschitz_theta, plant.phi_min, p.a, p.b)
         gamma_star, gamma = tune_gamma(p.kappa, p.d, c, plant.phi_min, p.safety)
-        if p.gamma is not None:
-            if budget_denominator(plant.phi_min, p.gamma, p.kappa, p.d, c) > 0:
-                gamma = p.gamma
-            else:
-                warnings.warn(
-                    f"requested gamma {p.gamma} inadmissible for class "
-                    f"{clazz.name!r} (gamma_star={gamma_star:.6g}); clamping"
-                )
+        if p.gamma is not None and budget_denominator(plant.phi_min, p.gamma, p.kappa, p.d, c) > 0:
+            gamma = p.gamma
         _check(gamma > 0 and budget_denominator(plant.phi_min, gamma, p.kappa, p.d, c) > 0,
-               "prototype.safety", p.safety,
+               "safety", p.safety,
                f"such that safety * gamma_star (gamma_star = {gamma_star!r}) is a "
                f"positive gain with a finite phase budget for class {clazz.name!r}")
         gamma_stars.append(gamma_star)
+        # the record checks delta and nu_x before any clamp warns
         configs.append(PrototypeConfig(gamma=gamma, a=p.a, b=p.b, epsilon=epsilon,
                                        delta=p.delta, nu_x=p.nu_x))
+        if p.gamma not in (None, gamma):
+            warnings.warn(f"requested gamma {p.gamma} inadmissible for class "
+                          f"{clazz.name!r} (gamma_star={gamma_star:.6g}); clamping")
     return configs, gamma_stars
 
 
@@ -242,10 +251,8 @@ def load_config(path_or_dict) -> ExperimentConfig:
         where = f"classes[{i}]"
         c = _resolve("classes", entry, where)
         _check(c.family in families, f"{where}.family", c.family, f"one of {sorted(families)}")
-        try:
-            classes.append(signals.builtin_class(c.family, c.theta_range, inp.xi_sup))
-        except ValueError as exc:  # a theta_range rule: "theta_range must be ..."
-            raise ValueError(f"{where}.{exc}") from None
+        classes.append(_named(where, signals.builtin_class, c.family, c.theta_range,
+                              inp.xi_sup))
     true_class, true_theta = getattr(sec["true"], "class"), sec["true"].theta
     _check(0 <= true_class < len(classes), "true.class", true_class,
            f"an index into the {len(classes)} classes")
@@ -257,17 +264,11 @@ def load_config(path_or_dict) -> ExperimentConfig:
     for i, (lo, hi) in enumerate(clazz.theta_range for clazz in classes):
         _check(p.a < lo, "prototype.a", p.a, f"below classes[{i}].theta_range lo {lo}")
         _check(p.b > hi, "prototype.b", p.b, f"above classes[{i}].theta_range hi {hi}")
+    # budget_denominator divides by a requested gain before any PrototypeConfig
     _check(p.gamma is None or p.gamma > 0, "prototype.gamma", p.gamma, "positive")
-    _check(p.delta >= 0, "prototype.delta", p.delta, "non-negative")
-    _check(p.kappa > 1, "prototype.kappa", p.kappa, "greater than 1")
-    _check(0 < p.d < 1, "prototype.d", p.d, "in (0, 1)")
-    _check(0 <= p.nu_x <= 2 * math.pi, "prototype.nu_x", p.nu_x, "in [0, 2 pi]")
     _check(p.k_prime >= 0, "prototype.k_prime", p.k_prime, "non-negative")
-    _check(0 < p.safety < 1, "prototype.safety", p.safety, "in (0, 1)")
     tuning, rnn_sec = sec["tuning"], sec["rnn"]
     _check(tuning.window_T > 0, "tuning.window_T", tuning.window_T, "positive")
-    if tuning.pe_horizon is None:
-        tuning.pe_horizon = 8.0 * tuning.window_T
     _check(tuning.pe_horizon >= tuning.window_T, "tuning.pe_horizon", tuning.pe_horizon,
            f"at least tuning.window_T = {tuning.window_T}")
     dec = sec["decision"]
@@ -286,16 +287,11 @@ def load_config(path_or_dict) -> ExperimentConfig:
            f"one of {sorted(SIGMOIDS)}")
     _check(sec["sweep"].count >= 1, "sweep.count", sec["sweep"].count, "at least 1")
 
-    noise_bound = sec["plant"].noise_bound
-    _check(noise_bound >= 0, "plant.noise_bound", noise_bound, "non-negative")
-    s0_lo, s0_hi = sec["plant"].s0_range
-    _check(s0_lo <= s0_hi, "plant.s0_range", [s0_lo, s0_hi], "an interval with lo <= hi")
-    s0 = sec["simulation"].s0
+    plant = _named("plant", _build_plant, sec["plant"])
+    (s0_lo, s0_hi), s0 = plant.s0_range, sec["simulation"].s0
     _check(s0 is None or s0_lo <= s0 <= s0_hi, "simulation.s0", s0,
            f"inside plant.s0_range [{s0_lo}, {s0_hi}]")
-
-    plant = _build_plant(sec["plant"])
-    configs, gamma_stars = _class_configs(p, classes, plant)
+    configs, gamma_stars = _named("prototype", _class_configs, p, classes, plant)
     cfg = ExperimentConfig(
         raw=raw, name=name, classes=classes, inp=inp, plant=plant,
         true_class=true_class, true_theta=true_theta, gamma_star=gamma_stars,

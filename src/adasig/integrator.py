@@ -22,7 +22,7 @@ from .signals import InputSignal, SignalClass
 CSV_BLOCK_ROWS = 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """A recorded run of the measurement and an m-class bank.
 

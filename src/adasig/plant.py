@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantSpec:
     phi_min: float = 1.0
     s0_range: tuple[float, float] = (0.0, 1.0)
@@ -26,12 +26,12 @@ class PlantSpec:
                             *(("s0_range", v) for v in self.s0_range)]:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.phi_min <= 0:
-            raise ValueError("need phi_min > 0")
-        if self.noise_bound < 0:
-            raise ValueError("noise bound must be non-negative")
-        if not self.s0_range[0] <= self.s0_range[1]:
-            raise ValueError(f"s0_range must be an interval with lo <= hi, got {self.s0_range}")
+        for name, ok, rule in [("phi_min", self.phi_min > 0, "positive"),
+                               ("noise_bound", self.noise_bound >= 0, "non-negative"),
+                               ("s0_range", self.s0_range[0] <= self.s0_range[1],
+                                "an interval with lo <= hi")]:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def radius(self, drive_sup: float = 0.0) -> float:
         """(drive_sup + noise_bound)/phi_min: the filter driven by |f| <= drive_sup

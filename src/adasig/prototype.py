@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrototypeConfig:
     gamma: float
     a: float
@@ -30,14 +30,13 @@ class PrototypeConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if not self.a < self.b:
-            raise ValueError("need a < b")
-        if self.epsilon < 0 or self.delta < 0:
-            raise ValueError("epsilon and delta must be non-negative")
-        if not 0.0 <= self.nu_x <= 2 * math.pi:
-            raise ValueError("nu_x must lie in [0, 2*pi]")
+        for name, ok, rule in [("gamma", self.gamma > 0, "positive"),
+                               ("b", self.a < self.b, f"above a = {self.a!r}"),
+                               ("epsilon", self.epsilon >= 0, "non-negative"),
+                               ("delta", self.delta >= 0, "non-negative"),
+                               ("nu_x", 0 <= self.nu_x <= 2 * math.pi, "in [0, 2 pi]")]:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def theta_hat(x: float, a: float, b: float) -> float:
@@ -103,10 +102,6 @@ def bank_kernel(bank: Sequence[tuple], phi_min: float) -> Callable:
 
 def compute_c(d_theta: float, phi_min: float, a: float, b: float) -> float:
     """Gain from worst-case estimate error to steady filter mismatch."""
-    if phi_min <= 0:
-        raise ValueError("phi_min must be positive")
-    if not b > a:
-        raise ValueError("need b > a")
     return d_theta / phi_min * (b - a) / 2.0
 
 
@@ -119,14 +114,14 @@ def tune_gamma(
 ) -> tuple[float, float]:
     """Supremum of admissible rotation gains, and a working gain inside it.
 
-    Returns (gamma_star, gamma = safety * gamma_star); c must be positive.
+    Returns (gamma_star, gamma = safety * gamma_star).
     """
-    if not kappa > 1 or not 0 < d < 1:
-        raise ValueError("need kappa > 1 and d in (0, 1)")
-    if not 0 < safety < 1:
-        raise ValueError("safety must be in (0, 1)")
-    if not c > 0:
-        raise ValueError("c must be positive")
+    for name, value, ok, rule in [("kappa", kappa, kappa > 1, "greater than 1"),
+                                  ("d", d, 0 < d < 1, "in (0, 1)"),
+                                  ("safety", safety, 0 < safety < 1, "in (0, 1)"),
+                                  ("c", c, c > 0, "positive")]:
+        if not ok:
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
     gamma_star = (phi_min / c) / (
         math.log(kappa / d) * kappa / (kappa - 1.0) * (2.0 + kappa / (1.0 - d))
     )
@@ -170,8 +165,6 @@ def choose_winding(h_star: float, nu_x: float) -> int:
     """Smallest k' with -nu_x + 2*pi*k' >= h_star (worst case over [a, b])."""
     if h_star < 0:
         raise ValueError("h_star must be non-negative")
-    if not 0.0 <= nu_x <= 2 * math.pi:
-        raise ValueError("nu_x must lie in [0, 2*pi]")
     k = math.ceil((h_star + nu_x) / (2 * math.pi))
     return max(k, 0)
 
@@ -193,13 +186,11 @@ def error_bound(
     rho_inverse: Callable[[float], float],
 ) -> float:
     """Guaranteed accuracy radius rho^{-1}((8 D_eta D_theta (b-a) D_f^2 L^2)^(1/4))."""
-    if delta_eta < 0:
-        raise ValueError("noise bound must be non-negative")
     inner = (8.0 * delta_eta * d_theta * (b - a) * d_f**2 * L**2) ** 0.25
     return float(rho_inverse(inner))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TuningReport:
     """The tuning of one class, as tuning.json records it. vacuous:
     error_bound reaches b - a, the width of the read-back interval, so the

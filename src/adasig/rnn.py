@@ -199,7 +199,7 @@ class SigmoidNetwork:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RHSDataset:
     """Sampled graph of the subsystem right-hand side over its domain box."""
 
@@ -415,7 +415,7 @@ def fit_network(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DivergenceReport:
     """One class's Gronwall check, as divergence.json records it.
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class SignalClass:
     """One signal family f(xi, theta), injective in theta on theta_range.
 
@@ -37,7 +37,7 @@ class SignalClass:
             raise ValueError(f"theta_range must be a proper interval, got {self.theta_range}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InputSignal:
     """Known scalar input xi(t) with bounds on its magnitude and slope."""
 

@@ -1,18 +1,21 @@
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from adasig import analysis, classify, cli, config, integrator, prototype, rnn
+from adasig import analysis, classify, cli, config, integrator, plant, prototype, rnn
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -340,6 +343,22 @@ BAD_VALUES += [
 ]
 
 
+# (key path, value, the record or tune_gamma built directly with that value):
+# each rule is stated by the record alone, and load_config names its section
+RECORD_RULES = [
+    (("plant", "phi_min"), -1.0, lambda v: plant.PlantSpec(phi_min=v)),
+    (("plant", "noise_bound"), -1e-4, lambda v: plant.PlantSpec(noise_bound=v)),
+    (("plant", "s0_range"), [1.0, 0.0], lambda v: plant.PlantSpec(s0_range=tuple(v))),
+    (("prototype", "delta"), -1e-3,
+     lambda v: prototype.PrototypeConfig(gamma=0.1, a=1.1, b=2.2, delta=v)),
+    (("prototype", "nu_x"), 7.0,
+     lambda v: prototype.PrototypeConfig(gamma=0.1, a=1.1, b=2.2, nu_x=v)),
+    (("prototype", "kappa"), 1.0, lambda v: prototype.tune_gamma(v, 0.5, 1.0, 1.0)),
+    (("prototype", "d"), 1.0, lambda v: prototype.tune_gamma(2.0, v, 1.0, 1.0)),
+    (("prototype", "safety"), 1.0, lambda v: prototype.tune_gamma(2.0, 0.5, 1.0, 1.0, v)),
+]
+
+
 def _key_name(path):
     """The key as load_config's messages name it: classes[0].theta_range."""
     if path[0] == "classes":
@@ -359,6 +378,20 @@ class TestLoadTimeRejection:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {_key_name(path)} must be ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("path,value,build", RECORD_RULES,
+                             ids=[_key_name(p) + f"={v!r}" for p, v, _ in RECORD_RULES])
+    def test_load_reports_the_record_message(self, path, value, build):
+        """The load error is the record's own message behind the section."""
+        raw = small_config(plant={"phi": "linear"})
+        del raw["plant"]["phi_max"]
+        _set(raw, path, value)
+        with pytest.raises(ValueError) as direct:
+            build(value)
+        with pytest.raises(ValueError) as loaded:
+            config.load_config(raw)
+        assert str(loaded.value) == f"{path[0]}.{direct.value}"
+        assert str(loaded.value).startswith(f"{_key_name(path)} must be ")
 
     def test_family_range_names_the_key(self, tmp_path, capsys):
         """A theta_range outside the range a family declares, here
@@ -874,3 +907,102 @@ class TestReportCommand:
         capsys.readouterr()
         clamps = [w for w in caught if "clamping" in str(w.message)]
         assert len(clamps) == 1  # one class, clamped once
+
+
+CONTRACT_COMMANDS = [["tune"], ["simulate"], ["report"], ["fit-rnn"], ["verify", "--which", "pe"],
+                     ["verify", "--which", "persistency"], ["verify", "--which", "bounds"]]
+# the two warnings a run may give: a gain clamp and rho^-1 extrapolation
+DOCUMENTED_WARNINGS = ("inadmissible for class", "rho inverse evaluated beyond")
+# the errors a config that loads can still exit 1 with
+RUN_ERRORS = ("error: integration diverged at t=",
+              "error: normal equations are singular; increase ridge")
+
+
+@st.composite
+def contract_configs(draw):
+    """1-3 classes of random families and ranges inside [0.5, 2], a and b
+    around them, either input, a linear plant of slope 0.1-20 with noise up
+    to 0.5, dt 1e-3-0.2 with 20-200 recorded rows, and small networks with
+    ridge 0 among the choices."""
+    classes = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = draw(st.floats(0.5, 1.8))
+        classes.append({"family": draw(st.sampled_from(["linear", "sine", "quadratic-affine"])),
+                        "theta_range": [lo, min(lo + draw(st.floats(0.05, 0.2)), 2.0)]})
+    true = draw(st.integers(0, len(classes) - 1))
+    dt, every, rows = draw(st.floats(1e-3, 0.2)), draw(st.integers(1, 5)), draw(st.integers(20, 200))
+    horizon = rows * every * dt
+    return {
+        "classes": classes,
+        "true": {"class": true, "theta": draw(st.floats(*classes[true]["theta_range"]))},
+        "input": {"kind": draw(st.sampled_from(["sin", "degenerate"]))},
+        "plant": {"phi": "linear", "phi_min": draw(st.floats(0.1, 20.0)),
+                  "noise_bound": draw(st.floats(0.0, 0.5))},
+        "prototype": {"a": min(c["theta_range"][0] for c in classes) - draw(st.floats(0.05, 0.5)),
+                      "b": max(c["theta_range"][1] for c in classes) + draw(st.floats(0.05, 0.5)),
+                      **draw(st.just({}) | st.builds(dict, gamma=st.floats(1e-3, 1.0)))},
+        "simulation": {"dt": dt, "record_every": every, "horizon": horizon,
+                       "seed": draw(st.integers(0, 2**16))},
+        "decision": {"T_star": draw(st.integers(1, rows)) * every * dt},
+        "rnn": {"N": draw(st.sampled_from([1, 3, 10])),
+                "n_train": draw(st.sampled_from([1, 5, 50])),
+                "ridge": draw(st.sampled_from([0.0, 1e-10, 1e-3])),
+                "check_horizon": draw(st.sampled_from([0.0, horizon]))},
+        "sweep": {"count": draw(st.integers(1, 3))},
+    }
+
+
+class TestCliContract:
+    """README's CLI contract over random configs: a documented exit code, an
+    exit 1 with one error line and no traceback, no warning besides the
+    documented two, and standard JSON artifacts."""
+
+    @staticmethod
+    def run(command, path, out):
+        """cli.main's (exit code, stderr, warning messages) for one command."""
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = cli.main([*command, "--config", str(path), "--out", str(out)])
+        return code, err.getvalue(), [str(w.message) for w in caught]
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(raw=contract_configs())
+    @example(raw=small_config(  # slope 20 at dt 0.2 leaves RK4's stability region
+        plant={"phi": "linear", "phi_min": 20.0, "phi_max": 20.0},
+        simulation={"dt": 0.2, "horizon": 20.0, "record_every": 1},
+        decision={"T_star": 2.0},
+        rnn={"N": 10, "n_train": 50, "check_horizon": 20.0}))
+    def test_every_command_keeps_the_contract(self, raw):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # gamma clamps
+                config.load_config(raw)
+            load_error = None
+        except ValueError as exc:
+            load_error = f"error: {exc}\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), raw)
+            for i, command in enumerate(CONTRACT_COMMANDS):
+                out = Path(tmp) / f"out{i}"
+                code, err, messages = self.run(command, path, out)
+                assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_NOT_ENTERED,
+                                cli.EXIT_VERIFY_FAIL)
+                assert [m for m in messages
+                        if not any(w in m for w in DOCUMENTED_WARNINGS)] == []
+                files = sorted(p.name for p in out.iterdir()) if out.exists() else None
+                if code == cli.EXIT_PARSE:
+                    assert err.startswith("error: ") and err.count("\n") == 1
+                    assert "Traceback" not in err
+                    if load_error is not None:
+                        assert (err, files) == (load_error, None)  # no output directory
+                        continue
+                    assert err.startswith(RUN_ERRORS)
+                    # the failed step writes nothing, but fit-rnn's divergence
+                    # check runs after the networks and fit_report.json are written
+                    fitted = [f"network_{k + 1}.json" for k in range(len(raw["classes"]))]
+                    assert files == [] or (command == ["fit-rnn"]
+                                           and files == sorted(fitted + ["fit_report.json"]))
+                for artifact in out.glob("*.json"):
+                    strict_json(artifact)

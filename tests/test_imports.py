@@ -11,8 +11,8 @@ Likewise every top-level def and class of the package, and every public
 method of its classes, is referenced somewhere in src/, demos/ or
 perfbench/ outside its own definition (a name only tests reach is dead),
 the package writes CSV through one writer, never through np.savetxt,
-only plant.py does arithmetic with noise_bound, and only integrator.py
-spells a trajectory column name.
+only plant.py does arithmetic with noise_bound, only integrator.py
+spells a trajectory column name, and every dataclass is frozen.
 """
 import ast
 import json
@@ -228,6 +228,43 @@ def test_detects_noise_bound_arithmetic():
               "e = 2.0 * spec.noise_bound + 1\n"
               "g = 'noise_bound / phi_min'\n")
     assert noise_bound_arithmetic(source) == [1, 2, 5]
+
+
+def unfrozen_dataclasses(source: str) -> list[int]:
+    """Lines of dataclass decorators, bare or called, without frozen=True."""
+    def is_dataclass(node):
+        return (isinstance(node, ast.Name) and node.id == "dataclass"
+                or isinstance(node, ast.Attribute) and node.attr == "dataclass")
+
+    def frozen(node):
+        return any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                   and k.value.value is True for k in node.keywords)
+
+    return sorted(deco.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ClassDef) for deco in node.decorator_list
+                  if is_dataclass(deco)
+                  or isinstance(deco, ast.Call) and is_dataclass(deco.func) and not frozen(deco))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_record_is_frozen(path):
+    """Every dataclass of the package is frozen: its __post_init__ checks
+    cannot be skipped by assigning a field, and dataclasses.replace builds
+    a changed copy through them."""
+    assert unfrozen_dataclasses(path.read_text()) == []
+
+
+def test_detects_an_unfrozen_dataclass():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "@dataclass\nclass A: pass\n"
+              "@dataclass()\nclass B: pass\n"
+              "@dataclasses.dataclass(eq=False)\nclass C: pass\n"
+              "@dataclass(frozen=False)\nclass D: pass\n"
+              "@dataclass(frozen=True)\nclass E: pass\n"
+              "@dataclasses.dataclass(eq=False, frozen=True)\nclass F: pass\n"
+              "@other\nclass G: pass\n"
+              "'@dataclass'\n")
+    assert unfrozen_dataclasses(source) == [3, 5, 7, 9]
 
 
 # Trajectory column names besides t and s: shat_i, x_i, y_i, theta_hat_i, hf_i.

@@ -611,15 +611,18 @@ class TestBlockNetworkBuiltPerRun:
         assert [omega.shape for omega, _, _ in builds] == [(3, 3, 5)] * 2
 
 
-def counting(monkeypatch, owner, name, counts):
-    """Replace owner.name with a wrapper that counts its calls in counts[name]."""
-    real = getattr(owner, name)
-
+def counted(real, name, counts):
+    """real, wrapped to count its calls in counts[name]."""
     def wrapper(*args, **kwargs):
         counts[name] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, wrapper)
+    return wrapper
+
+
+def counting(monkeypatch, owner, name, counts):
+    """Replace owner.name with a wrapper that counts its calls in counts[name]."""
+    monkeypatch.setattr(owner, name, counted(getattr(owner, name), name, counts))
 
 
 class TestLayerContract:
@@ -635,7 +638,7 @@ class TestLayerContract:
         counting(monkeypatch, integrator, "prototype_rhs", counts)
         counting(monkeypatch, rnn.SigmoidNetwork, "rhs", counts)
         inp = signals.sin_input()
-        counting(monkeypatch, inp, "xi", counts)
+        inp = dataclasses.replace(inp, xi=counted(inp.xi, "xi", counts))
         integrator.integrate_system(make_spec(noise_bound=0.02), LINEAR, 1.5, bank, inp,
                                     horizon=self.STEPS * 1e-2, dt=1e-2, seed=4, s0=0.3)
         assert counts["rk4_step"] == self.STEPS, (

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +34,12 @@ class TestPlantSpec:
         with pytest.raises(ValueError, match=r"^s0_range must be an interval with lo <= hi"):
             plant.PlantSpec(s0_range=(1.0, 0.0))
         assert plant.PlantSpec(s0_range=(0.5, 0.5)).s0_range == (0.5, 0.5)
+
+    @pytest.mark.parametrize("field", ["phi_min", "noise_bound", "s0_range"])
+    def test_fields_cannot_be_assigned(self, field):
+        """A field passes the checks only through the constructor."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(make_spec(), field, -1.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["phi_min", "noise_bound", "s0_range"])

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import os
 import subprocess
@@ -43,6 +44,12 @@ class TestConfigValidation:
     def test_rejects_bad_nu_x(self):
         with pytest.raises(ValueError):
             make_config(nu_x=7.0)
+
+    @pytest.mark.parametrize("field", ["gamma", "a", "b", "epsilon", "delta", "nu_x"])
+    def test_fields_cannot_be_assigned(self, field):
+        """A field passes the checks only through the constructor."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(make_config(), field, -1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["gamma", "a", "b", "epsilon", "delta", "nu_x"])

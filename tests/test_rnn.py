@@ -77,8 +77,8 @@ class TestFitNetwork:
     def test_zero_targets_give_zero_network(self):
         cfg = make_config()
         ds = rnn.sample_rhs(LINEAR, cfg, small_box(), 500, phi_min=1.0, seed=2)
-        ds.targets = np.zeros_like(ds.targets)
-        ds.target_fn = lambda Z: np.zeros((len(np.atleast_2d(Z)), 3))
+        ds = dataclasses.replace(ds, targets=np.zeros_like(ds.targets),
+                                 target_fn=lambda Z: np.zeros((len(np.atleast_2d(Z)), 3)))
         net = rnn.fit_network(ds, N=20, ridge=1e-8, seed=0)
         assert np.max(np.abs(net.alpha)) == 0.0
         assert net.eps_N == 0.0
